@@ -6,7 +6,6 @@ checks that the limit does not depend on the approximating partition scheme.
 """
 
 from .arclength import (
-    BisectionRecord,
     arc_length,
     bisection_step,
     circle_midpoint,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditivityCheck",
-    "BisectionRecord",
     "CapacityError",
     "Chord",
     "CirclePoint",

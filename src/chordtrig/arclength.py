@@ -11,18 +11,20 @@ which is the stable form of sqrt(2 - 2h) (no cancellation as h -> 1). Since
 sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
-The certified bracket at level m is [L_m, L_m / h_m]: the lower arm because
-the polygonal lengths increase to the arc length, the upper arm because
-L_m / h_m is twice the circumscribed tangent fan's area, which contains the
-sector whose doubled area equals the arc length.
+One driver runs this recurrence for every ladder in the package, yielding
+one :class:`IterationRow` (level state and both fan areas) per level; an
+arms function picks the two fields that form the bracket. Arc length takes
+[L_m, L_m / h_m]: the lower arm because the polygonal lengths increase to
+the arc length, the upper arm because L_m / h_m is twice the circumscribed
+tangent fan's area, which contains the sector whose doubled area equals the
+arc length. The sector area (:mod:`chordtrig.sector`) takes the two fans.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
 from .geometry import (
@@ -33,26 +35,13 @@ from .geometry import (
     height_for_chord,
     point_from_ordinate,
 )
-from .report import STOP_CAP, STOP_TOLERANCE, ConvergenceReport, Enclosure, build_row
+from .report import (STOP_CAP, STOP_TOLERANCE, ConvergenceReport, Enclosure,
+                     IterationRow, fan_areas)
 
 DEFAULT_MAX_ITER = 40
 
 # 2^m beyond this could not index a materialized point list on any host.
 _MAX_LEVEL = 62
-
-
-@dataclass(frozen=True)
-class BisectionRecord:
-    """State of the scheme at level ``m``.
-
-    ``total_length`` is exactly 2^m * segment_length (power-of-two scaling),
-    and height^2 + (segment_length/2)^2 = 1 up to a few ulp.
-    """
-
-    m: int
-    segment_length: float
-    height: float
-    total_length: float
 
 
 def circle_midpoint(a: CirclePoint, b: CirclePoint) -> CirclePoint:
@@ -94,19 +83,59 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-def _ladder(a: CirclePoint, b: CirclePoint) -> Iterator[BisectionRecord]:
-    """Infinite record stream for the arc ``ab`` (a != b)."""
+Arms = Callable[[float, float, float, float], tuple[float, float]]
+
+
+def _arc_arms(total: float, height: float, inner: float, outer: float) -> tuple[float, float]:
+    return total, total / height
+
+
+def _rows(a: CirclePoint, b: CirclePoint, arms: Arms = _arc_arms) -> Iterator[IterationRow]:
+    """Unbounded row stream of the ladder on the arc ``ab`` (a != b); the
+    bracket columns are ``arms(total_length, height, inner_area, outer_area)``."""
     ell = chord_length(a, b)
     m = 0
     while True:
         h = height_for_chord(ell)
-        yield BisectionRecord(m, ell, h, math.ldexp(ell, m))
+        total = math.ldexp(ell, m)
+        inner, outer = fan_areas(total, h)
+        yield IterationRow(m, ell, h, total, inner, outer, *arms(total, h, inner, outer))
         ell = ell / math.sqrt(2.0 * (1.0 + h))
         m += 1
 
 
-def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[BisectionRecord]:
-    """Records for levels 0..m_max of the scheme on the arc ``ab``."""
+def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
+             arms: Arms = _arc_arms,
+             strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
+    """Run the ladder until its ``arms`` bracket is at most ``tol`` wide (below
+    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows."""
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be non-negative, got {max_iter}")
+    if a.y == b.y:
+        return (Enclosure(0.0, 0.0),
+                ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, ()))
+    rows = []
+    for row in _rows(a, b, arms):
+        rows.append(row)
+        width = row.enclosure_hi - row.enclosure_lo
+        met = width < tol if strict else width <= tol
+        if met or row.m >= max_iter:
+            break
+    enc = Enclosure(row.enclosure_lo, row.enclosure_hi)
+    report = ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP,
+                               tuple(rows))
+    if not met:
+        raise ConvergenceError(
+            f"bracket width {width!r} has not reached tol {tol!r} by level {row.m}",
+            enclosure=enc, report=report)
+    return enc, report
+
+
+def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[IterationRow]:
+    """Rows for levels 0..m_max of the scheme on the arc ``ab``, bracket
+    [L_m, L_m / h_m]."""
     if a.y == b.y:
         raise DegenerateArcError("length sequence of a degenerate arc")
     if m_max < 0:
@@ -114,7 +143,7 @@ def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[Bisectio
     if m_max > _MAX_LEVEL:
         raise CapacityError(
             f"level {m_max} would need 2^{m_max} segments, beyond index capacity")
-    return list(islice(_ladder(a, b), m_max + 1))
+    return list(islice(_rows(a, b), m_max + 1))
 
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:
@@ -134,25 +163,4 @@ def arc_length(a: CirclePoint, b: CirclePoint, tol: float,
     ``ConvergenceError`` (carrying the last bracket and the report) if the
     level cap is hit first.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be non-negative, got {max_iter}")
-    if a.y == b.y:
-        return (Enclosure(0.0, 0.0),
-                ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, ()))
-    rows = []
-    for rec in _ladder(a, b):
-        lo = rec.total_length
-        hi = lo / rec.height
-        rows.append(build_row(rec.m, rec.segment_length, rec.height,
-                              rec.total_length, lo, hi))
-        if hi - lo <= tol:
-            report = ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, tuple(rows))
-            return Enclosure(lo, hi), report
-        if rec.m >= max_iter:
-            report = ConvergenceReport(a.y, b.y, tol, STOP_CAP, tuple(rows))
-            raise ConvergenceError(
-                f"bracket width {hi - lo!r} still above tol {tol!r} at level {rec.m}",
-                enclosure=Enclosure(lo, hi), report=report)
-    raise AssertionError("unreachable")
+    return _enclose(a, b, tol, max_iter)

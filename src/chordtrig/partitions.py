@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arclength import DEFAULT_MAX_ITER, _ladder, arc_length, bisection_step
+from .arclength import DEFAULT_MAX_ITER, _rows, arc_length, bisection_step
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
 from .geometry import (
     CirclePoint,
@@ -196,13 +196,20 @@ def _uniform_ordinates(hi_y: float, lo_y: float, n: int) -> np.ndarray:
     return ys
 
 
+def _rng(seed: int, n: int) -> np.random.Generator:
+    """The generator behind the seeded n-segment random partition."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng((int(seed), int(n)))
+
+
 def _random_ordinates(hi_y: float, lo_y: float, n: int, seed: int,
                       max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
     if n < 1:
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > max_points:
         raise CapacityError(f"{n} segments exceed the partition size limit")
-    rng = np.random.default_rng((int(seed), int(n)))
+    rng = _rng(seed, n)
     interior = rng.uniform(lo_y, hi_y, n - 1)
     interior[::-1].sort()
     ys = np.concatenate(([hi_y], interior, [lo_y]))
@@ -286,14 +293,14 @@ def _random_stats(hi_y: float, lo_y: float, n: int, seed: int) -> tuple[float, f
         return _polyline_stats(_random_ordinates(hi_y, lo_y, n, seed,
                                                  _MAX_MATERIAL_POINTS))
     span = hi_y - lo_y
-    rng = np.random.default_rng((int(seed), int(n)))
+    rng = _rng(seed, n)
     total_spacing = 0.0
     remaining = n
     while remaining:
         k = min(_CHUNK, remaining)
         total_spacing += float(rng.standard_exponential(k).sum())
         remaining -= k
-    rng = np.random.default_rng((int(seed), int(n)))
+    rng = _rng(seed, n)
     total = 0.0
     norm = 0.0
     carry = hi_y
@@ -346,13 +353,13 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
 
     prev: float | None = None
     if scheme == "bisection":
-        for rec in _ladder(hi, lo):
-            value, norm = rec.total_length, rec.segment_length
+        for row in _rows(hi, lo):
+            value, norm = row.total_length, row.segment_length
             bound = _gap_bound(cap_factor, norm)
             if prev is not None and abs(value - prev) <= tol and bound <= tol:
                 return value
             prev = value
-            if rec.m >= _MAX_BISECTION_STEPS:
+            if row.m >= _MAX_BISECTION_STEPS:
                 break
         raise ConvergenceError(
             f"bisection ladder exhausted {_MAX_BISECTION_STEPS} levels above tol {tol!r}")

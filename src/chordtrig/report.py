@@ -71,15 +71,14 @@ class IterationRow:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
-def build_row(m: int, segment_length: float, height: float, total_length: float,
-              enclosure_lo: float, enclosure_hi: float) -> IterationRow:
-    """Assemble a row; the fan areas follow from the level state in closed form."""
-    inner = 0.5 * total_length * height
-    outer = 0.5 * total_length / height
-    if outer < inner:  # sub-ulp arcs can invert the fans by one rounding
-        outer = inner
-    return IterationRow(m, segment_length, height, total_length, inner, outer,
-                        enclosure_lo, enclosure_hi)
+def fan_areas(total_length: float, height: float) -> tuple[float, float]:
+    """Inscribed and circumscribed fan areas (L h / 2, L / (2 h)) of one level.
+
+    The outer area never falls below the inner one: h <= 1 and IEEE rounding
+    is monotone, so fl(t h) <= t <= fl(t / h) for t = L / 2.
+    """
+    half = 0.5 * total_length
+    return half * height, half / height
 
 
 @dataclass(frozen=True)

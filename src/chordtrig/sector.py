@@ -4,20 +4,21 @@ At level m the inscribed fan over the bisection points has area
 2^m * l_m * h_m / 2 (triangle fan from the origin), and the circumscribed
 tangent-line fan has area 2^m * l_m / (2 h_m): each outer triangle is the
 inner one scaled by 1/h_m along the radius, so its area is l/(2h) without
-ever intersecting tangent lines vertex by vertex. The sector sits between
-the two fans, which yields the bracket; the arc length equals twice the
-sector area, checked by :func:`verify_ratio`.
+ever intersecting tangent lines vertex by vertex. Both fans are columns of
+the same ladder rows that arc length runs on (:mod:`chordtrig.arclength`);
+the sector run only takes them as its bracket arms. The sector sits between
+the two fans; the arc length equals twice the sector area, checked by
+:func:`verify_ratio`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
-from .arclength import DEFAULT_MAX_ITER, _ladder, arc_length
-from .errors import ConvergenceError, DegenerateArcError, DomainError
+from .arclength import DEFAULT_MAX_ITER, _enclose, arc_length, length_sequence
+from .errors import DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
-from .report import STOP_CAP, STOP_TOLERANCE, ConvergenceReport, Enclosure, build_row
+from .report import ConvergenceReport, Enclosure
 
 
 @dataclass(frozen=True)
@@ -30,22 +31,20 @@ class SectorSandwich:
     gap: float
 
 
-def _sandwich(rec) -> SectorSandwich:
-    inner = 0.5 * rec.total_length * rec.height
-    outer = 0.5 * rec.total_length / rec.height
-    if outer < inner:  # one-rounding inversion is possible for sub-ulp arcs
-        outer = inner
-    return SectorSandwich(rec.m, inner, outer, outer - inner)
+def _fan_arms(total: float, height: float, inner: float, outer: float) -> tuple[float, float]:
+    return inner, outer
 
 
 def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:
-    """The level-``m`` fan areas for the arc ``ab``."""
+    """The level-``m`` fan areas for the arc ``ab`` (levels above 62 raise
+    ``CapacityError``, as in :func:`length_sequence`)."""
     if a.y == b.y:
         raise DegenerateArcError("polygon fans of a degenerate arc")
     if m < 0:
         raise DomainError(f"level must be non-negative, got {m}")
-    rec = next(islice(_ladder(a, b), m, None))
-    return _sandwich(rec)
+    row = length_sequence(a, b, m)[-1]
+    return SectorSandwich(m, row.inner_area, row.outer_area,
+                          row.outer_area - row.inner_area)
 
 
 def inner_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
@@ -60,44 +59,20 @@ def outer_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
 
 def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float,
                    max_iter: int = DEFAULT_MAX_ITER) -> int:
-    """Smallest level m with outer_area - inner_area < ``epsilon``."""
+    """Smallest level m with outer_area - inner_area < ``epsilon``: the
+    sector run with a strict threshold."""
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if a.y == b.y:
         raise DegenerateArcError("gap criterion of a degenerate arc")
-    for rec in _ladder(a, b):
-        if _sandwich(rec).gap < epsilon:
-            return rec.m
-        if rec.m >= max_iter:
-            raise ConvergenceError(
-                f"fan gap still at least {epsilon!r} at level {rec.m}")
-    raise AssertionError("unreachable")
+    _, report = _enclose(a, b, epsilon, max_iter, _fan_arms, strict=True)
+    return report.rows[-1].m
 
 
 def sector_area(a: CirclePoint, b: CirclePoint, tol: float,
                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure [inner fan, outer fan] of the sector area."""
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be non-negative, got {max_iter}")
-    if a.y == b.y:
-        return (Enclosure(0.0, 0.0),
-                ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, ()))
-    rows = []
-    for rec in _ladder(a, b):
-        sw = _sandwich(rec)
-        rows.append(build_row(rec.m, rec.segment_length, rec.height,
-                              rec.total_length, sw.inner_area, sw.outer_area))
-        if sw.gap <= tol:
-            report = ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, tuple(rows))
-            return Enclosure(sw.inner_area, sw.outer_area), report
-        if rec.m >= max_iter:
-            report = ConvergenceReport(a.y, b.y, tol, STOP_CAP, tuple(rows))
-            raise ConvergenceError(
-                f"fan gap {sw.gap!r} still above tol {tol!r} at level {rec.m}",
-                enclosure=Enclosure(sw.inner_area, sw.outer_area), report=report)
-    raise AssertionError("unreachable")
+    return _enclose(a, b, tol, max_iter, _fan_arms)
 
 
 def _ratio_components(a: CirclePoint, b: CirclePoint, tol: float,
