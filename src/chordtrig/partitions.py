@@ -1,19 +1,34 @@
-"""Partitions of an arc, refinements, norm-driven limits and additivity.
+"""Partitions of an arc, refinements, certified limits and additivity.
 
 A partition is a finite point set on an arc with strictly decreasing
 ordinates; its norm is the longest adjacent chord. Any sequence of
 partitions whose norm tends to zero defines the same polygonal-length
-limit: the refinement bound
+limit, and two bounds certify how far a refinement can still move it.
 
-    |L(P') - L(P)| <= (l0 / h0^2) * ||P||^2 / (4 - ||P||^2)
+A chord l of height h = sqrt(1 - l^2 / 4) caps every polygonal line of its
+arc at l / h^2, so refining that one segment adds at most
 
-for every refinement P' of P certifies how far the current polygonal
-length can still move, which is what :func:`scheme_limit` uses to stop.
+    l (1/h^2 - 1) = l^3 / (4 - l^2).
+
+Summed over the segments of P this gives the per-segment certificate: for
+every refinement P' of P,
+
+    |L(P') - L(P)| <= sum_i l_i^3 / (4 - l_i^2),
+
+which is what :func:`scheme_limit` uses to stop. Coarsening each
+l_i^2 / (4 - l_i^2) with the norm, and sum_i l_i with the whole arc's cap
+l0 / h0^2, gives the paper's global bound
+
+    |L(P') - L(P)| <= (l0 / h0^2) * ||P||^2 / (4 - ||P||^2),
+
+:func:`refinement_gap_bound`. The certificate is far tighter on ordinate
+grids, where only the top chord is long.
 
 Three partition families are provided: the chord-bisection levels, grids
 uniform in the ordinate, and seeded uniform random draws. The limit runs
-evaluate big grids as ordinate arrays (no point objects) with the same
-stable chord formula as :func:`chordtrig.geometry.chord_length`.
+evaluate exactly the ordinate arrays the builders turn into points (no
+point objects), with the same stable chord formula as
+:func:`chordtrig.geometry.chord_length`.
 """
 
 from __future__ import annotations
@@ -21,7 +36,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,9 +62,9 @@ MIN_ORDINATE_GAP = 1e-12
 # union/refinement purposes.
 DEDUPE_TOL = 1e-14
 
-_MAX_PARTITION_POINTS = (1 << 20) + 1       # materialized CirclePoint lists
-_MAX_MATERIAL_POINTS = (1 << 24) + 1        # materialized ordinate arrays
-_MAX_STREAM_POINTS = (1 << 31) + 1          # streamed limit-run grids
+_MAX_PARTITION_LEVEL = 20
+_MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1  # CirclePoint lists
+_MAX_GRID_POINTS = (1 << 24) + 1            # scheme_limit ordinate arrays
 _MAX_BISECTION_STEPS = 48                   # scheme_limit bisection levels
 _CHUNK = 1 << 20
 
@@ -113,14 +129,12 @@ def refine_union(p: Partition, q: Partition) -> Partition:
 
 
 def refinement_gap_bound(p: Partition) -> float:
-    """Bound on |L(P') - L(P)| over every refinement P' of ``p``."""
+    """The paper's global bound on |L(P') - L(P)| over every refinement P'
+    of ``p``: (l0 / h0^2) * ||P||^2 / (4 - ||P||^2)."""
     ell0 = chord_length(p.arc_hi, p.arc_lo)
     h0 = height_for_chord(ell0)
-    return _gap_bound(ell0 / (h0 * h0), p.norm)
-
-
-def _gap_bound(cap_factor: float, norm: float) -> float:
-    return cap_factor * norm * norm / (4.0 - norm * norm)
+    norm = p.norm
+    return ell0 / (h0 * h0) * norm * norm / (4.0 - norm * norm)
 
 
 def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, CirclePoint]:
@@ -134,7 +148,7 @@ def bisection_partition(a: CirclePoint, b: CirclePoint, m: int) -> Partition:
     hi, lo = _ordered_endpoints(a, b)
     if m < 0:
         raise DomainError(f"level must be non-negative, got {m}")
-    if (1 << max(m, 0)) + 1 > _MAX_PARTITION_POINTS:
+    if m > _MAX_PARTITION_LEVEL:
         raise CapacityError(f"level {m} would materialize 2^{m} + 1 points")
     pts = [hi, lo]
     for _ in range(m):
@@ -147,7 +161,9 @@ def ordinate_uniform_partition(a: CirclePoint, b: CirclePoint, n: int) -> Partit
 
     Spacing is uniform in y, not in arc; chords near y = 1 shrink only like
     the square root of the ordinate step, so the norm still tends to zero as
-    n grows, just more slowly there.
+    n grows, just more slowly there. A step below float resolution repeats
+    ordinates; the repeats (zero-length chords) are dropped, so a very short
+    arc can get fewer than n + 1 points.
     """
     hi, lo = _ordered_endpoints(a, b)
     ys = _uniform_ordinates(hi.y, lo.y, n)
@@ -184,55 +200,68 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def _uniform_ordinates(hi_y: float, lo_y: float, n: int) -> np.ndarray:
-    if n < 1:
-        raise DomainError(f"segment count must be positive, got {n}")
-    if n + 1 > _MAX_PARTITION_POINTS:
-        raise CapacityError(f"{n} segments exceed the partition size limit")
-    ys = np.linspace(hi_y, lo_y, n + 1)
-    if not np.all(np.diff(ys) < 0.0):
-        raise DomainError(
-            "ordinate step fell below float resolution for this arc")
-    return ys
-
-
-def _rng(seed: int, n: int) -> np.random.Generator:
-    """The generator behind the seeded n-segment random partition."""
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng((int(seed), int(n)))
-
-
-def _random_ordinates(hi_y: float, lo_y: float, n: int, seed: int,
-                      max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
+def _check_size(n: int, max_points: int) -> None:
     if n < 1:
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > max_points:
         raise CapacityError(f"{n} segments exceed the partition size limit")
-    rng = _rng(seed, n)
-    interior = rng.uniform(lo_y, hi_y, n - 1)
-    interior[::-1].sort()
-    ys = np.concatenate(([hi_y], interior, [lo_y]))
+
+
+def _uniform_ordinates(hi_y: float, lo_y: float, n: int,
+                       max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
+    _check_size(n, max_points)
+    ys = np.linspace(hi_y, lo_y, n + 1)
+    # a step below float resolution repeats an ordinate: a zero-length chord
+    falls = ys[1:] < ys[:-1]
+    if falls.all():
+        return ys
+    return ys[np.concatenate(([True], falls))]
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+
+
+def _random_ordinates(hi_y: float, lo_y: float, n: int, seed: int,
+                      max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
+    _check_size(n, max_points)
+    _check_seed(seed)
+    ys = np.empty(n + 1)
+    ys[0], ys[-1] = hi_y, lo_y
+    ys[1:-1] = np.random.default_rng((int(seed), int(n))).uniform(lo_y, hi_y, n - 1)
+    ys[1:-1][::-1].sort()
     return _dedupe_descending(ys, MIN_ORDINATE_GAP)
 
 
 def _dedupe_descending(ys: np.ndarray, min_gap: float) -> np.ndarray:
-    """Drop interior entries of a descending array that crowd a kept neighbour."""
+    """Drop interior entries of a descending array that crowd a kept neighbour.
+
+    Greedy from the top: an interior entry is kept when it lies at least
+    ``min_gap`` below the last kept entry and above the final one. An entry
+    that far below its own predecessor passes the first test whatever was
+    dropped before it, so only the entries close to their predecessor are
+    walked one by one.
+    """
     if len(ys) <= 2:
         return ys
-    if float(np.min(-np.diff(ys))) >= min_gap:
+    close = ys[:-1] - ys[1:] < min_gap
+    if not close.any():
         return ys
-    kept = [ys[0]]
-    end = ys[-1]
-    for v in ys[1:-1]:
-        if kept[-1] - v >= min_gap and v - end >= min_gap:
-            kept.append(v)
-    kept.append(end)
-    return np.asarray(kept)
+    keep = np.ones(len(ys), dtype=bool)
+    keep[1:-1] = ys[1:-1] - ys[-1] >= min_gap
+    for i in np.flatnonzero(close[:-1]) + 1:
+        if keep[i]:
+            last = i - 1
+            while not keep[last]:
+                last -= 1
+            keep[i] = ys[last] - ys[i] >= min_gap
+    return ys[keep]
 
 
 def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
-    """(sum, max) of adjacent chord lengths of one descending ordinate array.
+    """(sum of l, sum of l^3 / (4 - l^2)) over the adjacent chords l of one
+    descending ordinate array.
 
     Same stable evaluation as geometry.chord_length, vectorized.
     """
@@ -240,91 +269,41 @@ def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
     dy = ys[:-1] - ys[1:]
     t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
     chords = dy * np.sqrt(1.0 + t * t)
-    return float(chords.sum()), float(chords.max())
+    sq = chords * chords
+    return float(chords.sum()), float((chords * sq / (4.0 - sq)).sum())
 
 
 def _polyline_stats(ys: np.ndarray) -> tuple[float, float]:
-    """(polygonal length, norm) of a materialized descending ordinate array.
+    """(polygonal length, per-segment certificate) of a descending ordinate
+    array.
 
     Chunked so the temporaries stay bounded for multi-million point grids.
     """
     total = 0.0
-    norm = 0.0
+    certificate = 0.0
     for start in range(0, len(ys) - 1, _CHUNK):
-        part_sum, part_max = _chord_stats(ys[start:start + _CHUNK + 1])
+        part_sum, part_cert = _chord_stats(ys[start:start + _CHUNK + 1])
         total += part_sum
-        norm = max(norm, part_max)
-    return total, norm
+        certificate += part_cert
+    return total, certificate
 
 
-def _uniform_stats(hi_y: float, lo_y: float, n: int) -> tuple[float, float]:
-    """Limit-run stats for the n-segment ordinate-uniform grid, streamed.
-
-    The grid is generated chunk by chunk (top ordinate minus index * step),
-    so grids far beyond what could be materialized stay cheap in memory.
-    Adjacent chunks share one grid point, recomputed identically.
-    """
-    step = (hi_y - lo_y) / n
-    total = 0.0
-    norm = 0.0
-    for start in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - start)
-        idx = np.arange(start, start + count + 1, dtype=np.float64)
-        ys = hi_y - idx * step
-        if start + count == n:
-            ys[-1] = lo_y
-        part_sum, part_max = _chord_stats(ys)
-        total += part_sum
-        norm = max(norm, part_max)
-    return total, norm
-
-
-def _random_stats(hi_y: float, lo_y: float, n: int, seed: int) -> tuple[float, float]:
-    """Limit-run stats for the n-segment seeded random partition.
-
-    Up to the materialization cap this evaluates exactly the partition that
-    random_partition builds for the same (n, seed). Beyond it, sorted
-    uniform draws are produced by the exponential-spacings construction of
-    uniform order statistics, streamed in two reproducible passes (one for
-    the spacing total, one for the cumulative grid), never holding the grid
-    in memory.
-    """
-    if n + 1 <= _MAX_MATERIAL_POINTS:
-        return _polyline_stats(_random_ordinates(hi_y, lo_y, n, seed,
-                                                 _MAX_MATERIAL_POINTS))
-    span = hi_y - lo_y
-    rng = _rng(seed, n)
-    total_spacing = 0.0
-    remaining = n
-    while remaining:
-        k = min(_CHUNK, remaining)
-        total_spacing += float(rng.standard_exponential(k).sum())
-        remaining -= k
-    rng = _rng(seed, n)
-    total = 0.0
-    norm = 0.0
-    carry = hi_y
-    cum = 0.0
-    remaining = n
-    while remaining:
-        k = min(_CHUNK, remaining)
-        cs = np.cumsum(rng.standard_exponential(k)) + cum
-        cum = float(cs[-1])
-        remaining -= k
-        ys = hi_y - span * (cs / total_spacing)
-        if remaining == 0:
-            ys[-1] = lo_y
-        # single-pass near-duplicate drop; a chained collision would need two
-        # adjacent sub-1e-12 spacings, which these densities never produce
-        head = np.concatenate(([carry], ys))
-        keep = (head[:-1] - head[1:]) >= MIN_ORDINATE_GAP
-        keep[-1] = True
-        ys = np.concatenate(([carry], ys[keep]))
-        part_sum, part_max = _chord_stats(ys)
-        total += part_sum
-        norm = max(norm, part_max)
-        carry = float(ys[-1])
-    return total, norm
+def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str,
+            seed: int | None) -> Iterator[tuple[float, float]]:
+    """(polygonal length, certificate) of the scheme's partitions, by doubling
+    size, up to the scheme's cap."""
+    if scheme == "bisection":
+        for row in islice(_rows(hi, lo), _MAX_BISECTION_STEPS + 1):
+            sq = row.segment_length * row.segment_length
+            yield row.total_length, row.total_length * sq / (4.0 - sq)
+        return
+    n = 1
+    while n + 1 <= _MAX_GRID_POINTS:
+        if scheme == "ordinate_uniform":
+            yield _polyline_stats(_uniform_ordinates(hi.y, lo.y, n, _MAX_GRID_POINTS))
+        else:
+            yield _polyline_stats(_random_ordinates(hi.y, lo.y, n, seed, _MAX_GRID_POINTS))
+        n *= 2
 
 
 def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
@@ -333,52 +312,31 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
 
     The ladder doubles the family's size parameter until two conditions hold
     at once: consecutive lengths differ by at most ``tol`` and the
-    refinement bound at the current norm is at most ``tol``. The second is
-    the certificate: every further refinement, hence the limit, stays within
-    ``tol`` of the reported value.
+    per-segment certificate sum_i l_i^3 / (4 - l_i^2) of the current
+    partition is at most ``tol``. The second bounds every further
+    refinement, hence the limit stays within ``tol`` of the reported value.
 
-    Arcs whose upper endpoint sits at or very near y = 1 make the ordinate
-    schemes expensive at tight tolerances (their top chord shrinks only like
-    the square root of the grid step); such runs stream grids of up to ~2e9
-    segments and can take minutes at 1e-9.
+    Bisection climbs at most 48 levels. The grid schemes evaluate exactly
+    the ordinate arrays that :func:`ordinate_uniform_partition` and
+    :func:`random_partition` build, up to 2^24 + 1 points. A run that has
+    not met ``tol`` by then raises ``ConvergenceError``.
     """
     hi, lo = _ordered_endpoints(a, b)
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    ell0 = chord_length(hi, lo)
-    h0 = height_for_chord(ell0)
-    cap_factor = ell0 / (h0 * h0)
-
-    prev: float | None = None
-    if scheme == "bisection":
-        for row in _rows(hi, lo):
-            value, norm = row.total_length, row.segment_length
-            bound = _gap_bound(cap_factor, norm)
-            if prev is not None and abs(value - prev) <= tol and bound <= tol:
-                return value
-            prev = value
-            if row.m >= _MAX_BISECTION_STEPS:
-                break
-        raise ConvergenceError(
-            f"bisection ladder exhausted {_MAX_BISECTION_STEPS} levels above tol {tol!r}")
-
-    if scheme == "random" and seed is None:
+    if seed is not None:
+        _check_seed(seed)
+    elif scheme == "random":
         raise DomainError("the random scheme requires a seed")
-    n = 1
-    while n + 1 <= _MAX_STREAM_POINTS:
-        if scheme == "ordinate_uniform":
-            value, norm = _uniform_stats(hi.y, lo.y, n)
-        else:
-            value, norm = _random_stats(hi.y, lo.y, n, seed)
-        bound = _gap_bound(cap_factor, norm)
-        if prev is not None and abs(value - prev) <= tol and bound <= tol:
+    prev: float | None = None
+    for value, certificate in _ladder(hi, lo, scheme, seed):
+        if prev is not None and abs(value - prev) <= tol and certificate <= tol:
             return value
         prev = value
-        n *= 2
     raise ConvergenceError(
-        f"{scheme} ladder exhausted {_MAX_STREAM_POINTS} points above tol {tol!r}")
+        f"{scheme} ladder reached its size limit above tol {tol!r}")
 
 
 class AdditivityCheck(NamedTuple):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chordtrig import (
     CapacityError,
+    ConvergenceError,
     DegenerateArcError,
     DomainError,
     Partition,
@@ -23,12 +25,18 @@ from chordtrig import (
     scheme_limit,
     upper_bound,
 )
+from chordtrig import partitions
+from chordtrig.cli import run
 
 from conftest import EPS, random_arc_ordinates
 from oracles import naive_polyline_length
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
+
+# ordinates k / 4096: neighbours differ by at least 2^-12, so a refinement
+# lengthens the polyline by far more than its rounding error
+grid_ordinates = st.integers(0, 4096).map(lambda k: k / 4096.0)
 
 
 def _random_partition_of(rng, ya, yb, max_interior=12):
@@ -204,6 +212,12 @@ class TestMakePartition:
         with pytest.raises(DegenerateArcError):
             bisection_partition(Q, Q, 2)
 
+    def test_huge_bisection_level_is_a_capacity_error(self):
+        # the level is compared with the cap before any 2^m is formed
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
+        with pytest.raises(CapacityError):
+            make_partition(a, b, "bisection", 10 ** 12)
+
     def test_norms_fall_along_ladder(self):
         for scheme, sizes in (("bisection", [0, 2, 4, 6, 8]),
                               ("ordinate_uniform", [1, 4, 16, 64, 256]),
@@ -240,10 +254,9 @@ class TestSchemeLimit:
         for v in values:
             assert v == pytest.approx(math.pi / 2.0, abs=1e-5)
 
-    @pytest.mark.slow
     def test_quarter_circle_ordinate_schemes_tight_tol(self):
         # the full-membership version of the scheme-independence claim at
-        # 1e-9; streams grids of ~2e9 segments, takes a few minutes
+        # 1e-9; the per-segment certificate stops by 2^21 segments
         reference, _ = arc_length(TOP, Q, 1e-9)
         for scheme in ("ordinate_uniform", "random"):
             v = scheme_limit(TOP, Q, scheme, 1e-9, seed=11)
@@ -257,9 +270,11 @@ class TestSchemeLimit:
             from chordtrig.partitions import _polyline_stats
 
             ys = np.array([pt.y for pt in part.points])
-            value, norm = _polyline_stats(ys)
+            value, certificate = _polyline_stats(ys)
             assert value == pytest.approx(polygonal_length(part), abs=1e-12)
-            assert norm == pytest.approx(part.norm, abs=1e-15)
+            chords = [chord_length(u, v) for u, v in zip(part.points, part.points[1:])]
+            assert certificate == pytest.approx(
+                math.fsum(c ** 3 / (4.0 - c * c) for c in chords), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -270,6 +285,69 @@ class TestSchemeLimit:
             scheme_limit(TOP, Q, "random", 1e-9, seed=None)
         with pytest.raises(DegenerateArcError):
             scheme_limit(Q, Q, "bisection", 1e-9)
+
+
+class TestPerSegmentCertificate:
+    @given(st.lists(grid_ordinates, min_size=2, max_size=12, unique=True),
+           st.lists(grid_ordinates, max_size=12))
+    def test_bounds_every_refinement(self, coarse, extra):
+        ys = sorted(coarse, reverse=True)
+        fine_ys = sorted({*ys, *(y for y in extra if ys[-1] < y < ys[0])}, reverse=True)
+        p = Partition.from_points(point_from_ordinate(y) for y in ys)
+        fine = Partition.from_points(point_from_ordinate(y) for y in fine_ys)
+        _, certificate = partitions._polyline_stats(np.array(ys))
+        gap = polygonal_length(fine) - polygonal_length(p)
+        assert 0.0 <= gap <= certificate + 8 * EPS <= refinement_gap_bound(p) + 8 * EPS
+
+
+class TestSchemeLimitEdges:
+    @pytest.mark.parametrize("y", [1.0, 0.5, 0.9999])
+    def test_one_ulp_arcs_match_bisection(self, y):
+        # at y = 1 a repeated grid ordinate would make a 0/0 chord
+        a, b = point_from_ordinate(y), point_from_ordinate(math.nextafter(y, 0.0))
+        reference = scheme_limit(a, b, "bisection", 1e-9)
+        for scheme in SCHEMES:
+            value = scheme_limit(a, b, scheme, 1e-9, seed=3)
+            # chord_length uses math.hypot, the grid kernel sqrt(1 + t^2)
+            assert value == pytest.approx(reference, rel=2 * EPS)
+
+    def test_tight_tol_stops_at_the_grid_cap(self, monkeypatch):
+        sizes = []
+        stats = partitions._polyline_stats
+
+        def record(ys):
+            sizes.append(len(ys))
+            return stats(ys)
+
+        monkeypatch.setattr(partitions, "_polyline_stats", record)
+        with pytest.raises(ConvergenceError):
+            scheme_limit(TOP, Q, "ordinate_uniform", 1e-12)
+        assert sizes and max(sizes) <= (1 << 24) + 1
+
+
+class TestSeedCheckedFirst:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a partition was evaluated before the seed check")
+
+        monkeypatch.setattr(partitions, "_rows", fail)
+        monkeypatch.setattr(partitions, "_polyline_stats", fail)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_library(self, scheme):
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
+        with pytest.raises(DomainError):
+            scheme_limit(a, b, scheme, 1e-8, seed=-1)
+
+    def test_cli(self, capsys):
+        code = run(["partition-compare", "--a", "1.0", "--b", "0.1",
+                    "--tol", "1e-8", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "domain error" in lines[0]
 
 
 class TestAdditivity:
