@@ -11,20 +11,22 @@ which is the stable form of sqrt(2 - 2h) (no cancellation as h -> 1). Since
 sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
-One driver runs this recurrence for every ladder in the package, yielding
-one :class:`IterationRow` (level state and both fan areas) per level; an
-arms function picks the two fields that form the bracket. Arc length takes
-[L_m, L_m / h_m]: the lower arm because the polygonal lengths increase to
+One generator, :func:`_rows`, holds the only copy of this recurrence and
+yields each level as its bare (l_m, h_m) pair; every ladder in the package
+runs on it. The bracket follows from the pair: arc length takes
+[L_m, L_m / h_m], the lower arm because the polygonal lengths increase to
 the arc length, the upper arm because L_m / h_m is twice the circumscribed
 tangent fan's area, which contains the sector whose doubled area equals the
 arc length. The sector area (:mod:`chordtrig.sector`) takes the two fans.
+A run keeps only its pairs; its report builds the
+:class:`~chordtrig.report.IterationRow` table from them when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
 from .geometry import (
@@ -35,8 +37,9 @@ from .geometry import (
     height_for_chord,
     point_from_ordinate,
 )
-from .report import (STOP_CAP, STOP_TOLERANCE, ConvergenceReport, Enclosure,
-                     IterationRow, fan_areas)
+from .report import (ARC_BRACKET, FAN_BRACKET, STOP_CAP, STOP_TOLERANCE,
+                     ConvergenceReport, Enclosure, IterationRow, ladder_report,
+                     level_row)
 
 DEFAULT_MAX_ITER = 40
 
@@ -83,32 +86,25 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-Arms = Callable[[float, float, float, float], tuple[float, float]]
-
-
-def _arc_arms(total: float, height: float, inner: float, outer: float) -> tuple[float, float]:
-    return total, total / height
-
-
-def _rows(a: CirclePoint, b: CirclePoint, arms: Arms = _arc_arms) -> Iterator[IterationRow]:
-    """Unbounded row stream of the ladder on the arc ``ab`` (a != b); the
-    bracket columns are ``arms(total_length, height, inner_area, outer_area)``."""
+def _rows(a: CirclePoint, b: CirclePoint) -> Iterator[tuple[float, float]]:
+    """Unbounded stream of the ladder's levels m = 0, 1, ... on the arc ``ab``
+    (a != b), each as its (segment length, height) pair."""
     ell = chord_length(a, b)
-    m = 0
     while True:
-        h = height_for_chord(ell)
-        total = math.ldexp(ell, m)
-        inner, outer = fan_areas(total, h)
-        yield IterationRow(m, ell, h, total, inner, outer, *arms(total, h, inner, outer))
-        ell = ell / math.sqrt(2.0 * (1.0 + h))
-        m += 1
+        level = ell, height_for_chord(ell)
+        yield level
+        ell = ell / math.sqrt(2.0 * (1.0 + level[1]))
 
 
 def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
-             arms: Arms = _arc_arms,
+             bracket: str = ARC_BRACKET,
              strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
-    """Run the ladder until its ``arms`` bracket is at most ``tol`` wide (below
-    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows."""
+    """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
+    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows.
+
+    The arms are those of :func:`~chordtrig.report.level_row`, computed here
+    with the same float operations from L_m = 2^m l_m and h_m.
+    """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     if max_iter < 0:
@@ -116,19 +112,29 @@ def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     if a.y == b.y:
         return (Enclosure(0.0, 0.0),
                 ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, ()))
-    rows = []
-    for row in _rows(a, b, arms):
-        rows.append(row)
-        width = row.enclosure_hi - row.enclosure_lo
+    fans = bracket == FAN_BRACKET
+    levels = []
+    m = 0
+    for level in _rows(a, b):
+        levels.append(level)
+        ell, h = level
+        total = math.ldexp(ell, m)
+        if fans:
+            half = 0.5 * total
+            lo, hi = half * h, half / h
+        else:
+            lo, hi = total, total / h
+        width = hi - lo
         met = width < tol if strict else width <= tol
-        if met or row.m >= max_iter:
+        if met or m >= max_iter:
             break
-    enc = Enclosure(row.enclosure_lo, row.enclosure_hi)
-    report = ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP,
-                               tuple(rows))
+        m += 1
+    enc = Enclosure(lo, hi)
+    report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP,
+                           levels, bracket)
     if not met:
         raise ConvergenceError(
-            f"bracket width {width!r} has not reached tol {tol!r} by level {row.m}",
+            f"bracket width {width!r} has not reached tol {tol!r} by level {m}",
             enclosure=enc, report=report)
     return enc, report
 
@@ -143,7 +149,8 @@ def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[Iteratio
     if m_max > _MAX_LEVEL:
         raise CapacityError(
             f"level {m_max} would need 2^{m_max} segments, beyond index capacity")
-    return list(islice(_rows(a, b), m_max + 1))
+    return [level_row(m, ell, h, ARC_BRACKET)
+            for m, (ell, h) in enumerate(islice(_rows(a, b), m_max + 1))]
 
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:

@@ -293,9 +293,10 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str,
     """(polygonal length, certificate) of the scheme's partitions, by doubling
     size, up to the scheme's cap."""
     if scheme == "bisection":
-        for row in islice(_rows(hi, lo), _MAX_BISECTION_STEPS + 1):
-            sq = row.segment_length * row.segment_length
-            yield row.total_length, row.total_length * sq / (4.0 - sq)
+        for m, (ell, _) in enumerate(islice(_rows(hi, lo), _MAX_BISECTION_STEPS + 1)):
+            total = math.ldexp(ell, m)
+            sq = ell * ell
+            yield total, total * sq / (4.0 - sq)
         return
     n = 1
     while n + 1 <= _MAX_GRID_POINTS:

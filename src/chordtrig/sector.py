@@ -4,8 +4,8 @@ At level m the inscribed fan over the bisection points has area
 2^m * l_m * h_m / 2 (triangle fan from the origin), and the circumscribed
 tangent-line fan has area 2^m * l_m / (2 h_m): each outer triangle is the
 inner one scaled by 1/h_m along the radius, so its area is l/(2h) without
-ever intersecting tangent lines vertex by vertex. Both fans are columns of
-the same ladder rows that arc length runs on (:mod:`chordtrig.arclength`);
+ever intersecting tangent lines vertex by vertex. Both fans follow from the
+same (l, h) ladder pairs that arc length runs on (:mod:`chordtrig.arclength`);
 the sector run only takes them as its bracket arms. The sector sits between
 the two fans; the arc length equals twice the sector area, checked by
 :func:`verify_ratio`.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arclength import DEFAULT_MAX_ITER, _enclose, arc_length, length_sequence
 from .errors import DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
-from .report import ConvergenceReport, Enclosure
+from .report import FAN_BRACKET, ConvergenceReport, Enclosure
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class SectorSandwich:
     inner_area: float
     outer_area: float
     gap: float
-
-
-def _fan_arms(total: float, height: float, inner: float, outer: float) -> tuple[float, float]:
-    return inner, outer
 
 
 def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:
@@ -65,14 +61,14 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float,
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if a.y == b.y:
         raise DegenerateArcError("gap criterion of a degenerate arc")
-    _, report = _enclose(a, b, epsilon, max_iter, _fan_arms, strict=True)
+    _, report = _enclose(a, b, epsilon, max_iter, FAN_BRACKET, strict=True)
     return report.rows[-1].m
 
 
 def sector_area(a: CirclePoint, b: CirclePoint, tol: float,
                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure [inner fan, outer fan] of the sector area."""
-    return _enclose(a, b, tol, max_iter, _fan_arms)
+    return _enclose(a, b, tol, max_iter, FAN_BRACKET)
 
 
 def _ratio_components(a: CirclePoint, b: CirclePoint, tol: float,

@@ -1,6 +1,9 @@
-"""The shared chord ladder: row stream, fan areas, level cap, argument checks."""
+"""The shared chord ladder: (l, h) stream, rows built on read, fan areas, level
+cap, argument checks."""
 
 import math
+from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,21 +11,28 @@ from hypothesis import given, strategies as st
 from chordtrig import (
     CapacityError,
     ConvergenceError,
+    ConvergenceReport,
     DomainError,
     IterationRow,
     arc_length,
+    arcsin,
     gap_iterations,
     inner_polygon_area,
     length_sequence,
     outer_polygon_area,
+    pi_constant,
     point_from_ordinate,
     random_partition,
     scheme_limit,
     sector_area,
     sector_sandwich,
+    sin,
+    verify_ratio,
 )
+from chordtrig import report as report_module
+from chordtrig import sector as sector_module
 from chordtrig.cli import run
-from chordtrig.report import fan_areas
+from chordtrig.report import CSV_COLUMNS, fan_areas
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
@@ -119,3 +129,151 @@ class TestNegativeSeed:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "domain error" in lines[0]
+
+
+def _ladder_run(fn, *args, **kwargs):
+    """(enclosure, report) of a ladder run, also when it stops at its cap."""
+    try:
+        return fn(*args, **kwargs)
+    except ConvergenceError as err:
+        return err.enclosure, err.report
+
+
+def _check_rows(enc, rep, a, b, fans=False):
+    """The report's rows are length_sequence's, field for field (the sector
+    bracket in the enclosure columns if ``fans``); reading them again gives
+    the same tuple; the enclosure is the last row's bracket."""
+    rows = rep.rows
+    assert rows is rep.rows
+    assert isinstance(rows, tuple) and rows
+    seq = length_sequence(a, b, len(rows) - 1)
+    assert [row.m for row in rows] == list(range(len(rows)))
+    for row, ref in zip(rows, seq):
+        for name in CSV_COLUMNS[:6]:
+            assert getattr(row, name) == getattr(ref, name)
+        if fans:
+            assert (row.enclosure_lo, row.enclosure_hi) == (ref.inner_area,
+                                                            ref.outer_area)
+        else:
+            assert row == ref
+    assert (enc.lo, enc.hi) == (rows[-1].enclosure_lo, rows[-1].enclosure_hi)
+
+
+arcs = st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                 st.floats(min_value=0.0, max_value=1.0)).filter(lambda p: p[0] != p[1])
+tols = st.floats(min_value=6.0, max_value=14.0).map(lambda e: 10.0 ** -e)
+
+
+class TestLazyRows:
+    @given(arcs, tols)
+    def test_runs_build_the_sequence_rows_on_read(self, ys, tol):
+        a, b = (point_from_ordinate(y) for y in sorted(ys, reverse=True))
+        for fn, fans in ((arc_length, False), (sector_area, True)):
+            enc, rep = _ladder_run(fn, a, b, tol)
+            _check_rows(enc, rep, a, b, fans)
+            again = _ladder_run(fn, a, b, tol)[1]
+            assert again == rep
+            assert again.to_dict() == rep.to_dict()
+            if len(rep.rows) > 1:
+                with pytest.raises(ConvergenceError) as info:
+                    fn(a, b, tol, max_iter=len(rep.rows) - 2)
+                capped = info.value.report
+                _check_rows(info.value.enclosure, capped, a, b, fans)
+                assert capped.rows == rep.rows[:-1]
+                assert capped == _ladder_run(fn, a, b, tol, len(rep.rows) - 2)[1]
+
+    @given(arcs, tols)
+    def test_gap_run_builds_the_sequence_rows_on_read(self, ys, tol):
+        a, b = (point_from_ordinate(y) for y in sorted(ys, reverse=True))
+        runs = []
+        enclose = sector_module._enclose
+
+        def record(*args, **kwargs):
+            try:
+                runs.append(enclose(*args, **kwargs))
+            except ConvergenceError as err:
+                runs.append((err.enclosure, err.report))
+                raise
+            return runs[-1]
+
+        def level():
+            try:
+                return gap_iterations(a, b, tol)
+            except ConvergenceError:
+                return None
+
+        with mock.patch.object(sector_module, "_enclose", record):
+            levels = [level(), level()]
+        (enc, rep), (_, rep_again) = runs
+        _check_rows(enc, rep, a, b, fans=True)
+        assert rep == rep_again and rep.to_dict() == rep_again.to_dict()
+        if rep.stop_reason == "tolerance_met":
+            assert levels == [rep.rows[-1].m] * 2
+            assert enc.width < tol
+
+    def test_positional_constructor_is_an_eager_report(self):
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.2)
+        _, lazy = arc_length(a, b, 1e-10)
+        eager = ConvergenceReport(lazy.a_ordinate, lazy.b_ordinate, lazy.tolerance,
+                                  lazy.stop_reason, lazy.rows)
+        assert eager == lazy and hash(eager) == hash(lazy)
+        assert eager.to_dict() == lazy.to_dict()
+        assert repr(eager) == repr(lazy)
+        assert ConvergenceReport(0.5, 0.5, 1e-9, "tolerance_met").rows == ()
+        assert eager != ConvergenceReport(lazy.a_ordinate, lazy.b_ordinate,
+                                          lazy.tolerance, lazy.stop_reason,
+                                          lazy.rows[:-1])
+
+    def test_reports_are_frozen(self):
+        _, rep = arc_length(TOP, Q, 1e-6)
+        with pytest.raises(FrozenInstanceError):
+            rep.stop_reason = "iteration_cap"
+        with pytest.raises(FrozenInstanceError):
+            rep.rows = ()
+        with pytest.raises(FrozenInstanceError):
+            del rep.tolerance
+
+
+class TestNoRowsUnlessRead:
+    """With the row constructor broken, every entry point that does not read
+    ``.rows`` still returns its value: no IterationRow is built unread."""
+
+    def test_entry_points_build_no_rows(self, monkeypatch):
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
+        calls = {
+            "sin": lambda: sin(0.5, 1e-10),
+            "arcsin": lambda: arcsin(0.3, 1e-12)[0],
+            "arc_length": lambda: arc_length(a, b, 1e-12)[0],
+            "sector_area": lambda: sector_area(a, b, 1e-12)[0],
+            "pi_constant": lambda: pi_constant(1e-12),
+            "verify_ratio": lambda: verify_ratio(a, b, 1e-10),
+            "scheme_limit": lambda: scheme_limit(a, b, "bisection", 1e-9),
+        }
+        expected = {name: call() for name, call in calls.items()}
+
+        def no_rows(*args):
+            raise AssertionError("an IterationRow was built")
+
+        monkeypatch.setattr(report_module, "IterationRow", no_rows)
+        for name, call in calls.items():
+            assert call() == expected[name], name
+        with pytest.raises(AssertionError, match="IterationRow was built"):
+            arc_length(a, b, 1e-12)[1].rows
+
+
+class TestBisectionLimitOnPairs:
+    @pytest.mark.parametrize("ys", [(1.0, 0.0), (0.9, 0.1), (0.97, 0.05),
+                                    (0.3, 0.29), (0.5, math.nextafter(0.5, 0.0))])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_matches_the_row_ladder(self, ys, tol):
+        """scheme_limit's bisection branch gives what the same ladder over
+        length_sequence rows gives, L and its certificate L l^2 / (4 - l^2)."""
+        a, b = (point_from_ordinate(y) for y in ys)
+        prev = None
+        for row in length_sequence(a, b, 48):
+            sq = row.segment_length * row.segment_length
+            certificate = row.total_length * sq / (4.0 - sq)
+            if prev is not None and abs(row.total_length - prev) <= tol and certificate <= tol:
+                break
+            prev = row.total_length
+        assert scheme_limit(a, b, "bisection", tol) == row.total_length
