@@ -29,78 +29,18 @@ import argparse
 import json
 import sys
 
-from .arclength import arc_length
+from .arclength import DEFAULT_MAX_ITER, arc_length
 from .errors import ConvergenceError, DomainError
 from .geometry import point_from_ordinate
-from .inverse import arcsin, sin
+from .inverse import arcsin, pi_constant, sin
 from .partitions import SCHEMES, additivity_check, scheme_limit
-from .report import CSV_COLUMNS, ConvergenceReport, Enclosure
+from .report import CSV_COLUMNS, ConvergenceReport
 from .sector import _ratio_components, sector_area
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_USAGE = 64
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="bracket tolerance (default 1e-10)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--max-iter", type=int, default=40,
-                        help="bisection level cap (default 40)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for random partition schemes (default 0)")
-
-    parser = _Parser(prog="chordtrig", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("pi", parents=[common], help="enclosure of pi")
-
-    p_arc = sub.add_parser("arc", parents=[common], help="certified arc length")
-    p_arc.add_argument("--a", type=float, required=True, help="first endpoint ordinate")
-    p_arc.add_argument("--b", type=float, required=True, help="second endpoint ordinate")
-
-    p_asin = sub.add_parser("arcsin", parents=[common], help="enclosure of arcsin(y)")
-    p_asin.add_argument("y", type=float)
-
-    p_sin = sub.add_parser("sin", parents=[common], help="ordinate with arc length x")
-    p_sin.add_argument("x", type=float)
-
-    p_sec = sub.add_parser("sector", parents=[common], help="certified sector area")
-    p_sec.add_argument("--a", type=float, required=True)
-    p_sec.add_argument("--b", type=float, required=True)
-
-    p_ratio = sub.add_parser("ratio", parents=[common],
-                             help="arc length over sector area")
-    p_ratio.add_argument("--a", type=float, required=True)
-    p_ratio.add_argument("--b", type=float, required=True)
-
-    p_cmp = sub.add_parser("partition-compare", parents=[common],
-                           help="limits of the three partition schemes")
-    p_cmp.add_argument("--a", type=float, required=True)
-    p_cmp.add_argument("--b", type=float, required=True)
-
-    p_add = sub.add_parser("additivity", parents=[common],
-                           help="whole arc vs split arc")
-    p_add.add_argument("--a", type=float, required=True)
-    p_add.add_argument("--m", type=float, required=True, help="split point ordinate")
-    p_add.add_argument("--b", type=float, required=True)
-    return parser
 
 
 def _report_csv(report: ConvergenceReport) -> list[str]:
@@ -115,102 +55,133 @@ def _pairs_csv(pairs) -> list[str]:
     return ["name,value"] + [f"{name},{value!r}" for name, value in pairs]
 
 
+def _payload(args, inputs, **fields) -> dict:
+    """A command's JSON object: its name, the ``inputs`` read from ``args``,
+    the tolerance, then ``fields``."""
+    return {"command": args.command, **{name: getattr(args, name) for name in inputs},
+            "tolerance": args.tol, **fields}
+
+
+def _run_fields(enc, rep) -> dict:
+    return {"value": enc.mid, "enclosure": enc.to_dict(), "report": rep.to_dict()}
+
+
+def _ladder_run(args, inputs, enc, rep):
+    """Output of a command that is one ladder run: JSON and iteration table."""
+    return _payload(args, inputs, **_run_fields(enc, rep)), _report_csv(rep)
+
+
+def _endpoints(args):
+    return point_from_ordinate(args.a), point_from_ordinate(args.b)
+
+
 def _cmd_pi(args):
-    enc, rep = arcsin(1.0, args.tol, args.max_iter)
-    doubled = Enclosure(2.0 * enc.lo, 2.0 * enc.hi)
-    payload = {"command": "pi", "tolerance": args.tol,
-               "value": doubled.mid, "enclosure": doubled.to_dict(),
-               "report": rep.to_dict()}
-    return payload, _report_csv(rep)
+    _, rep = arcsin(1.0, args.tol, args.max_iter)
+    return _ladder_run(args, (), pi_constant(args.tol, args.max_iter), rep)
 
 
 def _cmd_arc(args):
-    enc, rep = arc_length(point_from_ordinate(args.a), point_from_ordinate(args.b),
-                          args.tol, args.max_iter)
-    payload = {"command": "arc", "a": args.a, "b": args.b, "tolerance": args.tol,
-               "value": enc.mid, "enclosure": enc.to_dict(), "report": rep.to_dict()}
-    return payload, _report_csv(rep)
+    return _ladder_run(args, ("a", "b"),
+                       *arc_length(*_endpoints(args), args.tol, args.max_iter))
 
 
 def _cmd_arcsin(args):
-    enc, rep = arcsin(args.y, args.tol, args.max_iter)
-    payload = {"command": "arcsin", "y": args.y, "tolerance": args.tol,
-               "value": enc.mid, "enclosure": enc.to_dict(), "report": rep.to_dict()}
-    return payload, _report_csv(rep)
+    return _ladder_run(args, ("y",), *arcsin(args.y, args.tol, args.max_iter))
 
 
 def _cmd_sin(args):
     value = sin(args.x, args.tol, args.max_iter)
     enc, rep = arcsin(value, args.tol, args.max_iter)
-    payload = {"command": "sin", "x": args.x, "tolerance": args.tol,
-               "value": value, "residual": enc.mid - args.x,
-               "arcsin_of_value": enc.to_dict(), "report": rep.to_dict()}
+    payload = _payload(args, ("x",), value=value, residual=enc.mid - args.x,
+                       arcsin_of_value=enc.to_dict(), report=rep.to_dict())
     return payload, _report_csv(rep)
 
 
 def _cmd_sector(args):
-    enc, rep = sector_area(point_from_ordinate(args.a), point_from_ordinate(args.b),
-                           args.tol, args.max_iter)
-    payload = {"command": "sector", "a": args.a, "b": args.b, "tolerance": args.tol,
-               "value": enc.mid, "enclosure": enc.to_dict(), "report": rep.to_dict()}
-    return payload, _report_csv(rep)
+    return _ladder_run(args, ("a", "b"),
+                       *sector_area(*_endpoints(args), args.tol, args.max_iter))
 
 
 def _cmd_ratio(args):
-    pa, pb = point_from_ordinate(args.a), point_from_ordinate(args.b)
-    arc_enc, arc_rep, sec_enc, sec_rep = _ratio_components(pa, pb, args.tol,
+    arc_enc, arc_rep, sec_enc, sec_rep = _ratio_components(*_endpoints(args), args.tol,
                                                            args.max_iter)
     ratio = arc_enc.mid / sec_enc.mid
-    payload = {"command": "ratio", "a": args.a, "b": args.b, "tolerance": args.tol,
-               "value": ratio,
-               "arc": {"value": arc_enc.mid, "enclosure": arc_enc.to_dict(),
-                       "report": arc_rep.to_dict()},
-               "sector": {"value": sec_enc.mid, "enclosure": sec_enc.to_dict(),
-                          "report": sec_rep.to_dict()}}
+    payload = _payload(args, ("a", "b"), value=ratio, arc=_run_fields(arc_enc, arc_rep),
+                       sector=_run_fields(sec_enc, sec_rep))
     pairs = [("ratio", ratio), ("arc_mid", arc_enc.mid), ("sector_mid", sec_enc.mid)]
     return payload, _pairs_csv(pairs)
 
 
 def _cmd_partition_compare(args):
-    pa, pb = point_from_ordinate(args.a), point_from_ordinate(args.b)
+    pa, pb = _endpoints(args)
     limits = {scheme: scheme_limit(pa, pb, scheme, args.tol, seed=args.seed)
               for scheme in SCHEMES}
-    values = list(limits.values())
-    spread = max(abs(u - v) for u in values for v in values)
-    payload = {"command": "partition-compare", "a": args.a, "b": args.b,
-               "tolerance": args.tol, "seed": args.seed,
-               "limits": limits, "max_pairwise_delta": spread}
-    pairs = [*limits.items(), ("max_pairwise_delta", spread)]
-    return payload, _pairs_csv(pairs)
+    spread = max(limits.values()) - min(limits.values())
+    payload = _payload(args, ("a", "b"), seed=args.seed, limits=limits,
+                       max_pairwise_delta=spread)
+    return payload, _pairs_csv([*limits.items(), ("max_pairwise_delta", spread)])
 
 
 def _cmd_additivity(args):
     check = additivity_check(point_from_ordinate(args.a), point_from_ordinate(args.m),
                              point_from_ordinate(args.b), args.tol, args.max_iter)
-    payload = {"command": "additivity", "a": args.a, "m": args.m, "b": args.b,
-               "tolerance": args.tol,
-               "arc": {"whole": check.arc_whole, "parts": check.arc_parts,
-                       "delta": check.arc_whole - check.arc_parts},
-               "sector": {"whole": check.sector_whole, "parts": check.sector_parts,
-                          "delta": check.sector_whole - check.sector_parts}}
-    pairs = [("arc_whole", check.arc_whole), ("arc_parts", check.arc_parts),
-             ("arc_delta", check.arc_whole - check.arc_parts),
-             ("sector_whole", check.sector_whole),
-             ("sector_parts", check.sector_parts),
-             ("sector_delta", check.sector_whole - check.sector_parts)]
+    payload = _payload(args, ("a", "m", "b"),
+                       arc={"whole": check.arc_whole, "parts": check.arc_parts,
+                            "delta": check.arc_whole - check.arc_parts},
+                       sector={"whole": check.sector_whole, "parts": check.sector_parts,
+                               "delta": check.sector_whole - check.sector_parts})
+    pairs = [(f"{kind}_{name}", value)
+             for kind in ("arc", "sector") for name, value in payload[kind].items()]
     return payload, _pairs_csv(pairs)
 
 
-_HANDLERS = {
-    "pi": _cmd_pi,
-    "arc": _cmd_arc,
-    "arcsin": _cmd_arcsin,
-    "sin": _cmd_sin,
-    "sector": _cmd_sector,
-    "ratio": _cmd_ratio,
-    "partition-compare": _cmd_partition_compare,
-    "additivity": _cmd_additivity,
+def _ordinate(flag, help_text=None):
+    return flag, {"type": float, "required": True, "help": help_text}
+
+
+# A command's arguments besides --tol and --format, which every command takes,
+# as (name, add_argument keywords); each command lists only the flags it reads.
+_MAX_ITER = ("--max-iter", {"type": int, "default": DEFAULT_MAX_ITER,
+                            "help": "bisection level cap (default %(default)s)"})
+_SEED = ("--seed", {"type": int, "default": 0,
+                    "help": "seed for random partition schemes (default 0)"})
+_A, _B = _ordinate("--a"), _ordinate("--b")
+
+# command -> (help, arguments, handler returning the JSON payload and CSV lines)
+_COMMANDS = {
+    "pi": ("enclosure of pi", [_MAX_ITER], _cmd_pi),
+    "arc": ("certified arc length",
+            [_MAX_ITER, _ordinate("--a", "first endpoint ordinate"),
+             _ordinate("--b", "second endpoint ordinate")],
+            _cmd_arc),
+    "arcsin": ("enclosure of arcsin(y)", [_MAX_ITER, ("y", {"type": float})], _cmd_arcsin),
+    "sin": ("ordinate with arc length x", [_MAX_ITER, ("x", {"type": float})], _cmd_sin),
+    "sector": ("certified sector area", [_MAX_ITER, _A, _B], _cmd_sector),
+    "ratio": ("arc length over sector area", [_MAX_ITER, _A, _B], _cmd_ratio),
+    "partition-compare": ("limits of the three partition schemes", [_SEED, _A, _B],
+                          _cmd_partition_compare),
+    "additivity": ("whole arc vs split arc",
+                   [_MAX_ITER, _A, _ordinate("--m", "split point ordinate"), _B],
+                   _cmd_additivity),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=1e-10,
+                        help="bracket tolerance (default 1e-10)")
+    common.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (default json)")
+
+    parser = argparse.ArgumentParser(prog="chordtrig", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def run(argv=None) -> int:
@@ -218,12 +189,10 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        payload, csv_lines = _HANDLERS[args.command](args)
+        payload, csv_lines = args.handler(args)
     except DomainError as exc:
         sys.stderr.write(f"chordtrig: domain error: {exc}\n")
         return EXIT_DOMAIN

@@ -125,6 +125,11 @@ class ConvergenceReport:
         bracket = self._bracket
         return tuple([level_row(m, ell, h, bracket) for m, (ell, h) in enumerate(self._levels)])
 
+    def __len__(self):
+        """Number of levels run, counted without building the rows."""
+        levels = self.__dict__.get("_levels")
+        return len(self.rows if levels is None else levels)
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

@@ -62,7 +62,7 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float,
     if a.y == b.y:
         raise DegenerateArcError("gap criterion of a degenerate arc")
     _, report = _enclose(a, b, epsilon, max_iter, FAN_BRACKET, strict=True)
-    return report.rows[-1].m
+    return len(report) - 1
 
 
 def sector_area(a: CirclePoint, b: CirclePoint, tol: float,

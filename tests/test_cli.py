@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from chordtrig import Enclosure, arc_length, point_from_ordinate
+from chordtrig import Enclosure, arc_length, pi_constant, point_from_ordinate
+from chordtrig import cli
 from chordtrig.cli import run
 from chordtrig.report import CSV_COLUMNS
 
@@ -180,3 +182,64 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["enclosure"]["lo"] <= math.pi <= payload["enclosure"]["hi"]
+
+
+# One valid argv tail per command, for the flag checks below.
+COMMAND_ARGS = {
+    "pi": [],
+    "arc": ["--a", "0.9", "--b", "0.2"],
+    "arcsin": ["0.5"],
+    "sin": ["0.5"],
+    "sector": ["--a", "0.9", "--b", "0.2"],
+    "ratio": ["--a", "0.9", "--b", "0.2"],
+    "partition-compare": ["--a", "0.9", "--b", "0.2", "--tol", "1e-6"],
+    "additivity": ["--a", "0.9", "--m", "0.5", "--b", "0.2"],
+}
+
+
+class _Reads:
+    """Stands in for the parsed arguments and records which ones are read."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
+
+
+class TestCommandFlags:
+    def test_dead_flags_are_usage_errors(self, capsys):
+        code, out, err = invoke(capsys, "pi", "--seed", "1")
+        assert (code, out) == (64, "") and "unrecognized arguments: --seed 1" in err
+        code, out, err = invoke(capsys, "partition-compare", "--a", "0.9", "--b", "0.1",
+                                "--max-iter", "3")
+        assert (code, out) == (64, "") and "unrecognized arguments: --max-iter 3" in err
+
+    def test_partition_compare_reads_its_seed(self, capsys):
+        argv = ["partition-compare", "--a", "0.9", "--b", "0.1", "--tol", "1e-6"]
+        code, out, _ = invoke(capsys, *argv, "--seed", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["seed"] == 3
+        _, other, _ = invoke(capsys, *argv, "--seed", "4")
+        assert json.loads(other)["limits"]["random"] != payload["limits"]["random"]
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_pi_enclosure_is_pi_constant(self, capsys, tol):
+        code, out, _ = invoke(capsys, "pi", "--tol", repr(tol))
+        assert code == 0
+        assert json.loads(out)["enclosure"] == pi_constant(tol).to_dict()
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        names = re.findall(r"^  (?:-h, )?(?:--)?([a-z][a-z-]*)", out, re.MULTILINE)
+        listed = {name.replace("-", "_") for name in names} - {"help"}
+        args = cli._build_parser().parse_args([command, *COMMAND_ARGS[command]])
+        reads = _Reads(args)
+        args.handler(reads)
+        # run() itself reads --format to choose the output
+        assert listed == reads.read - {"command"} | {"format"}

@@ -277,3 +277,28 @@ class TestBisectionLimitOnPairs:
                 break
             prev = row.total_length
         assert scheme_limit(a, b, "bisection", tol) == row.total_length
+
+
+class TestGapIterationsBuildsNoRows:
+    @pytest.mark.parametrize("ys, epsilon", [((1.0, 0.0), 1e-10), ((0.9, 0.1), 1e-6),
+                                             ((0.3, 0.29), 1e-14)])
+    def test_level_count_without_rows(self, ys, epsilon, monkeypatch):
+        """gap_iterations returns the level count of its run without building
+        one IterationRow, and the count is the last row's m."""
+        a, b = (point_from_ordinate(y) for y in ys)
+        expected = gap_iterations(a, b, epsilon)
+
+        def no_rows(*args):
+            raise AssertionError("an IterationRow was built")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(report_module, "IterationRow", no_rows)
+            assert gap_iterations(a, b, epsilon) == expected
+        _, report = sector_module._enclose(a, b, epsilon, 40, report_module.FAN_BRACKET,
+                                           strict=True)
+        assert expected == report.rows[-1].m == len(report) - 1
+
+    def test_len_of_a_report_built_from_rows(self):
+        _, report = arc_length(TOP, Q, 1e-8)
+        built = ConvergenceReport(1.0, 0.0, 1e-8, "tolerance_met", report.rows)
+        assert len(built) == len(report.rows) == len(report)

@@ -374,3 +374,16 @@ class TestAdditivity:
         with pytest.raises(DomainError):
             additivity_check(TOP, point_from_ordinate(0.5), point_from_ordinate(0.7),
                              1e-9)
+
+
+class TestOneSchemeCheck:
+    @pytest.mark.parametrize("scheme, seed", [("spiral", 0), ("random", None),
+                                              ("bisection", -1), ("random", -2)])
+    def test_make_partition_and_scheme_limit_agree(self, scheme, seed):
+        """Both entry points reject a bad scheme or seed with the same error."""
+        with pytest.raises(DomainError) as built:
+            make_partition(TOP, Q, scheme, 4, seed=seed)
+        with pytest.raises(DomainError) as limited:
+            scheme_limit(TOP, Q, scheme, 1e-8, seed=seed)
+        assert str(built.value) == str(limited.value)
+
