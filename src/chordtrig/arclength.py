@@ -12,13 +12,13 @@ sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
 One generator, :func:`_rows`, holds the only copy of this recurrence and
-yields each level as its bare (l_m, h_m) pair; every ladder in the package
-runs on it. The bracket follows from the pair: arc length takes
-[L_m, L_m / h_m], the lower arm because the polygonal lengths increase to
-the arc length, the upper arm because L_m / h_m is twice the circumscribed
-tangent fan's area, which contains the sector whose doubled area equals the
-arc length. The sector area (:mod:`chordtrig.sector`) takes the two fans.
-A run keeps only its pairs; its report builds the
+of the brackets; every ladder in the package runs on it. It yields each
+level as (l_m, h_m, lo, hi), the arms of the bracket asked for: arc length
+takes [L_m, L_m / h_m], the lower arm because the polygonal lengths increase
+to the arc length, the upper arm because L_m / h_m is twice the
+circumscribed tangent fan's area, which contains the sector whose doubled
+area equals the arc length. The sector area (:mod:`chordtrig.sector`) takes
+the two fans. A run keeps these tuples; its report builds the
 :class:`~chordtrig.report.IterationRow` table from them when it is read.
 """
 
@@ -86,25 +86,33 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-def _rows(a: CirclePoint, b: CirclePoint) -> Iterator[tuple[float, float]]:
+def _rows(a: CirclePoint, b: CirclePoint,
+          bracket: str = ARC_BRACKET) -> Iterator[tuple[float, float, float, float]]:
     """Unbounded stream of the ladder's levels m = 0, 1, ... on the arc ``ab``
-    (a != b), each as its (segment length, height) pair."""
+    (a != b), each as (l_m, h_m, lo, hi) with the arms of ``bracket``:
+    [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``."""
+    fans = bracket == FAN_BRACKET
     ell = chord_length(a, b)
+    scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit
     while True:
-        level = ell, height_for_chord(ell)
-        yield level
-        ell = ell / math.sqrt(2.0 * (1.0 + level[1]))
+        h = height_for_chord(ell)
+        total = scale * ell
+        if fans:
+            # report.fan_areas written out: a call here makes the sector run a
+            # third slower. TestLazyRows (_check_rows) pins the two bit-equal.
+            half = 0.5 * total
+            yield ell, h, half * h, half / h
+        else:
+            yield ell, h, total, total / h
+        ell = ell / math.sqrt(2.0 * (1.0 + h))
+        scale *= 2.0
 
 
 def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
              bracket: str = ARC_BRACKET,
              strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
-    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows.
-
-    The arms are those of :func:`~chordtrig.report.level_row`, computed here
-    with the same float operations from L_m = 2^m l_m and h_m.
-    """
+    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     if max_iter < 0:
@@ -112,26 +120,16 @@ def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     if a.y == b.y:
         return (Enclosure(0.0, 0.0),
                 ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, ()))
-    fans = bracket == FAN_BRACKET
     levels = []
-    m = 0
-    for level in _rows(a, b):
+    for m, level in enumerate(_rows(a, b, bracket)):
         levels.append(level)
-        ell, h = level
-        total = math.ldexp(ell, m)
-        if fans:
-            half = 0.5 * total
-            lo, hi = half * h, half / h
-        else:
-            lo, hi = total, total / h
+        _, _, lo, hi = level
         width = hi - lo
         met = width < tol if strict else width <= tol
         if met or m >= max_iter:
             break
-        m += 1
     enc = Enclosure(lo, hi)
-    report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP,
-                           levels, bracket)
+    report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP, levels)
     if not met:
         raise ConvergenceError(
             f"bracket width {width!r} has not reached tol {tol!r} by level {m}",
@@ -149,8 +147,7 @@ def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[Iteratio
     if m_max > _MAX_LEVEL:
         raise CapacityError(
             f"level {m_max} would need 2^{m_max} segments, beyond index capacity")
-    return [level_row(m, ell, h, ARC_BRACKET)
-            for m, (ell, h) in enumerate(islice(_rows(a, b), m_max + 1))]
+    return [level_row(m, *level) for m, level in enumerate(islice(_rows(a, b), m_max + 1))]
 
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:

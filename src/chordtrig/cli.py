@@ -35,7 +35,7 @@ from .geometry import point_from_ordinate
 from .inverse import arcsin, pi_constant, sin
 from .partitions import SCHEMES, additivity_check, scheme_limit
 from .report import CSV_COLUMNS, ConvergenceReport
-from .sector import _ratio_components, sector_area
+from .sector import ratio_runs, sector_area
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -103,8 +103,8 @@ def _cmd_sector(args):
 
 
 def _cmd_ratio(args):
-    arc_enc, arc_rep, sec_enc, sec_rep = _ratio_components(*_endpoints(args), args.tol,
-                                                           args.max_iter)
+    arc_enc, arc_rep, sec_enc, sec_rep = ratio_runs(*_endpoints(args), args.tol,
+                                                    args.max_iter)
     ratio = arc_enc.mid / sec_enc.mid
     payload = _payload(args, ("a", "b"), value=ratio, arc=_run_fields(arc_enc, arc_rep),
                        sector=_run_fields(sec_enc, sec_rep))
@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, parents=[common], help=help_text)
         for name, options in arguments:
             p.add_argument(name, **options)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
@@ -188,7 +188,9 @@ def run(argv=None) -> int:
     """Parse ``argv``, execute the subcommand, print the result; return the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the command they were given to
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

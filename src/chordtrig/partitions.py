@@ -299,8 +299,7 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str,
     """(polygonal length, certificate) of the scheme's partitions, by doubling
     size, up to the scheme's cap."""
     if scheme == "bisection":
-        for m, (ell, _) in enumerate(islice(_rows(hi, lo), _MAX_BISECTION_STEPS + 1)):
-            total = math.ldexp(ell, m)
+        for ell, _, total, _ in islice(_rows(hi, lo), _MAX_BISECTION_STEPS + 1):
             sq = ell * ell
             yield total, total * sq / (4.0 - sq)
         return

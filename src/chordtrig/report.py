@@ -5,11 +5,11 @@ argued (not merely observed) to contain the true value. A
 :class:`ConvergenceReport` is the serializable trace of one bisection run:
 one row per level m, ordered, with the bracket arms that run was tightening.
 
-A ladder run keeps only its (l, h) pair per level and a tag naming the
-bracket it tightened (:func:`ladder_report`); everything else in a row
-follows from the pair, so ``rows`` builds the :class:`IterationRow` table on
-first read, through :func:`level_row`, and keeps it. A run whose report is
-never read (``sin``'s inner ``arcsin`` runs) builds no rows at all.
+A ladder run keeps the (l, h, lo, hi) tuple of each level as the ladder
+yielded it, arms included (:func:`ladder_report`); the rest of a row follows
+from (l, h), so ``rows`` builds the :class:`IterationRow` table on first
+read, through :func:`level_row`, and keeps it. A run whose report is never
+read (``sin``'s inner ``arcsin`` runs) builds no rows at all.
 
 Tolerances below roughly 1e-13 exceed what binary64 evaluation of the arms
 can certify; the bracket then still brackets the computed ladder but carries
@@ -19,15 +19,14 @@ O(eps * value) evaluation fuzz.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
 
-# Bracket tags of a ladder run: [L_m, L_m / h_m] for arc length, the two fans
-# [L_m h_m / 2, L_m / (2 h_m)] for sector area.
+# Brackets a ladder can yield (arclength._rows): [L_m, L_m / h_m] for arc
+# length, the two fans [L_m h_m / 2, L_m / (2 h_m)] for sector area.
 ARC_BRACKET = "arc"
 FAN_BRACKET = "fans"
 
@@ -95,62 +94,47 @@ def fan_areas(total_length: float, height: float) -> tuple[float, float]:
     return half * height, half / height
 
 
-def level_row(m: int, segment_length: float, height: float, bracket: str) -> IterationRow:
-    """The row of ladder level ``m`` from its (l, h) pair, with the arms of
-    ``bracket`` (``ARC_BRACKET`` or ``FAN_BRACKET``) as its enclosure."""
+def level_row(m: int, segment_length: float, height: float, lo: float,
+              hi: float) -> IterationRow:
+    """The row of ladder level ``m`` from its (l, h) pair and bracket arms."""
     total = math.ldexp(segment_length, m)
     inner, outer = fan_areas(total, height)
-    lo, hi = (inner, outer) if bracket == FAN_BRACKET else (total, total / height)
     return IterationRow(m, segment_length, height, total, inner, outer, lo, hi)
 
 
-class ConvergenceReport:
-    """Trace of one run: endpoints, tolerance, stop reason and the rows.
+class _LazyRows:
+    """Default of :attr:`ConvergenceReport.rows`: ``()`` on the class, which
+    the dataclass takes as the field default. A report from
+    :func:`ladder_report` has no ``rows`` entry of its own, so its first read
+    lands here, builds the rows from its levels and caches them in the
+    instance, which shadows this descriptor from then on."""
 
-    Immutable; compares, hashes and prints by these five values.
-    """
-
-    def __init__(self, a_ordinate: float, b_ordinate: float, tolerance: float,
-                 stop_reason: str, rows: tuple[IterationRow, ...] = ()):
-        # ``rows`` goes straight into the cache of the property below.
-        self.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
-                             tolerance=tolerance, stop_reason=stop_reason, rows=rows)
-
-    @cached_property
-    def rows(self) -> tuple[IterationRow, ...]:
+    def __get__(self, report, owner=None):
+        if report is None:
+            return ()
         # Built from a list, not a generator: CPython's tuple(generator) grows
         # a small tuple by resizing, and the freed results then pile up in
         # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
         # CPython 3.11).
-        bracket = self._bracket
-        return tuple([level_row(m, ell, h, bracket) for m, (ell, h) in enumerate(self._levels)])
+        rows = tuple([level_row(m, *level) for m, level in enumerate(report._levels)])
+        report.__dict__["rows"] = rows
+        return rows
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Trace of one run: endpoints, tolerance, stop reason and the rows."""
+
+    a_ordinate: float
+    b_ordinate: float
+    tolerance: float
+    stop_reason: str
+    rows: tuple[IterationRow, ...] = _LazyRows()
 
     def __len__(self):
         """Number of levels run, counted without building the rows."""
         levels = self.__dict__.get("_levels")
         return len(self.rows if levels is None else levels)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.a_ordinate, self.b_ordinate, self.tolerance, self.stop_reason,
-                self.rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("ConvergenceReport(a_ordinate={!r}, b_ordinate={!r}, tolerance={!r}, "
-                "stop_reason={!r}, rows={!r})".format(*self._key()))
 
     def to_dict(self) -> dict:
         return {
@@ -163,12 +147,11 @@ class ConvergenceReport:
 
 
 def ladder_report(a_ordinate: float, b_ordinate: float, tolerance: float,
-                  stop_reason: str, levels: Sequence[tuple[float, float]],
-                  bracket: str) -> ConvergenceReport:
-    """The report of a ladder run from its (l, h) pair per level, m = 0, 1,
-    ...; its rows are built only when read."""
+                  stop_reason: str,
+                  levels: Sequence[tuple[float, float, float, float]]) -> ConvergenceReport:
+    """The report of a ladder run from its (l, h, lo, hi) tuple per level,
+    m = 0, 1, ...; its rows are built only when read."""
     report = ConvergenceReport.__new__(ConvergenceReport)
     report.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
-                           tolerance=tolerance, stop_reason=stop_reason,
-                           _levels=levels, _bracket=bracket)
+                           tolerance=tolerance, stop_reason=stop_reason, _levels=levels)
     return report

@@ -5,8 +5,8 @@ At level m the inscribed fan over the bisection points has area
 tangent-line fan has area 2^m * l_m / (2 h_m): each outer triangle is the
 inner one scaled by 1/h_m along the radius, so its area is l/(2h) without
 ever intersecting tangent lines vertex by vertex. Both fans follow from the
-same (l, h) ladder pairs that arc length runs on (:mod:`chordtrig.arclength`);
-the sector run only takes them as its bracket arms. The sector sits between
+same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`),
+which yields them as the sector run's bracket arms. The sector sits between
 the two fans; the arc length equals twice the sector area, checked by
 :func:`verify_ratio`.
 """
@@ -71,8 +71,8 @@ def sector_area(a: CirclePoint, b: CirclePoint, tol: float,
     return _enclose(a, b, tol, max_iter, FAN_BRACKET)
 
 
-def _ratio_components(a: CirclePoint, b: CirclePoint, tol: float,
-                      max_iter: int = DEFAULT_MAX_ITER):
+def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float,
+               max_iter: int = DEFAULT_MAX_ITER):
     """Both runs behind the arc/sector ratio, at the shared scaled tolerance."""
     if a.y == b.y:
         raise DegenerateArcError("arc/sector ratio of a degenerate arc")
@@ -93,5 +93,5 @@ def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float,
     inner tolerance would not meet the 10 * tol contract on short arcs.
     Result contract: within 10 * tol of 2.
     """
-    arc_enc, _, sec_enc, _ = _ratio_components(a, b, tol, max_iter)
+    arc_enc, _, sec_enc, _ = ratio_runs(a, b, tol, max_iter)
     return arc_enc.mid / sec_enc.mid

@@ -217,6 +217,14 @@ class TestCommandFlags:
                                 "--max-iter", "3")
         assert (code, out) == (64, "") and "unrecognized arguments: --max-iter 3" in err
 
+    def test_dead_flag_error_shows_the_command_usage(self, capsys):
+        code, out, err = invoke(capsys, "pi", "--seed", "1")
+        assert (code, out) == (64, "") and err.startswith("usage: chordtrig pi ")
+        assert "chordtrig pi: error: unrecognized arguments: --seed 1" in err
+        code, _, err = invoke(capsys, "partition-compare", "--a", "0.9", "--b", "0.1",
+                              "--max-iter", "3")
+        assert code == 64 and err.startswith("usage: chordtrig partition-compare ")
+
     def test_partition_compare_reads_its_seed(self, capsys):
         argv = ["partition-compare", "--a", "0.9", "--b", "0.1", "--tol", "1e-6"]
         code, out, _ = invoke(capsys, *argv, "--seed", "3")
