@@ -187,7 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse ``argv``, execute the subcommand, print the result; return the exit code."""
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"options go after the command, got {argv[0]} before it")
         args, extra = parser.parse_known_args(argv)
         if extra:  # reported with the usage of the command they were given to
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")

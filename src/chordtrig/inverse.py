@@ -2,10 +2,10 @@
 
 arcsin(y) is the length of the arc from (sqrt(1 - y^2), y) down to (1, 0),
 so it inherits the certified bracket of the bisection scheme. pi is twice
-the full quarter arc doubled, i.e. 2 * arcsin(1) with both bracket arms
-scaled exactly. sin inverts arcsin by plain interval bisection on the
-ordinate: continuity plus strict monotonicity of the sector area make the
-inverse unique, and bisection is the computable shadow of that argument.
+the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly.
+sin inverts arcsin by plain interval bisection on the ordinate: continuity
+plus strict monotonicity of the sector area make the inverse unique, and
+bisection is the computable shadow of that argument.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def arcsin(y: float, tol: float,
 def pi_constant(tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Enclosure:
     """Certified enclosure of pi: the quarter-arc bracket with both arms doubled.
 
-    Arc lengths are additive and the four quarter arcs of the upper
-    semicircle pair up by symmetry, so the semicircle length is twice the
+    Arc lengths are additive and the two quarter arcs of the upper
+    semicircle are mirror images, so the semicircle length is twice the
     quarter length. Width is at most 2 * tol.
     """
     enc, _ = arcsin(1.0, tol, max_iter)

@@ -25,7 +25,9 @@ l0 / h0^2, gives the paper's global bound
 grids, where only the top chord is long.
 
 Three partition families are provided: the chord-bisection levels, grids
-uniform in the ordinate, and seeded uniform random draws. The limit runs
+uniform in the ordinate, and seeded uniform random draws. The two grid
+families share one rule for ordinates that collide in floating point: a
+repeat is dropped, so both refine any arc, however short. The limit runs
 evaluate exactly the ordinate arrays the builders turn into points (no
 point objects), with the cancellation-free chord form of
 :func:`chordtrig.geometry.chord_length`, |dy| * sqrt(1 + t^2), but not its
@@ -53,10 +55,6 @@ from .geometry import (
 from .sector import sector_area
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
-
-# Interior ordinates closer than this to a kept neighbour are dropped when
-# building random partitions (strict decrease must survive float collisions).
-MIN_ORDINATE_GAP = 1e-12
 
 # Two ordinates within this of each other name the same geometric point for
 # union/refinement purposes.
@@ -164,19 +162,20 @@ def ordinate_uniform_partition(a: CirclePoint, b: CirclePoint, n: int) -> Partit
     arc can get fewer than n + 1 points.
     """
     hi, lo = _ordered_endpoints(a, b)
-    ys = _uniform_ordinates(hi.y, lo.y, n)
+    ys = _ordinates("ordinate_uniform", hi.y, lo.y, n, None)
     return Partition.from_points(point_from_ordinate(y) for y in ys)
 
 
 def random_partition(a: CirclePoint, b: CirclePoint, n: int, seed: int) -> Partition:
     """Partition from ``n - 1`` uniform interior ordinate draws (seeded).
 
-    Draws are sorted, and interior values closer than ``MIN_ORDINATE_GAP``
-    to a kept neighbour are dropped, so the result can have fewer than
+    Draws are sorted and repeated ordinates dropped, by the rule of
+    :func:`ordinate_uniform_partition`, so the result can have fewer than
     n + 1 points but always strictly decreasing ordinates.
     """
     hi, lo = _ordered_endpoints(a, b)
-    ys = _random_ordinates(hi.y, lo.y, n, seed)
+    _check_seed(seed)
+    ys = _ordinates("random", hi.y, lo.y, n, seed)
     return Partition.from_points(point_from_ordinate(y) for y in ys)
 
 
@@ -209,58 +208,31 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     return random_partition(a, b, size, seed)
 
 
-def _check_size(n: int, max_points: int) -> None:
+def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,
+               max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
+    """The ``n``-segment grid of a grid scheme, from ``hi_y`` down to
+    ``lo_y``: evenly spaced for ``ordinate_uniform``, ``n - 1`` sorted seeded
+    draws for ``random``.
+
+    An ordinate that does not fall below its predecessor (a step below float
+    resolution, or a repeated draw) would make a zero-length chord; both
+    schemes drop it.
+    """
     if n < 1:
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > max_points:
         raise CapacityError(f"{n} segments exceed the partition size limit")
-
-
-def _uniform_ordinates(hi_y: float, lo_y: float, n: int,
-                       max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
-    _check_size(n, max_points)
-    ys = np.linspace(hi_y, lo_y, n + 1)
-    # a step below float resolution repeats an ordinate: a zero-length chord
+    if scheme == "ordinate_uniform":
+        ys = np.linspace(hi_y, lo_y, n + 1)
+    else:
+        ys = np.empty(n + 1)
+        ys[0], ys[-1] = hi_y, lo_y
+        ys[1:-1] = np.random.default_rng((int(seed), int(n))).uniform(lo_y, hi_y, n - 1)
+        ys[1:-1][::-1].sort()
     falls = ys[1:] < ys[:-1]
     if falls.all():
         return ys
     return ys[np.concatenate(([True], falls))]
-
-
-def _random_ordinates(hi_y: float, lo_y: float, n: int, seed: int,
-                      max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
-    _check_size(n, max_points)
-    _check_seed(seed)
-    ys = np.empty(n + 1)
-    ys[0], ys[-1] = hi_y, lo_y
-    ys[1:-1] = np.random.default_rng((int(seed), int(n))).uniform(lo_y, hi_y, n - 1)
-    ys[1:-1][::-1].sort()
-    return _dedupe_descending(ys, MIN_ORDINATE_GAP)
-
-
-def _dedupe_descending(ys: np.ndarray, min_gap: float) -> np.ndarray:
-    """Drop interior entries of a descending array that crowd a kept neighbour.
-
-    Greedy from the top: an interior entry is kept when it lies at least
-    ``min_gap`` below the last kept entry and above the final one. An entry
-    that far below its own predecessor passes the first test whatever was
-    dropped before it, so only the entries close to their predecessor are
-    walked one by one.
-    """
-    if len(ys) <= 2:
-        return ys
-    close = ys[:-1] - ys[1:] < min_gap
-    if not close.any():
-        return ys
-    keep = np.ones(len(ys), dtype=bool)
-    keep[1:-1] = ys[1:-1] - ys[-1] >= min_gap
-    for i in np.flatnonzero(close[:-1]) + 1:
-        if keep[i]:
-            last = i - 1
-            while not keep[last]:
-                last -= 1
-            keep[i] = ys[last] - ys[i] >= min_gap
-    return ys[keep]
 
 
 def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
@@ -305,10 +277,7 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str,
         return
     n = 1
     while n + 1 <= _MAX_GRID_POINTS:
-        if scheme == "ordinate_uniform":
-            yield _polyline_stats(_uniform_ordinates(hi.y, lo.y, n, _MAX_GRID_POINTS))
-        else:
-            yield _polyline_stats(_random_ordinates(hi.y, lo.y, n, seed, _MAX_GRID_POINTS))
+        yield _polyline_stats(_ordinates(scheme, hi.y, lo.y, n, seed, _MAX_GRID_POINTS))
         n *= 2
 
 

@@ -225,6 +225,12 @@ class TestCommandFlags:
                               "--max-iter", "3")
         assert code == 64 and err.startswith("usage: chordtrig partition-compare ")
 
+    @pytest.mark.parametrize("argv", [["--tol", "1e-6", "pi"], ["--seed", "1", "pi"]])
+    def test_flag_before_the_command_is_reported_as_such(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert "options go after the command" in err and "invalid choice" not in err
+
     def test_partition_compare_reads_its_seed(self, capsys):
         argv = ["partition-compare", "--a", "0.9", "--b", "0.1", "--tol", "1e-6"]
         code, out, _ = invoke(capsys, *argv, "--seed", "3")

@@ -387,3 +387,24 @@ class TestOneSchemeCheck:
             scheme_limit(TOP, Q, scheme, 1e-8, seed=seed)
         assert str(built.value) == str(limited.value)
 
+
+
+class TestGridsDropOnlyRepeats:
+    """Both grid schemes refine by one rule: a repeated ordinate is dropped."""
+
+    @pytest.mark.parametrize("scheme", ["ordinate_uniform", "random"])
+    @given(lo=st.floats(0.0, 1.0 - 1e-10), width=st.floats(0.0, 1e-10),
+           n=st.integers(1, 4096), seed=st.integers(0, 2 ** 32))
+    def test_short_arcs_keep_strict_decrease_and_endpoints(self, scheme, lo, width,
+                                                          n, seed):
+        hi = max(lo + width, math.nextafter(lo, 2.0))  # 1 ulp up to ~1e-10 wide
+        p = make_partition(point_from_ordinate(hi), point_from_ordinate(lo), scheme, n,
+                           seed=seed)
+        ys = [pt.y for pt in p.points]
+        assert ys[0] == hi and ys[-1] == lo
+        assert all(u > v for u, v in zip(ys, ys[1:]))
+
+    def test_random_partition_refines_an_arc_below_1e12(self):
+        hi = point_from_ordinate(0.5)
+        p = random_partition(hi, point_from_ordinate(0.5 - 1e-13), 64, seed=1)
+        assert len(p.points) > 2
