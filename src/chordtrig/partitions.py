@@ -32,6 +32,12 @@ evaluate exactly the ordinate arrays the builders turn into points (no
 point objects), with the cancellation-free chord form of
 :func:`chordtrig.geometry.chord_length`, |dy| * sqrt(1 + t^2), but not its
 ``math.hypot``: the two can differ in the last ulp.
+
+numpy is imported inside the two grid kernels, :func:`_ordinates` and
+:func:`_chord_stats`, and nowhere else. Arc length, sector area, pi,
+arcsin, sin and the additivity check run on the scalar chord ladder alone,
+so they, and ``import chordtrig``, never pay for loading numpy, which takes
+several times as long as the rest of the import.
 """
 
 from __future__ import annotations
@@ -40,9 +46,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .arclength import DEFAULT_MAX_ITER, _rows, arc_length, bisection_step, upper_bound
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
@@ -54,10 +58,13 @@ from .geometry import (
 )
 from .sector import sector_area
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SCHEMES = ("bisection", "ordinate_uniform", "random")
 
-# Two ordinates within this of each other name the same geometric point for
-# union/refinement purposes.
+# Two ordinates within this fraction of the arc's ordinate span name the
+# same geometric point for union/refinement purposes.
 DEDUPE_TOL = 1e-14
 
 _MAX_PARTITION_LEVEL = 20
@@ -105,20 +112,22 @@ def refine_union(p: Partition, q: Partition) -> Partition:
     """The common refinement: all points of ``p`` plus the interior points of
     ``q`` that are not already present.
 
-    Presence is judged on ordinates within ``DEDUPE_TOL``, since the same
-    geometric point can arrive through different arithmetic. Every point of
-    ``p`` is kept, so the result is a refinement of ``p`` exactly and of
-    ``q`` up to the dedupe tolerance.
+    Presence is judged on ordinates within ``DEDUPE_TOL`` times the arc's
+    ordinate span, since the same geometric point can arrive through
+    different arithmetic; scaling by the span keeps distinct points of a
+    short arc apart. Every point of ``p`` is kept, so the result is a
+    refinement of ``p`` exactly and of ``q`` up to the dedupe tolerance.
     """
-    if (abs(p.arc_hi.y - q.arc_hi.y) > DEDUPE_TOL
-            or abs(p.arc_lo.y - q.arc_lo.y) > DEDUPE_TOL):
+    tol = DEDUPE_TOL * (p.arc_hi.y - p.arc_lo.y)
+    if (abs(p.arc_hi.y - q.arc_hi.y) > tol
+            or abs(p.arc_lo.y - q.arc_lo.y) > tol):
         raise DomainError("partitions cover different arcs")
     kept_ys = sorted(pt.y for pt in p.points)  # ascending, for bisect
     extras: list[CirclePoint] = []
     for pt in q.points[1:-1]:
         i = bisect.bisect_left(kept_ys, pt.y)
-        near_lo = i > 0 and pt.y - kept_ys[i - 1] <= DEDUPE_TOL
-        near_hi = i < len(kept_ys) and kept_ys[i] - pt.y <= DEDUPE_TOL
+        near_lo = i > 0 and pt.y - kept_ys[i - 1] <= tol
+        near_hi = i < len(kept_ys) and kept_ys[i] - pt.y <= tol
         if not (near_lo or near_hi):
             kept_ys.insert(i, pt.y)
             extras.append(pt)
@@ -217,7 +226,13 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,
     An ordinate that does not fall below its predecessor (a step below float
     resolution, or a repeated draw) would make a zero-length chord; both
     schemes drop it.
+
+    The draws are those of ``Generator.uniform(lo_y, hi_y, n - 1)``, made
+    in place: uniform's own array, and the copy that sorting a reversed
+    view makes, would each be as large as the grid.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > max_points:
@@ -227,8 +242,13 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,
     else:
         ys = np.empty(n + 1)
         ys[0], ys[-1] = hi_y, lo_y
-        ys[1:-1] = np.random.default_rng((int(seed), int(n))).uniform(lo_y, hi_y, n - 1)
-        ys[1:-1][::-1].sort()
+        draws = ys[1:-1]
+        np.random.default_rng((int(seed), int(n))).random(out=draws)
+        draws *= hi_y - lo_y
+        draws += lo_y
+        np.negative(draws, out=draws)  # descending order, sorted in place
+        draws.sort()
+        np.negative(draws, out=draws)
     falls = ys[1:] < ys[:-1]
     if falls.all():
         return ys
@@ -243,6 +263,8 @@ def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
     sqrt(1 + t^2) in place of its hypot(1, t): they can differ by one ulp,
     and np.hypot is slower on large grids.
     """
+    import numpy as np
+
     x = np.sqrt((1.0 - ys) * (1.0 + ys))
     dy = ys[:-1] - ys[1:]
     t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])

@@ -1,0 +1,66 @@
+"""Only the grid kernels load numpy.
+
+Each case runs in a fresh interpreter, because this test process has
+numpy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from chordtrig import point_from_ordinate, scheme_limit
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+NON_PARTITION_CALLS = """
+import contextlib, io, json, sys
+import chordtrig as ct
+from chordtrig.cli import run
+
+a, m, b = (ct.point_from_ordinate(y) for y in (0.9, 0.5, 0.1))
+ct.arc_length(a, b, 1e-10)
+ct.sector_area(a, b, 1e-10)
+ct.arcsin(0.5, 1e-10)
+ct.pi_constant(1e-10)
+ct.sin(0.5, 1e-8)
+ct.verify_ratio(a, b, 1e-10)
+ct.additivity_check(a, m, b, 1e-10)
+with open(sys.argv[1]) as golden:
+    cases = json.load(golden)
+for case in cases:
+    assert case["argv"][0] != "partition-compare"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run(list(case["argv"]))
+print("numpy" in sys.modules)
+"""
+
+RANDOM_LIMIT = """
+import sys
+import chordtrig as ct
+
+before = "numpy" in sys.modules
+value = ct.scheme_limit(ct.point_from_ordinate(0.9), ct.point_from_ordinate(0.1),
+                        "random", 1e-9, seed=0)
+print(before, "numpy" in sys.modules, repr(value))
+"""
+
+
+def _last_line(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_non_partition_entry_points_never_load_numpy():
+    assert _last_line(NON_PARTITION_CALLS, str(GOLDEN)) == "False"
+
+
+def test_random_limit_loads_numpy_on_first_call():
+    expected = scheme_limit(point_from_ordinate(0.9), point_from_ordinate(0.1),
+                            "random", 1e-9, seed=0)
+    assert _last_line(RANDOM_LIMIT) == f"False True {expected!r}"

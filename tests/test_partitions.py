@@ -131,6 +131,17 @@ class TestRefineUnion:
         union = refine_union(p, q)
         assert len(union.points) == 3
 
+    def test_short_arc_union_keeps_every_distinct_ordinate(self):
+        # interior ordinates of a 1e-13-wide arc sit ~1e-15 apart, inside an
+        # absolute 1e-14 tolerance; the tolerance scales with the arc's span
+        a, b = point_from_ordinate(0.5), point_from_ordinate(0.5 - 1e-13)
+        p = random_partition(a, b, 64, seed=1)
+        q = random_partition(a, b, 64, seed=2)
+        union = refine_union(p, q)
+        assert ({pt.y for pt in union.points}
+                == {pt.y for pt in p.points} | {pt.y for pt in q.points})
+        assert len(union.points) > len(p.points)
+
     def test_endpoint_mismatch_rejected(self):
         p = Partition.from_points([TOP, Q])
         q = Partition.from_points([point_from_ordinate(0.9), Q])
@@ -408,3 +419,23 @@ class TestGridsDropOnlyRepeats:
         hi = point_from_ordinate(0.5)
         p = random_partition(hi, point_from_ordinate(0.5 - 1e-13), 64, seed=1)
         assert len(p.points) > 2
+
+
+def _random_ordinates_reference(hi_y, lo_y, n, seed):
+    """The random grid by its defining formula: ``n - 1`` draws of
+    ``Generator.uniform``, sorted descending through a reversed view, with
+    repeated ordinates dropped."""
+    ys = np.empty(n + 1)
+    ys[0], ys[-1] = hi_y, lo_y
+    ys[1:-1] = np.random.default_rng((seed, n)).uniform(lo_y, hi_y, n - 1)
+    ys[1:-1][::-1].sort()
+    return ys[np.concatenate(([True], ys[1:] < ys[:-1]))]
+
+
+class TestRandomGridInPlace:
+    @pytest.mark.parametrize("hi_y, lo_y", [(1.0, 0.0), (0.9, 0.1), (0.5, 0.5 - 1e-13)])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_bit_identical_to_uniform_draws(self, hi_y, lo_y, seed):
+        for n in (1, 2, 3, 64, 1000, (1 << 16) + 1):
+            ys = partitions._ordinates("random", hi_y, lo_y, n, seed)
+            assert ys.tobytes() == _random_ordinates_reference(hi_y, lo_y, n, seed).tobytes()
