@@ -13,21 +13,23 @@ is what every downstream formula consumes, stays at a few ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value, set_field
 from .errors import DegenerateArcError, DomainError
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(Value):
     """A point of the quarter circle, determined by its ordinate ``y``.
 
     ``x`` is the derived abscissa sqrt(1 - y^2). Build instances through
     :func:`point_from_ordinate`, which enforces the first-quadrant domain.
     """
 
-    y: float
-    x: float
+    __slots__ = _fields = ("y", "x")
+
+    def __init__(self, y: float, x: float):
+        set_field(self, "y", y)
+        set_field(self, "x", x)
 
 
 def point_from_ordinate(y: float) -> CirclePoint:
@@ -88,16 +90,18 @@ def compare_by_ordinate(p: CirclePoint, q: CirclePoint) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(Value):
     """A chord in canonical orientation: ``hi`` has the larger ordinate.
 
     Invariants: hi.y >= lo.y and 0 <= length <= sqrt(2).
     """
 
-    hi: CirclePoint
-    lo: CirclePoint
-    length: float
+    __slots__ = _fields = ("hi", "lo", "length")
+
+    def __init__(self, hi: CirclePoint, lo: CirclePoint, length: float):
+        set_field(self, "hi", hi)
+        set_field(self, "lo", lo)
+        set_field(self, "length", length)
 
     @classmethod
     def between(cls, p: CirclePoint, q: CirclePoint) -> "Chord":
@@ -107,16 +111,18 @@ class Chord:
         return cls(hi=p, lo=q, length=chord_length(p, q))
 
 
-@dataclass(frozen=True)
-class TriangleAtOrigin:
+class TriangleAtOrigin(Value):
     """The triangle spanned by the origin and a chord of the circle.
 
     ``height`` is the altitude from the origin onto the chord; it satisfies
     height^2 + (base.length / 2)^2 = 1.
     """
 
-    base: Chord
-    height: float
+    __slots__ = _fields = ("base", "height")
+
+    def __init__(self, base: Chord, height: float):
+        set_field(self, "base", base)
+        set_field(self, "height", height)
 
     @classmethod
     def for_points(cls, p: CirclePoint, q: CirclePoint) -> "TriangleAtOrigin":

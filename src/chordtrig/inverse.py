@@ -11,8 +11,8 @@ bisection is the computable shadow of that argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, arc_length
 from .errors import ConvergenceError, DomainError
 from .geometry import point_from_ordinate
@@ -21,8 +21,7 @@ from .report import ConvergenceReport, Enclosure
 _Q = point_from_ordinate(0.0)
 
 
-@dataclass(frozen=True)
-class TangentIntersection:
+class TangentIntersection(Value):
     """Vector (u, v) from the tangent point Y0 to the intersection Z of the
     tangent line at Y0 with the ray through Y.
 
@@ -30,8 +29,11 @@ class TangentIntersection:
     the ray relation (x0 + u)/x = (y0 + v)/y it pins Z down.
     """
 
-    u: float
-    v: float
+    __slots__ = _fields = ("u", "v")
+
+    def __init__(self, u: float, v: float):
+        set_field(self, "u", u)
+        set_field(self, "v", v)
 
 
 def arcsin(y: float, tol: float,

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, _rows, arc_length, bisection_step, upper_bound
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
 from .geometry import (
@@ -74,12 +74,14 @@ _MAX_BISECTION_STEPS = 48                   # scheme_limit bisection levels
 _CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Ordered points of an arc (strictly decreasing ordinates) and the norm."""
 
-    points: tuple[CirclePoint, ...]
-    norm: float
+    __slots__ = _fields = ("points", "norm")
+
+    def __init__(self, points: tuple[CirclePoint, ...], norm: float):
+        set_field(self, "points", points)
+        set_field(self, "norm", norm)
 
     @classmethod
     def from_points(cls, points) -> "Partition":
@@ -262,15 +264,33 @@ def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
     The cancellation-free form of geometry.chord_length, vectorized, with
     sqrt(1 + t^2) in place of its hypot(1, t): they can differ by one ulp,
     and np.hypot is slower on large grids.
+
+    It works in four arrays, updated in place: a fresh temporary per
+    operation would have the allocator hand large blocks back to the system
+    and fault their pages in again on every grid. The operations and their
+    order are those of x = sqrt((1 - y)(1 + y)), t = (y_i + y_(i+1)) /
+    (x_i + x_(i+1)), l = dy * sqrt(1 + t^2) and l * l^2 / (4 - l^2), so
+    both sums are the same bit for bit as from those plain expressions.
     """
     import numpy as np
 
-    x = np.sqrt((1.0 - ys) * (1.0 + ys))
-    dy = ys[:-1] - ys[1:]
-    t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
-    chords = dy * np.sqrt(1.0 + t * t)
-    sq = chords * chords
-    return float(chords.sum()), float((chords * sq / (4.0 - sq)).sum())
+    x = 1.0 - ys
+    chords = 1.0 + ys
+    x *= chords
+    np.sqrt(x, out=x)                                       # x
+    chords = np.subtract(ys[:-1], ys[1:], out=chords[:-1])  # dy
+    t = ys[:-1] + ys[1:]
+    w = x[:-1] + x[1:]
+    t /= w                                                  # t
+    np.multiply(t, t, out=w)
+    w += 1.0
+    np.sqrt(w, out=w)
+    chords *= w                                             # l
+    sq = np.multiply(chords, chords, out=t)                 # l^2
+    np.multiply(chords, sq, out=w)
+    np.subtract(4.0, sq, out=sq)
+    w /= sq                                                 # l^3 / (4 - l^2)
+    return float(chords.sum()), float(w.sum())
 
 
 def _polyline_stats(ys: np.ndarray) -> tuple[float, float]:

@@ -19,8 +19,9 @@ O(eps * value) evaluation fuzz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._value import Value, set_field
 
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
@@ -44,16 +45,16 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Value):
     """A certified bracket [lo, hi] around a true length or area."""
 
-    lo: float
-    hi: float
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"enclosure arms out of order: [{self.lo!r}, {self.hi!r}]")
+    def __init__(self, lo: float, hi: float):
+        if not lo <= hi:
+            raise ValueError(f"enclosure arms out of order: [{lo!r}, {hi!r}]")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -67,18 +68,22 @@ class Enclosure:
         return {"lo": self.lo, "hi": self.hi, "mid": self.mid, "width": self.width}
 
 
-@dataclass(frozen=True)
-class IterationRow:
+class IterationRow(Value):
     """One level of a bisection run: the 2^m-segment state and its bracket."""
 
-    m: int
-    segment_length: float
-    height: float
-    total_length: float
-    inner_area: float
-    outer_area: float
-    enclosure_lo: float
-    enclosure_hi: float
+    __slots__ = _fields = CSV_COLUMNS
+
+    def __init__(self, m: int, segment_length: float, height: float,
+                 total_length: float, inner_area: float, outer_area: float,
+                 enclosure_lo: float, enclosure_hi: float):
+        set_field(self, "m", m)
+        set_field(self, "segment_length", segment_length)
+        set_field(self, "height", height)
+        set_field(self, "total_length", total_length)
+        set_field(self, "inner_area", inner_area)
+        set_field(self, "outer_area", outer_area)
+        set_field(self, "enclosure_lo", enclosure_lo)
+        set_field(self, "enclosure_hi", enclosure_hi)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
@@ -103,15 +108,17 @@ def level_row(m: int, segment_length: float, height: float, lo: float,
 
 
 class _LazyRows:
-    """Default of :attr:`ConvergenceReport.rows`: ``()`` on the class, which
-    the dataclass takes as the field default. A report from
-    :func:`ladder_report` has no ``rows`` entry of its own, so its first read
-    lands here, builds the rows from its levels and caches them in the
-    instance, which shadows this descriptor from then on."""
+    """:attr:`ConvergenceReport.rows` of a report from :func:`ladder_report`.
+
+    Such a report holds its ladder levels but no ``rows`` entry of its own,
+    so its first read of ``rows`` lands here, builds the rows from the levels
+    and caches them in the instance dict, which shadows this non-data
+    descriptor from then on. A report built through its constructor stores
+    ``rows`` itself and never comes here."""
 
     def __get__(self, report, owner=None):
         if report is None:
-            return ()
+            return self
         # Built from a list, not a generator: CPython's tuple(generator) grows
         # a small tuple by resizing, and the freed results then pile up in
         # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
@@ -121,15 +128,23 @@ class _LazyRows:
         return rows
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Trace of one run: endpoints, tolerance, stop reason and the rows."""
+class ConvergenceReport(Value):
+    """Trace of one run: endpoints, tolerance, stop reason and the rows.
 
-    a_ordinate: float
-    b_ordinate: float
-    tolerance: float
-    stop_reason: str
-    rows: tuple[IterationRow, ...] = _LazyRows()
+    Unlike the other records it keeps an instance dict (no ``__slots__``):
+    the lazy report of :func:`ladder_report` holds its levels there, and
+    caches its rows there on first read (see :class:`_LazyRows`). Equality,
+    hash and repr read ``rows``, so a lazy report equals and hashes like the
+    eager report built from the same rows.
+    """
+
+    _fields = ("a_ordinate", "b_ordinate", "tolerance", "stop_reason", "rows")
+    rows = _LazyRows()
+
+    def __init__(self, a_ordinate: float, b_ordinate: float, tolerance: float,
+                 stop_reason: str, rows: tuple[IterationRow, ...] = ()):
+        self.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
+                             tolerance=tolerance, stop_reason=stop_reason, rows=rows)
 
     def __len__(self):
         """Number of levels run, counted without building the rows."""

@@ -13,22 +13,23 @@ the two fans; the arc length equals twice the sector area, checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, _enclose, arc_length, length_sequence
 from .errors import DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
 from .report import FAN_BRACKET, ConvergenceReport, Enclosure
 
 
-@dataclass(frozen=True)
-class SectorSandwich:
+class SectorSandwich(Value):
     """Inner/outer fan areas at one level and their gap."""
 
-    m: int
-    inner_area: float
-    outer_area: float
-    gap: float
+    __slots__ = _fields = ("m", "inner_area", "outer_area", "gap")
+
+    def __init__(self, m: int, inner_area: float, outer_area: float, gap: float):
+        set_field(self, "m", m)
+        set_field(self, "inner_area", inner_area)
+        set_field(self, "outer_area", outer_area)
+        set_field(self, "gap", gap)
 
 
 def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:

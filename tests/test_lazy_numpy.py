@@ -1,7 +1,7 @@
-"""Only the grid kernels load numpy.
+"""Only the grid kernels load numpy, and nothing loads dataclasses.
 
 Each case runs in a fresh interpreter, because this test process has
-numpy loaded already.
+numpy and dataclasses loaded already.
 """
 
 import os
@@ -64,3 +64,9 @@ def test_random_limit_loads_numpy_on_first_call():
     expected = scheme_limit(point_from_ordinate(0.9), point_from_ordinate(0.1),
                             "random", 1e-9, seed=0)
     assert _last_line(RANDOM_LIMIT) == f"False True {expected!r}"
+
+
+def test_no_entry_point_loads_dataclasses():
+    code = (NON_PARTITION_CALLS + 'scalar_inspect = "inspect" in sys.modules\n'
+            + RANDOM_LIMIT + 'print(scalar_inspect, "dataclasses" in sys.modules)')
+    assert _last_line(code, str(GOLDEN)) == "False False"

@@ -439,3 +439,33 @@ class TestRandomGridInPlace:
         for n in (1, 2, 3, 64, 1000, (1 << 16) + 1):
             ys = partitions._ordinates("random", hi_y, lo_y, n, seed)
             assert ys.tobytes() == _random_ordinates_reference(hi_y, lo_y, n, seed).tobytes()
+
+
+def _chord_stats_reference(ys):
+    """The chord kernel as one expression per quantity, temporaries and all."""
+    x = np.sqrt((1.0 - ys) * (1.0 + ys))
+    dy = ys[:-1] - ys[1:]
+    t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
+    chords = dy * np.sqrt(1.0 + t * t)
+    sq = chords * chords
+    return float(chords.sum()), float((chords * sq / (4.0 - sq)).sum())
+
+
+class TestChordKernelInPlace:
+    @given(hi=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0), n=st.integers(2, 5000),
+           ulp_steps=st.booleans(), seed=st.integers(0, 2 ** 32))
+    def test_bit_identical_to_the_plain_expression(self, hi, width, n, ulp_steps, seed):
+        if ulp_steps:  # n - 1 arcs one ulp wide each
+            ys = np.empty(n)
+            ys[0] = max(hi, 5e-324 * n)
+            for i in range(1, n):
+                ys[i] = math.nextafter(ys[i - 1], -1.0)
+        else:
+            lo = max(hi - width, 0.0)
+            draws = np.random.default_rng(seed).uniform(lo, hi, n)
+            ys = np.unique(np.concatenate(([hi, lo], draws)))[::-1].copy()
+            if len(ys) < 2:
+                ys = np.array([hi, math.nextafter(hi, -1.0)]) if hi > 0.0 else np.array([1.0, 0.0])
+        before = ys.copy()
+        assert partitions._chord_stats(ys) == _chord_stats_reference(ys)
+        assert ys.tobytes() == before.tobytes()
