@@ -118,8 +118,7 @@ def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     if max_iter < 0:
         raise DomainError(f"max_iter must be non-negative, got {max_iter}")
     if a.y == b.y:
-        return (Enclosure(0.0, 0.0),
-                ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, ()))
+        return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, ())
     levels = []
     for m, level in enumerate(_rows(a, b, bracket)):
         levels.append(level)

@@ -135,7 +135,7 @@ def _cmd_additivity(args):
     return payload, _pairs_csv(pairs)
 
 
-def _ordinate(flag, help_text=None):
+def _ordinate(flag, help_text):
     return flag, {"type": float, "required": True, "help": help_text}
 
 
@@ -145,15 +145,13 @@ _MAX_ITER = ("--max-iter", {"type": int, "default": DEFAULT_MAX_ITER,
                             "help": "bisection level cap (default %(default)s)"})
 _SEED = ("--seed", {"type": int, "default": 0,
                     "help": "seed for random partition schemes (default 0)"})
-_A, _B = _ordinate("--a"), _ordinate("--b")
+_A = _ordinate("--a", "first endpoint ordinate")
+_B = _ordinate("--b", "second endpoint ordinate")
 
 # command -> (help, arguments, handler returning the JSON payload and CSV lines)
 _COMMANDS = {
     "pi": ("enclosure of pi", [_MAX_ITER], _cmd_pi),
-    "arc": ("certified arc length",
-            [_MAX_ITER, _ordinate("--a", "first endpoint ordinate"),
-             _ordinate("--b", "second endpoint ordinate")],
-            _cmd_arc),
+    "arc": ("certified arc length", [_MAX_ITER, _A, _B], _cmd_arc),
     "arcsin": ("enclosure of arcsin(y)", [_MAX_ITER, ("y", {"type": float})], _cmd_arcsin),
     "sin": ("ordinate with arc length x", [_MAX_ITER, ("x", {"type": float})], _cmd_sin),
     "sector": ("certified sector area", [_MAX_ITER, _A, _B], _cmd_sector),

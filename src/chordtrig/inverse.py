@@ -14,7 +14,7 @@ import math
 
 from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, arc_length
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .geometry import point_from_ordinate
 from .report import ConvergenceReport, Enclosure
 
@@ -56,10 +56,11 @@ def pi_constant(tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Enclosure:
 def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """The ordinate y whose arc length to (1, 0) is ``x``, to within ``tol``.
 
-    Bisection on y in [0, 1] against the arcsin bracket midpoint. Near y = 1
-    the ordinate grid is coarser than the arc grid (arcsin has unbounded
-    slope there), so when the bracket collapses to adjacent floats the
-    endpoint with the smaller residual is returned.
+    Bisection on y in [0, 1] against the arcsin bracket midpoint, down to
+    adjacent floats at the latest. Near y = 1 the ordinate grid is coarser
+    than the arc grid (arcsin has unbounded slope there), so when the
+    bracket collapses to adjacent floats the endpoint with the smaller
+    residual is returned.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -73,7 +74,10 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
         return 1.0
     y_lo, f_lo = 0.0, -x
     y_hi, f_hi = 1.0, top.mid - x
-    for _ in range(4 * 53):
+    # Reaching an ordinate near x takes about log2(1/x) + 53 halvings. The
+    # adjacent-floats exit ends the loop within ~1100 of them at the latest:
+    # no two floats in [0, 1] are closer than 2^-1074.
+    while True:
         y_mid = 0.5 * (y_lo + y_hi)
         if y_mid <= y_lo or y_mid >= y_hi:
             return y_lo if abs(f_lo) <= abs(f_hi) else y_hi
@@ -85,7 +89,6 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
             y_lo, f_lo = y_mid, f_mid
         else:
             y_hi, f_hi = y_mid, f_mid
-    raise ConvergenceError(f"ordinate bisection failed to localize sin({x!r})")
 
 
 def tangent_intersection(y0: float, y: float) -> TangentIntersection:

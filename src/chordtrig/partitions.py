@@ -152,15 +152,7 @@ def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, Cir
 
 def bisection_partition(a: CirclePoint, b: CirclePoint, m: int) -> Partition:
     """Level-``m`` bisection partition: 2^m + 1 points."""
-    hi, lo = _ordered_endpoints(a, b)
-    if m < 0:
-        raise DomainError(f"level must be non-negative, got {m}")
-    if m > _MAX_PARTITION_LEVEL:
-        raise CapacityError(f"level {m} would materialize 2^{m} + 1 points")
-    pts = [hi, lo]
-    for _ in range(m):
-        pts = bisection_step(pts)
-    return Partition.from_points(pts)
+    return make_partition(a, b, "bisection", m)
 
 
 def ordinate_uniform_partition(a: CirclePoint, b: CirclePoint, n: int) -> Partition:
@@ -172,9 +164,7 @@ def ordinate_uniform_partition(a: CirclePoint, b: CirclePoint, n: int) -> Partit
     ordinates; the repeats (zero-length chords) are dropped, so a very short
     arc can get fewer than n + 1 points.
     """
-    hi, lo = _ordered_endpoints(a, b)
-    ys = _ordinates("ordinate_uniform", hi.y, lo.y, n, None)
-    return Partition.from_points(point_from_ordinate(y) for y in ys)
+    return make_partition(a, b, "ordinate_uniform", n)
 
 
 def random_partition(a: CirclePoint, b: CirclePoint, n: int, seed: int) -> Partition:
@@ -184,24 +174,17 @@ def random_partition(a: CirclePoint, b: CirclePoint, n: int, seed: int) -> Parti
     :func:`ordinate_uniform_partition`, so the result can have fewer than
     n + 1 points but always strictly decreasing ordinates.
     """
-    hi, lo = _ordered_endpoints(a, b)
-    _check_seed(seed)
-    ys = _ordinates("random", hi.y, lo.y, n, seed)
-    return Partition.from_points(point_from_ordinate(y) for y in ys)
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    return make_partition(a, b, "random", n, seed)
 
 
 def _check_scheme(scheme: str, seed: int | None) -> None:
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if seed is not None:
-        _check_seed(seed)
-    elif scheme == "random":
-        raise DomainError("the random scheme requires a seed")
+    if seed is None:
+        if scheme == "random":
+            raise DomainError("the random scheme requires a seed")
+    elif seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
 
 def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
@@ -209,14 +192,22 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     """Build a partition of the arc ``ab`` under the named scheme.
 
     ``size`` is the level for ``bisection`` and the segment count for the
-    other two schemes; ``random`` additionally requires a seed.
+    other two schemes; ``random`` additionally requires a seed. The scheme
+    and seed are checked first, then the arc, then the size.
     """
     _check_scheme(scheme, seed)
-    if scheme == "bisection":
-        return bisection_partition(a, b, size)
-    if scheme == "ordinate_uniform":
-        return ordinate_uniform_partition(a, b, size)
-    return random_partition(a, b, size, seed)
+    hi, lo = _ordered_endpoints(a, b)
+    if scheme != "bisection":
+        ys = _ordinates(scheme, hi.y, lo.y, size, seed)
+        return Partition.from_points(point_from_ordinate(y) for y in ys)
+    if size < 0:
+        raise DomainError(f"level must be non-negative, got {size}")
+    if size > _MAX_PARTITION_LEVEL:
+        raise CapacityError(f"level {size} would materialize 2^{size} + 1 points")
+    pts = [hi, lo]
+    for _ in range(size):
+        pts = bisection_step(pts)
+    return Partition.from_points(pts)
 
 
 def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,

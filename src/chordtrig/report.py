@@ -5,11 +5,14 @@ argued (not merely observed) to contain the true value. A
 :class:`ConvergenceReport` is the serializable trace of one bisection run:
 one row per level m, ordered, with the bracket arms that run was tightening.
 
-A ladder run keeps the (l, h, lo, hi) tuple of each level as the ladder
-yielded it, arms included (:func:`ladder_report`); the rest of a row follows
-from (l, h), so ``rows`` builds the :class:`IterationRow` table on first
-read, through :func:`level_row`, and keeps it. A run whose report is never
-read (``sin``'s inner ``arcsin`` runs) builds no rows at all.
+Every run builds its report through :func:`ladder_report`, a degenerate
+arc's run too (with no levels). The report keeps the (l, h, lo, hi) tuple
+of each level as the ladder yielded it, arms included; the rest of a row
+follows from (l, h), so ``rows``, a :func:`functools.cached_property`,
+builds the :class:`IterationRow` table on first read, through
+:func:`level_row`, and keeps it. A run whose report is never read (``sin``'s
+inner ``arcsin`` runs) builds no rows at all. The positional constructor
+builds an eager report from rows a caller already has.
 
 Tolerances below roughly 1e-13 exceed what binary64 evaluation of the arms
 can certify; the bracket then still brackets the computed ladder but carries
@@ -19,6 +22,7 @@ O(eps * value) evaluation fuzz.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 from ._value import Value, set_field
@@ -107,44 +111,32 @@ def level_row(m: int, segment_length: float, height: float, lo: float,
     return IterationRow(m, segment_length, height, total, inner, outer, lo, hi)
 
 
-class _LazyRows:
-    """:attr:`ConvergenceReport.rows` of a report from :func:`ladder_report`.
-
-    Such a report holds its ladder levels but no ``rows`` entry of its own,
-    so its first read of ``rows`` lands here, builds the rows from the levels
-    and caches them in the instance dict, which shadows this non-data
-    descriptor from then on. A report built through its constructor stores
-    ``rows`` itself and never comes here."""
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        # Built from a list, not a generator: CPython's tuple(generator) grows
-        # a small tuple by resizing, and the freed results then pile up in
-        # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
-        # CPython 3.11).
-        rows = tuple([level_row(m, *level) for m, level in enumerate(report._levels)])
-        report.__dict__["rows"] = rows
-        return rows
-
-
 class ConvergenceReport(Value):
     """Trace of one run: endpoints, tolerance, stop reason and the rows.
 
     Unlike the other records it keeps an instance dict (no ``__slots__``):
     the lazy report of :func:`ladder_report` holds its levels there, and
-    caches its rows there on first read (see :class:`_LazyRows`). Equality,
-    hash and repr read ``rows``, so a lazy report equals and hashes like the
-    eager report built from the same rows.
+    caches its rows there on first read. A report built through its
+    constructor stores ``rows`` there itself, which shadows the cached
+    property. Equality, hash and repr read ``rows``, so a lazy report equals
+    and hashes like the eager report built from the same rows.
     """
 
     _fields = ("a_ordinate", "b_ordinate", "tolerance", "stop_reason", "rows")
-    rows = _LazyRows()
 
     def __init__(self, a_ordinate: float, b_ordinate: float, tolerance: float,
                  stop_reason: str, rows: tuple[IterationRow, ...] = ()):
         self.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
                              tolerance=tolerance, stop_reason=stop_reason, rows=rows)
+
+    @cached_property
+    def rows(self) -> tuple[IterationRow, ...]:
+        """The rows of a :func:`ladder_report` report, from its levels."""
+        # Built from a list, not a generator: CPython's tuple(generator) grows
+        # a small tuple by resizing, and the freed results then pile up in
+        # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
+        # CPython 3.11).
+        return tuple([level_row(m, *level) for m, level in enumerate(self._levels)])
 
     def __len__(self):
         """Number of levels run, counted without building the rows."""

@@ -79,7 +79,12 @@ def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float,
         raise DegenerateArcError("arc/sector ratio of a degenerate arc")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    scaled = 3.0 * tol * chord_length(a, b)
+    chord = chord_length(a, b)
+    scaled = 3.0 * tol * chord
+    if scaled == 0.0:
+        raise DomainError(
+            f"arc too short for the ratio in binary64: chord {chord!r} times "
+            f"tol {tol!r} underflows to zero")
     arc_enc, arc_rep = arc_length(a, b, scaled, max_iter)
     sec_enc, sec_rep = sector_area(a, b, scaled, max_iter)
     return arc_enc, arc_rep, sec_enc, sec_rep
