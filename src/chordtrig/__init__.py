@@ -31,20 +31,6 @@ from .inverse import (
     sin,
     tangent_intersection,
 )
-from .partitions import (
-    AdditivityCheck,
-    Partition,
-    SCHEMES,
-    additivity_check,
-    bisection_partition,
-    make_partition,
-    ordinate_uniform_partition,
-    polygonal_length,
-    random_partition,
-    refine_union,
-    refinement_gap_bound,
-    scheme_limit,
-)
 from .report import ConvergenceReport, Enclosure, IterationRow
 from .sector import (
     SectorSandwich,
@@ -57,6 +43,18 @@ from .sector import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The names of chordtrig.partitions, the only ones in __all__ not bound
+    # above, load it on first use (PEP 562), so scalar work never imports it.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import partitions
+
+    value = globals()[name] = getattr(partitions, name)
+    return value
+
 
 __all__ = [
     "AdditivityCheck",

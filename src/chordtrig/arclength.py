@@ -25,8 +25,8 @@ the two fans. A run keeps these tuples; its report builds the
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import islice
-from typing import Iterator, Sequence
 
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
 from .geometry import (

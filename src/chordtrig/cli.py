@@ -33,7 +33,6 @@ from .arclength import DEFAULT_MAX_ITER, arc_length
 from .errors import ConvergenceError, DomainError
 from .geometry import point_from_ordinate
 from .inverse import arcsin, pi_constant, sin
-from .partitions import SCHEMES, additivity_check, scheme_limit
 from .report import CSV_COLUMNS, ConvergenceReport
 from .sector import ratio_runs, sector_area
 
@@ -113,6 +112,8 @@ def _cmd_ratio(args):
 
 
 def _cmd_partition_compare(args):
+    from .partitions import SCHEMES, scheme_limit
+
     pa, pb = _endpoints(args)
     limits = {scheme: scheme_limit(pa, pb, scheme, args.tol, seed=args.seed)
               for scheme in SCHEMES}
@@ -123,6 +124,8 @@ def _cmd_partition_compare(args):
 
 
 def _cmd_additivity(args):
+    from .partitions import additivity_check
+
     check = additivity_check(point_from_ordinate(args.a), point_from_ordinate(args.m),
                              point_from_ordinate(args.b), args.tol, args.max_iter)
     payload = _payload(args, ("a", "m", "b"),

@@ -25,3 +25,8 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.enclosure = enclosure
         self.report = report
+
+
+class PrecisionFloorError(ConvergenceError, DomainError):
+    """The tolerance lies below what binary64 evaluation can certify for the
+    input: no amount of work can meet it, so it is also a domain error."""

@@ -6,23 +6,60 @@ partitions whose norm tends to zero defines the same polygonal-length
 limit, and two bounds certify how far a refinement can still move it.
 
 A chord l of height h = sqrt(1 - l^2 / 4) caps every polygonal line of its
-arc at l / h^2, so refining that one segment adds at most
-
-    l (1/h^2 - 1) = l^3 / (4 - l^2).
-
+arc at l / h^2, so refining that one segment adds at most l^3 / (4 - l^2).
 Summed over the segments of P this gives the per-segment certificate: for
 every refinement P' of P,
 
-    |L(P') - L(P)| <= sum_i l_i^3 / (4 - l_i^2),
+    |L(P') - L(P)| <= sum_i l_i^3 / (4 - l_i^2).
 
-which is what :func:`scheme_limit` uses to stop. Coarsening each
-l_i^2 / (4 - l_i^2) with the norm, and sum_i l_i with the whole arc's cap
-l0 / h0^2, gives the paper's global bound
+Coarsening each l_i^2 / (4 - l_i^2) with the norm, and sum_i l_i with the
+whole arc's cap l0 / h0^2, gives the paper's global bound
+:func:`refinement_gap_bound`, (l0 / h0^2) * ||P||^2 / (4 - ||P||^2).
 
-    |L(P') - L(P)| <= (l0 / h0^2) * ||P||^2 / (4 - ||P||^2),
+Snell-Huygens brackets. A chord l spans a sub-arc 2a with l = 2 sin a and
+h = cos a, so Snell's and Huygens' inequalities (Cyclometricus, 1621; De
+Circuli Magnitudine Inventa, 1654), 3 sin a / (2 + cos a) <= a <=
+(2 sin a + tan a) / 3, bracket its arc by the chord alone:
 
-:func:`refinement_gap_bound`. The certificate is far tighter on ordinate
-grids, where only the top chord is long.
+    3l / (2 + h) <= arc <= l (2 + 1/h) / 3.
+
+With q = l^2 / 4 = 1 - h^2, so that 1 - h = q / (1 + h), the lower arm is
+l plus the Snell excess l q / ((2 + h)(1 + h)), and the arms are that
+excess times q / (1.5 h (1 + h)) apart, which is l^5 / (24 h (1 + h)^2
+(2 + h)): neither form cancels. Summed over a partition, they bracket the arc
+length inside [L(P), L(P) + certificate], and the width falls like n^-4
+where the certificate falls like n^-2. :func:`scheme_limit` stops on them.
+
+Rounding (the style of Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a
+relative u at most; ordinates are exact, as they define the partition.
+Bounds are first order, the remainder falls in the spare units below.
+
+- Grid chords (:func:`_chord_stats`). x = sqrt((1 - y)(1 + y)) is within
+  2.5u, x_i + x_(i+1) within 3.5u, t within 5.5u, sqrt(1 + t^2) within
+  7.5u (t^2 / (1 + t^2) <= 1) and l within 9.5u < 10u. Since q <= 1/2,
+  1 - q amplifies the 21u of q by at most q / (1 - q) <= 1, so h is
+  within 12u, the excess within 46u and the width within 90u. The excess
+  is at most 0.1082 l and the width at most 0.030 l (both at l = sqrt 2),
+  so a chord's lower arm l + excess is within 15u l, its upper arm within
+  18u l. numpy sums a contiguous float64 array pairwise: leaves of at most
+  128 terms take at most 25 additions, and every halving adds one, so
+  each sum of n nonnegative terms passes every term through at most
+  log2 n + 21 additions and is within (log2 n + 21)u of its exact value
+  (Higham, section 4.2). Forming the two arms adds 2u.
+- Bisection levels (:func:`_ladder`). chord_length gives l_0 within 10u.
+  A step l' = l / sqrt(2 (1 + h)) takes an error e to (1 + r/4) e +
+  (2.875 + r/8)u, where r = q / (1 - q) is at most 1 at level 0 and
+  0.172 / 4^(m-1) at level m, so l_m is within (14 + 3.1m)u. L_m = 2^m l_m
+  is exact, and the arms are within (18 + 3.5m)u of L_m's.
+- Widening (:func:`_pad`). Each arm moves out by (3 b + 48) u hi + n 2^-1071
+  for n chords with bit length b: 3b + 48 is at least log2 n + 41 + 2
+  (rounding the pad and the arm) + 1 (the midpoint's rounding) + 1 spare
+  for the grid, and at least 3.5m + 22 for bisection levels m <= 48. An
+  operation that underflows errs by an absolute 2^-1075 instead, and at
+  most eight of those reach a chord's arms: the second term. So a widened
+  bracket holds the arc length, and its midpoint is within half its
+  width of it.
 
 Three partition families are provided: the chord-bisection levels, grids
 uniform in the ordinate, and seeded uniform random draws. The two grid
@@ -36,24 +73,29 @@ point objects), with the cancellation-free chord form of
 numpy is imported inside the two grid kernels, :func:`_ordinates` and
 :func:`_chord_stats`, and nowhere else. Arc length, sector area, pi,
 arcsin, sin and the additivity check run on the scalar chord ladder alone,
-so they, and ``import chordtrig``, never pay for loading numpy, which takes
-several times as long as the rest of the import.
+so they never pay for loading numpy, which takes several times as long as
+the rest of the import; ``import chordtrig`` loads this module only when
+one of its names is first used.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
+from collections.abc import Iterator
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, _rows, arc_length, bisection_step, upper_bound
-from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
+from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
+                     PrecisionFloorError)
 from .geometry import (
     CirclePoint,
     chord_length,
     compare_by_ordinate,
+    height_for_chord,
     point_from_ordinate,
 )
 from .sector import sector_area
@@ -68,10 +110,10 @@ SCHEMES = ("bisection", "ordinate_uniform", "random")
 DEDUPE_TOL = 1e-14
 
 _MAX_PARTITION_LEVEL = 20
-_MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1  # CirclePoint lists
-_MAX_GRID_POINTS = (1 << 24) + 1            # scheme_limit ordinate arrays
+_MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1
 _MAX_BISECTION_STEPS = 48                   # scheme_limit bisection levels
-_CHUNK = 1 << 20
+_U = 2.0 ** -53                             # binary64 unit roundoff
+_UNDERFLOW = 2.0 ** -1071                   # 8 * 2^-1074, per chord
 
 
 class Partition(Value):
@@ -177,13 +219,23 @@ def random_partition(a: CirclePoint, b: CirclePoint, n: int, seed: int) -> Parti
     return make_partition(a, b, "random", n, seed)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if it is an integer other than a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_scheme(scheme: str, seed: int | None) -> None:
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if seed is None:
         if scheme == "random":
             raise DomainError("the random scheme requires a seed")
-    elif seed < 0:
+    elif _integer(seed, "seed") < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
 
 
@@ -192,11 +244,13 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     """Build a partition of the arc ``ab`` under the named scheme.
 
     ``size`` is the level for ``bisection`` and the segment count for the
-    other two schemes; ``random`` additionally requires a seed. The scheme
-    and seed are checked first, then the arc, then the size.
+    other two schemes; ``random`` additionally requires a seed. Seed and
+    size must be integers (bools are not). The scheme and seed are checked
+    first, then the arc, then the size.
     """
     _check_scheme(scheme, seed)
     hi, lo = _ordered_endpoints(a, b)
+    size = _integer(size, "level" if scheme == "bisection" else "segment count")
     if scheme != "bisection":
         ys = _ordinates(scheme, hi.y, lo.y, size, seed)
         return Partition.from_points(point_from_ordinate(y) for y in ys)
@@ -210,8 +264,8 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     return Partition.from_points(pts)
 
 
-def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,
-               max_points: int = _MAX_PARTITION_POINTS) -> np.ndarray:
+def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
+               seed: int | None) -> np.ndarray:
     """The ``n``-segment grid of a grid scheme, from ``hi_y`` down to
     ``lo_y``: evenly spaced for ``ordinate_uniform``, ``n - 1`` sorted seeded
     draws for ``random``.
@@ -228,7 +282,7 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,
 
     if n < 1:
         raise DomainError(f"segment count must be positive, got {n}")
-    if n + 1 > max_points:
+    if n + 1 > _MAX_PARTITION_POINTS:
         raise CapacityError(f"{n} segments exceed the partition size limit")
     if scheme == "ordinate_uniform":
         ys = np.linspace(hi_y, lo_y, n + 1)
@@ -248,9 +302,9 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int, seed: int | None,
     return ys[np.concatenate(([True], falls))]
 
 
-def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
-    """(sum of l, sum of l^3 / (4 - l^2)) over the adjacent chords l of one
-    descending ordinate array.
+def _chord_stats(ys: np.ndarray) -> tuple[float, float, float]:
+    """(sum of l, Snell excess, Snell-Huygens width) over the adjacent
+    chords l of one descending ordinate array.
 
     The cancellation-free form of geometry.chord_length, vectorized, with
     sqrt(1 + t^2) in place of its hypot(1, t): they can differ by one ulp,
@@ -260,8 +314,10 @@ def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
     operation would have the allocator hand large blocks back to the system
     and fault their pages in again on every grid. The operations and their
     order are those of x = sqrt((1 - y)(1 + y)), t = (y_i + y_(i+1)) /
-    (x_i + x_(i+1)), l = dy * sqrt(1 + t^2) and l * l^2 / (4 - l^2), so
-    both sums are the same bit for bit as from those plain expressions.
+    (x_i + x_(i+1)), l = dy * sqrt(1 + t^2), q = l * l * 0.25,
+    h = sqrt(1 - q), e = l * q / (2 + h) / (1 + h) and
+    e * q / (1.5 * h * (1 + h)), so the three sums are the same bit for bit
+    as from those plain expressions.
     """
     import numpy as np
 
@@ -277,40 +333,86 @@ def _chord_stats(ys: np.ndarray) -> tuple[float, float]:
     w += 1.0
     np.sqrt(w, out=w)
     chords *= w                                             # l
-    sq = np.multiply(chords, chords, out=t)                 # l^2
-    np.multiply(chords, sq, out=w)
-    np.subtract(4.0, sq, out=sq)
-    w /= sq                                                 # l^3 / (4 - l^2)
-    return float(chords.sum()), float(w.sum())
+    total = float(chords.sum())
+    q = np.multiply(chords, chords, out=t)
+    q *= 0.25                                               # q
+    h = np.subtract(1.0, q, out=w)
+    np.sqrt(h, out=h)                                       # h
+    g = np.add(h, 2.0, out=x[:-1])                          # 2 + h
+    chords *= q
+    chords /= g
+    np.add(h, 1.0, out=g)                                   # 1 + h
+    chords /= g                                             # excess
+    h *= 1.5
+    h *= g                                                  # 1.5 h (1 + h)
+    q *= chords
+    q /= h                                                  # width
+    return total, float(chords.sum()), float(q.sum())
+
+
+def _snell_huygens(total: float, ell: float, h: float) -> tuple[float, float]:
+    """(Snell excess, width) of ``total / ell`` chords of length ``ell`` and
+    height ``h``, by the expressions of :func:`_chord_stats`."""
+    q = ell * ell * 0.25
+    excess = total * q / (2.0 + h) / (1.0 + h)
+    return excess, excess * q / (1.5 * h * (1.0 + h))
+
+
+def _pad(hi: float, n: int) -> float:
+    """How far each arm of an ``n``-chord bracket with upper arm ``hi`` moves
+    outward: the rounding bound of the module docstring."""
+    return (3 * n.bit_length() + 48) * _U * hi + n * _UNDERFLOW
+
+
+def _arms(total: float, excess: float, width: float, n: int) -> tuple[float, float]:
+    """The widened bracket from the three sums over ``n`` chords."""
+    lo = total + excess
+    hi = lo + width
+    pad = _pad(hi, n)
+    return lo - pad, hi + pad
 
 
 def _polyline_stats(ys: np.ndarray) -> tuple[float, float]:
-    """(polygonal length, per-segment certificate) of a descending ordinate
-    array.
+    """The widened Snell-Huygens bracket [lo, hi] of the arc through a
+    descending ordinate array."""
+    return _arms(*_chord_stats(ys), len(ys) - 1)
 
-    Chunked so the temporaries stay bounded for multi-million point grids.
+
+def _first_grid_size(hi: CirclePoint, lo: CirclePoint, tol: float) -> int:
+    """The size at which a grid ladder from n = 1 could first stop.
+
+    A partition of at most n segments has width at least sum_i l_i^5 / 288
+    >= l^5 / (288 n^4) >= 0.465 W / n^4, where l is the whole arc's chord
+    and W its own width: c(h) = 1 / (24 h (1 + h)^2 (2 + h)) falls from
+    1 / 133.9 at the quarter arc's h to 1 / 288 at h = 1, and sum_i l_i >= l
+    with the power mean give the middle step. Let n_s be the least power of
+    two with W / n_s^4 <= tol / 2; then W / n_s^4 > tol / 32, so at n_s / 4
+    every grid is wider than 3.7 tol, and the ladder cannot stop below
+    n_s / 2. Starting there (or lower, at the size cap) gives the value of
+    the ladder from n = 1 bit for bit; the rounding of W is far inside the
+    factor 3.7, and the widening grows with n, so both also raise alike.
     """
-    total = 0.0
-    certificate = 0.0
-    for start in range(0, len(ys) - 1, _CHUNK):
-        part_sum, part_cert = _chord_stats(ys[start:start + _CHUNK + 1])
-        total += part_sum
-        certificate += part_cert
-    return total, certificate
-
-
-def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str,
-            seed: int | None) -> Iterator[tuple[float, float]]:
-    """(polygonal length, certificate) of the scheme's partitions, by doubling
-    size, up to the scheme's cap."""
-    if scheme == "bisection":
-        for ell, _, total, _ in islice(_rows(hi, lo), _MAX_BISECTION_STEPS + 1):
-            sq = ell * ell
-            yield total, total * sq / (4.0 - sq)
-        return
+    ell = chord_length(hi, lo)
+    width = _snell_huygens(ell, ell, height_for_chord(ell))[1]
     n = 1
-    while n + 1 <= _MAX_GRID_POINTS:
-        yield _polyline_stats(_ordinates(scheme, hi.y, lo.y, n, seed, _MAX_GRID_POINTS))
+    while n + 1 < _MAX_PARTITION_POINTS and width > 0.5 * tol * n ** 4:
+        n *= 2
+    return max(1, n // 2)
+
+
+def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
+            tol: float) -> Iterator[tuple[int, float, float]]:
+    """(chords, lo, hi): the widened bracket of the scheme's partitions, by
+    doubling size, up to the scheme's cap."""
+    if scheme == "bisection":
+        for m, (ell, h, total, _) in enumerate(islice(_rows(hi, lo),
+                                                      _MAX_BISECTION_STEPS + 1)):
+            yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
+        return
+    n = _first_grid_size(hi, lo, tol)
+    while n + 1 <= _MAX_PARTITION_POINTS:
+        ys = _ordinates(scheme, hi.y, lo.y, n, seed)
+        yield len(ys) - 1, *_polyline_stats(ys)
         n *= 2
 
 
@@ -318,26 +420,32 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
                  seed: int | None = None) -> float:
     """Polygonal-length limit of the named partition family on the arc ``ab``.
 
-    The ladder doubles the family's size parameter until two conditions hold
-    at once: consecutive lengths differ by at most ``tol`` and the
-    per-segment certificate sum_i l_i^3 / (4 - l_i^2) of the current
-    partition is at most ``tol``. The second bounds every further
-    refinement, hence the limit stays within ``tol`` of the reported value.
+    The ladder doubles the family's size parameter and returns the midpoint
+    of the first widened Snell-Huygens bracket (module docstring) at most
+    ``tol`` wide. The bracket holds the arc length, which is the limit of
+    every family, so the value is within ``tol / 2`` of it.
 
     Bisection climbs at most 48 levels. The grid schemes evaluate exactly
     the ordinate arrays that :func:`ordinate_uniform_partition` and
-    :func:`random_partition` build, up to 2^24 + 1 points. A run that has
-    not met ``tol`` by then raises ``ConvergenceError``.
+    :func:`random_partition` build, up to 2^20 + 1 points, starting at the
+    first size that could meet ``tol`` (:func:`_first_grid_size`). A run
+    that has not met ``tol`` by then raises ``ConvergenceError``. Once the
+    widening alone is wider than ``tol``, the binary64 floor of the arc,
+    no size can meet it: that raises ``PrecisionFloorError``, a
+    ``ConvergenceError`` and a ``DomainError``, at once.
     """
     hi, lo = _ordered_endpoints(a, b)
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     _check_scheme(scheme, seed)
-    prev: float | None = None
-    for value, certificate in _ladder(hi, lo, scheme, seed):
-        if prev is not None and abs(value - prev) <= tol and certificate <= tol:
-            return value
-        prev = value
+    for n, lo_arm, hi_arm in _ladder(hi, lo, scheme, seed, tol):
+        if hi_arm - lo_arm <= tol:
+            return 0.5 * (lo_arm + hi_arm)
+        floor = 2.0 * _pad(hi_arm, n)
+        if floor > tol:
+            raise PrecisionFloorError(
+                f"tol {tol!r} is below the binary64 floor {floor:.3g} of the "
+                f"{scheme} bracket on this arc ({n} segment{'s' * (n > 1)})")
     raise ConvergenceError(
         f"{scheme} ladder reached its size limit above tol {tol!r}")
 

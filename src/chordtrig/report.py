@@ -22,8 +22,8 @@ O(eps * value) evaluation fuzz.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from ._value import Value, set_field
 

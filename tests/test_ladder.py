@@ -267,16 +267,22 @@ class TestBisectionLimitOnPairs:
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_matches_the_row_ladder(self, ys, tol):
         """scheme_limit's bisection branch gives what the same ladder over
-        length_sequence rows gives, L and its certificate L l^2 / (4 - l^2)."""
+        length_sequence rows gives: the midpoint of the first Snell-Huygens
+        bracket on 2^m chords of length l and height h, widened by the
+        rounding pad, that is at most tol wide."""
         a, b = (point_from_ordinate(y) for y in ys)
-        prev = None
         for row in length_sequence(a, b, 48):
-            sq = row.segment_length * row.segment_length
-            certificate = row.total_length * sq / (4.0 - sq)
-            if prev is not None and abs(row.total_length - prev) <= tol and certificate <= tol:
+            ell, h, total = row.segment_length, row.height, row.total_length
+            q = ell * ell * 0.25
+            excess = total * q / (2.0 + h) / (1.0 + h)
+            lo = total + excess
+            hi = lo + excess * q / (1.5 * h * (1.0 + h))
+            n = 1 << row.m
+            pad = (3 * n.bit_length() + 48) * 2.0 ** -53 * hi + n * 2.0 ** -1071
+            lo, hi = lo - pad, hi + pad
+            if hi - lo <= tol:
                 break
-            prev = row.total_length
-        assert scheme_limit(a, b, "bisection", tol) == row.total_length
+        assert scheme_limit(a, b, "bisection", tol) == 0.5 * (lo + hi)
 
 
 class TestGapIterationsBuildsNoRows:

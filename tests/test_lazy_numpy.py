@@ -1,4 +1,5 @@
-"""Only the grid kernels load numpy, and nothing loads dataclasses.
+"""Only the grid kernels load numpy, only partition work loads
+chordtrig.partitions, and nothing loads dataclasses.
 
 Each case runs in a fresh interpreter, because this test process has
 numpy and dataclasses loaded already.
@@ -14,10 +15,14 @@ from chordtrig import point_from_ordinate, scheme_limit
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
-NON_PARTITION_CALLS = """
+SCALAR_CALLS = """
 import contextlib, io, json, sys
 import chordtrig as ct
 from chordtrig.cli import run
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run(list(argv))
 
 a, m, b = (ct.point_from_ordinate(y) for y in (0.9, 0.5, 0.1))
 ct.arc_length(a, b, 1e-10)
@@ -26,13 +31,20 @@ ct.arcsin(0.5, 1e-10)
 ct.pi_constant(1e-10)
 ct.sin(0.5, 1e-8)
 ct.verify_ratio(a, b, 1e-10)
-ct.additivity_check(a, m, b, 1e-10)
 with open(sys.argv[1]) as golden:
     cases = json.load(golden)
 for case in cases:
     assert case["argv"][0] != "partition-compare"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        run(list(case["argv"]))
+    if case["argv"][0] != "additivity":
+        quiet(case["argv"])
+print("chordtrig.partitions" in sys.modules)
+"""
+
+NON_PARTITION_CALLS = SCALAR_CALLS + """
+ct.additivity_check(a, m, b, 1e-10)
+for case in cases:
+    if case["argv"][0] == "additivity":
+        quiet(case["argv"])
 print("numpy" in sys.modules)
 """
 
@@ -54,6 +66,10 @@ def _last_line(code, *args):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def test_scalar_entry_points_never_import_partitions():
+    assert _last_line(SCALAR_CALLS, str(GOLDEN)) == "False"
 
 
 def test_non_partition_entry_points_never_load_numpy():

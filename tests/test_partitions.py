@@ -267,7 +267,7 @@ class TestSchemeLimit:
 
     def test_quarter_circle_ordinate_schemes_tight_tol(self):
         # the full-membership version of the scheme-independence claim at
-        # 1e-9; the per-segment certificate stops by 2^21 segments
+        # 1e-9; the Snell-Huygens bracket stops by 2^10 segments
         reference, _ = arc_length(TOP, Q, 1e-9)
         for scheme in ("ordinate_uniform", "random"):
             v = scheme_limit(TOP, Q, scheme, 1e-9, seed=11)
@@ -278,14 +278,17 @@ class TestSchemeLimit:
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.2)
         for scheme, size in (("ordinate_uniform", 64), ("random", 64)):
             part = make_partition(a, b, scheme, size, seed=3)
-            from chordtrig.partitions import _polyline_stats
-
             ys = np.array([pt.y for pt in part.points])
-            value, certificate = _polyline_stats(ys)
+            value, excess, width = partitions._chord_stats(ys)
             assert value == pytest.approx(polygonal_length(part), abs=1e-12)
             chords = [chord_length(u, v) for u, v in zip(part.points, part.points[1:])]
-            assert certificate == pytest.approx(
-                math.fsum(c ** 3 / (4.0 - c * c) for c in chords), rel=1e-12)
+            heights = [math.sqrt(1.0 - c * c / 4.0) for c in chords]
+            assert excess == pytest.approx(math.fsum(
+                c * (c * c / 4.0) / ((1.0 + h) * (2.0 + h))
+                for c, h in zip(chords, heights)), rel=1e-12)
+            assert width == pytest.approx(math.fsum(
+                c ** 5 / (24.0 * h * (1.0 + h) ** 2 * (2.0 + h))
+                for c, h in zip(chords, heights)), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -306,7 +309,8 @@ class TestPerSegmentCertificate:
         fine_ys = sorted({*ys, *(y for y in extra if ys[-1] < y < ys[0])}, reverse=True)
         p = Partition.from_points(point_from_ordinate(y) for y in ys)
         fine = Partition.from_points(point_from_ordinate(y) for y in fine_ys)
-        _, certificate = partitions._polyline_stats(np.array(ys))
+        certificate = math.fsum(c ** 3 / (4.0 - c * c) for c in (
+            chord_length(u, v) for u, v in zip(p.points, p.points[1:])))
         gap = polygonal_length(fine) - polygonal_length(p)
         assert 0.0 <= gap <= certificate + 8 * EPS <= refinement_gap_bound(p) + 8 * EPS
 
@@ -332,8 +336,8 @@ class TestSchemeLimitEdges:
 
         monkeypatch.setattr(partitions, "_polyline_stats", record)
         with pytest.raises(ConvergenceError):
-            scheme_limit(TOP, Q, "ordinate_uniform", 1e-12)
-        assert sizes and max(sizes) <= (1 << 24) + 1
+            scheme_limit(TOP, Q, "ordinate_uniform", 1e-17)
+        assert sizes and max(sizes) <= (1 << 20) + 1
 
 
 class TestSeedCheckedFirst:
@@ -447,8 +451,11 @@ def _chord_stats_reference(ys):
     dy = ys[:-1] - ys[1:]
     t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
     chords = dy * np.sqrt(1.0 + t * t)
-    sq = chords * chords
-    return float(chords.sum()), float((chords * sq / (4.0 - sq)).sum())
+    q = chords * chords * 0.25
+    h = np.sqrt(1.0 - q)
+    excess = chords * q / (2.0 + h) / (1.0 + h)
+    width = excess * q / (1.5 * h * (1.0 + h))
+    return float(chords.sum()), float(excess.sum()), float(width.sum())
 
 
 class TestChordKernelInPlace:
