@@ -11,8 +11,8 @@ which is the stable form of sqrt(2 - 2h) (no cancellation as h -> 1). Since
 sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
-One generator, :func:`_rows`, holds the only copy of this recurrence and
-of the brackets; every ladder in the package runs on it. It yields each
+One generator, :func:`ladder_levels`, holds the only copy of this recurrence
+and of the brackets; every ladder in the package runs on it. It yields each
 level as (l_m, h_m, lo, hi), the arms of the bracket asked for: arc length
 takes [L_m, L_m / h_m], the lower arm because the polygonal lengths increase
 to the arc length, the upper arm because L_m / h_m is twice the
@@ -28,7 +28,8 @@ import math
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
-from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
+from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
+                     as_integer)
 from .geometry import (
     CirclePoint,
     chord_length,
@@ -86,8 +87,8 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-def _rows(a: CirclePoint, b: CirclePoint,
-          bracket: str = ARC_BRACKET) -> Iterator[tuple[float, float, float, float]]:
+def ladder_levels(a: CirclePoint, b: CirclePoint, bracket: str = ARC_BRACKET
+                  ) -> Iterator[tuple[float, float, float, float]]:
     """Unbounded stream of the ladder's levels m = 0, 1, ... on the arc ``ab``
     (a != b), each as (l_m, h_m, lo, hi) with the arms of ``bracket``:
     [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``."""
@@ -108,9 +109,9 @@ def _rows(a: CirclePoint, b: CirclePoint,
         scale *= 2.0
 
 
-def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
-             bracket: str = ARC_BRACKET,
-             strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
+def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
+            bracket: str = ARC_BRACKET,
+            strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
     ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows."""
     if not tol > 0.0:
@@ -120,7 +121,7 @@ def _enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     if a.y == b.y:
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, ())
     levels = []
-    for m, level in enumerate(_rows(a, b, bracket)):
+    for m, level in enumerate(ladder_levels(a, b, bracket)):
         levels.append(level)
         _, _, lo, hi = level
         width = hi - lo
@@ -141,12 +142,14 @@ def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[Iteratio
     [L_m, L_m / h_m]."""
     if a.y == b.y:
         raise DegenerateArcError("length sequence of a degenerate arc")
+    m_max = as_integer(m_max, "m_max")
     if m_max < 0:
         raise DomainError(f"m_max must be non-negative, got {m_max}")
     if m_max > _MAX_LEVEL:
         raise CapacityError(
             f"level {m_max} would need 2^{m_max} segments, beyond index capacity")
-    return [level_row(m, *level) for m, level in enumerate(islice(_rows(a, b), m_max + 1))]
+    levels = islice(ladder_levels(a, b), m_max + 1)
+    return [level_row(m, *level) for m, level in enumerate(levels)]
 
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:
@@ -166,4 +169,4 @@ def arc_length(a: CirclePoint, b: CirclePoint, tol: float,
     ``ConvergenceError`` (carrying the last bracket and the report) if the
     level cap is hit first.
     """
-    return _enclose(a, b, tol, max_iter)
+    return enclose(a, b, tol, max_iter)

@@ -1,8 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import operator
 
 
 class DomainError(ValueError):
     """An argument lies outside the operation's domain."""
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int, if it is an integer other than a bool; otherwise
+    a ``DomainError`` naming the argument ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class DegenerateArcError(DomainError):

@@ -62,8 +62,6 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     bracket collapses to adjacent floats the endpoint with the smaller
     residual is returned.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     top, _ = arcsin(1.0, tol, max_iter)
     if not 0.0 <= x <= top.hi:
         raise DomainError(

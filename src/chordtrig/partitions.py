@@ -82,15 +82,15 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from collections.abc import Iterator
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._value import Value, set_field
-from .arclength import DEFAULT_MAX_ITER, _rows, arc_length, bisection_step, upper_bound
+from .arclength import (DEFAULT_MAX_ITER, arc_length, bisection_step, ladder_levels,
+                        upper_bound)
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
-                     PrecisionFloorError)
+                     PrecisionFloorError, as_integer)
 from .geometry import (
     CirclePoint,
     chord_length,
@@ -219,23 +219,13 @@ def random_partition(a: CirclePoint, b: CirclePoint, n: int, seed: int) -> Parti
     return make_partition(a, b, "random", n, seed)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, if it is an integer other than a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_scheme(scheme: str, seed: int | None) -> None:
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if seed is None:
         if scheme == "random":
             raise DomainError("the random scheme requires a seed")
-    elif _integer(seed, "seed") < 0:
+    elif as_integer(seed, "seed") < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
 
 
@@ -250,7 +240,7 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     """
     _check_scheme(scheme, seed)
     hi, lo = _ordered_endpoints(a, b)
-    size = _integer(size, "level" if scheme == "bisection" else "segment count")
+    size = as_integer(size, "level" if scheme == "bisection" else "segment count")
     if scheme != "bisection":
         ys = _ordinates(scheme, hi.y, lo.y, size, seed)
         return Partition.from_points(point_from_ordinate(y) for y in ys)
@@ -273,10 +263,6 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
     An ordinate that does not fall below its predecessor (a step below float
     resolution, or a repeated draw) would make a zero-length chord; both
     schemes drop it.
-
-    The draws are those of ``Generator.uniform(lo_y, hi_y, n - 1)``, made
-    in place: uniform's own array, and the copy that sorting a reversed
-    view makes, would each be as large as the grid.
     """
     import numpy as np
 
@@ -289,15 +275,10 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
     else:
         ys = np.empty(n + 1)
         ys[0], ys[-1] = hi_y, lo_y
-        draws = ys[1:-1]
-        np.random.default_rng((int(seed), int(n))).random(out=draws)
-        draws *= hi_y - lo_y
-        draws += lo_y
-        np.negative(draws, out=draws)  # descending order, sorted in place
-        draws.sort()
-        np.negative(draws, out=draws)
+        ys[1:-1] = np.random.default_rng((seed, n)).uniform(lo_y, hi_y, n - 1)
+        ys[1:-1][::-1].sort()
     falls = ys[1:] < ys[:-1]
-    if falls.all():
+    if falls.all():  # most grids repeat no ordinate: skip the masked copy
         return ys
     return ys[np.concatenate(([True], falls))]
 
@@ -309,50 +290,20 @@ def _chord_stats(ys: np.ndarray) -> tuple[float, float, float]:
     The cancellation-free form of geometry.chord_length, vectorized, with
     sqrt(1 + t^2) in place of its hypot(1, t): they can differ by one ulp,
     and np.hypot is slower on large grids.
-
-    It works in four arrays, updated in place: a fresh temporary per
-    operation would have the allocator hand large blocks back to the system
-    and fault their pages in again on every grid. The operations and their
-    order are those of x = sqrt((1 - y)(1 + y)), t = (y_i + y_(i+1)) /
-    (x_i + x_(i+1)), l = dy * sqrt(1 + t^2), q = l * l * 0.25,
-    h = sqrt(1 - q), e = l * q / (2 + h) / (1 + h) and
-    e * q / (1.5 * h * (1 + h)), so the three sums are the same bit for bit
-    as from those plain expressions.
     """
     import numpy as np
 
-    x = 1.0 - ys
-    chords = 1.0 + ys
-    x *= chords
-    np.sqrt(x, out=x)                                       # x
-    chords = np.subtract(ys[:-1], ys[1:], out=chords[:-1])  # dy
-    t = ys[:-1] + ys[1:]
-    w = x[:-1] + x[1:]
-    t /= w                                                  # t
-    np.multiply(t, t, out=w)
-    w += 1.0
-    np.sqrt(w, out=w)
-    chords *= w                                             # l
-    total = float(chords.sum())
-    q = np.multiply(chords, chords, out=t)
-    q *= 0.25                                               # q
-    h = np.subtract(1.0, q, out=w)
-    np.sqrt(h, out=h)                                       # h
-    g = np.add(h, 2.0, out=x[:-1])                          # 2 + h
-    chords *= q
-    chords /= g
-    np.add(h, 1.0, out=g)                                   # 1 + h
-    chords /= g                                             # excess
-    h *= 1.5
-    h *= g                                                  # 1.5 h (1 + h)
-    q *= chords
-    q /= h                                                  # width
-    return total, float(chords.sum()), float(q.sum())
+    x = np.sqrt((1.0 - ys) * (1.0 + ys))
+    t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
+    chords = (ys[:-1] - ys[1:]) * np.sqrt(1.0 + t * t)
+    excess, width = _snell_huygens(chords, chords, np.sqrt(1.0 - chords * chords * 0.25))
+    return float(chords.sum()), float(excess.sum()), float(width.sum())
 
 
-def _snell_huygens(total: float, ell: float, h: float) -> tuple[float, float]:
+def _snell_huygens(total, ell, h):
     """(Snell excess, width) of ``total / ell`` chords of length ``ell`` and
-    height ``h``, by the expressions of :func:`_chord_stats`."""
+    height ``h``: the one copy of these expressions. It takes floats, or
+    numpy arrays of per-chord values (``total`` then ``ell`` itself)."""
     q = ell * ell * 0.25
     excess = total * q / (2.0 + h) / (1.0 + h)
     return excess, excess * q / (1.5 * h * (1.0 + h))
@@ -405,7 +356,7 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
     """(chords, lo, hi): the widened bracket of the scheme's partitions, by
     doubling size, up to the scheme's cap."""
     if scheme == "bisection":
-        for m, (ell, h, total, _) in enumerate(islice(_rows(hi, lo),
+        for m, (ell, h, total, _) in enumerate(islice(ladder_levels(hi, lo),
                                                       _MAX_BISECTION_STEPS + 1)):
             yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
         return

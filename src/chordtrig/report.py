@@ -30,8 +30,8 @@ from ._value import Value, set_field
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
 
-# Brackets a ladder can yield (arclength._rows): [L_m, L_m / h_m] for arc
-# length, the two fans [L_m h_m / 2, L_m / (2 h_m)] for sector area.
+# Brackets a ladder can yield (arclength.ladder_levels): [L_m, L_m / h_m] for
+# arc length, the two fans [L_m h_m / 2, L_m / (2 h_m)] for sector area.
 ARC_BRACKET = "arc"
 FAN_BRACKET = "fans"
 

@@ -14,8 +14,8 @@ the two fans; the arc length equals twice the sector area, checked by
 from __future__ import annotations
 
 from ._value import Value, set_field
-from .arclength import DEFAULT_MAX_ITER, _enclose, arc_length, length_sequence
-from .errors import DegenerateArcError, DomainError
+from .arclength import DEFAULT_MAX_ITER, arc_length, enclose, length_sequence
+from .errors import DegenerateArcError, DomainError, as_integer
 from .geometry import CirclePoint, chord_length
 from .report import FAN_BRACKET, ConvergenceReport, Enclosure
 
@@ -37,6 +37,7 @@ def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:
     ``CapacityError``, as in :func:`length_sequence`)."""
     if a.y == b.y:
         raise DegenerateArcError("polygon fans of a degenerate arc")
+    m = as_integer(m, "level")
     if m < 0:
         raise DomainError(f"level must be non-negative, got {m}")
     row = length_sequence(a, b, m)[-1]
@@ -62,14 +63,14 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float,
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if a.y == b.y:
         raise DegenerateArcError("gap criterion of a degenerate arc")
-    _, report = _enclose(a, b, epsilon, max_iter, FAN_BRACKET, strict=True)
+    _, report = enclose(a, b, epsilon, max_iter, FAN_BRACKET, strict=True)
     return len(report) - 1
 
 
 def sector_area(a: CirclePoint, b: CirclePoint, tol: float,
                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure [inner fan, outer fan] of the sector area."""
-    return _enclose(a, b, tol, max_iter, FAN_BRACKET)
+    return enclose(a, b, tol, max_iter, FAN_BRACKET)
 
 
 def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float,

@@ -1,17 +1,23 @@
 """Edge cases: arguments near the binary64 floor, the endpoint flags' help
-text, and the single partition builder and report path."""
+text, integer ladder levels, and the single partition builder and report
+path."""
 
 import math
 
+import numpy as np
 import pytest
 
 from chordtrig import (
     ConvergenceReport,
     DomainError,
     arc_length,
+    inner_polygon_area,
+    length_sequence,
+    outer_polygon_area,
     point_from_ordinate,
     random_partition,
     sector_area,
+    sector_sandwich,
     sin,
     verify_ratio,
 )
@@ -63,6 +69,23 @@ def test_help_describes_both_endpoints(capsys, command):
     assert code == 0
     assert "first endpoint ordinate" in out
     assert "second endpoint ordinate" in out
+
+
+class TestIntegerLevels:
+    """Ladder levels are integers other than bools, as partition sizes are."""
+
+    entry_points = [length_sequence, sector_sandwich, inner_polygon_area,
+                    outer_polygon_area]
+
+    @pytest.mark.parametrize("level", [2.5, 4.0, True, "3", None])
+    @pytest.mark.parametrize("entry_point", entry_points)
+    def test_non_integer_level_is_a_domain_error(self, entry_point, level):
+        with pytest.raises(DomainError, match="must be an integer"):
+            entry_point(TOP, Q, level)
+
+    @pytest.mark.parametrize("entry_point", entry_points)
+    def test_numpy_integers_are_integers(self, entry_point):
+        assert entry_point(TOP, Q, np.int64(3)) == entry_point(TOP, Q, 3)
 
 
 class TestOneBuilder:

@@ -186,7 +186,7 @@ class TestLazyRows:
     def test_gap_run_builds_the_sequence_rows_on_read(self, ys, tol):
         a, b = (point_from_ordinate(y) for y in sorted(ys, reverse=True))
         runs = []
-        enclose = sector_module._enclose
+        enclose = sector_module.enclose
 
         def record(*args, **kwargs):
             try:
@@ -202,7 +202,7 @@ class TestLazyRows:
             except ConvergenceError:
                 return None
 
-        with mock.patch.object(sector_module, "_enclose", record):
+        with mock.patch.object(sector_module, "enclose", record):
             levels = [level(), level()]
         (enc, rep), (_, rep_again) = runs
         _check_rows(enc, rep, a, b, fans=True)
@@ -300,8 +300,8 @@ class TestGapIterationsBuildsNoRows:
         with monkeypatch.context() as patched:
             patched.setattr(report_module, "IterationRow", no_rows)
             assert gap_iterations(a, b, epsilon) == expected
-        _, report = sector_module._enclose(a, b, epsilon, 40, report_module.FAN_BRACKET,
-                                           strict=True)
+        _, report = sector_module.enclose(a, b, epsilon, 40, report_module.FAN_BRACKET,
+                                          strict=True)
         assert expected == report.rows[-1].m == len(report) - 1
 
     def test_len_of_a_report_built_from_rows(self):

@@ -346,7 +346,7 @@ class TestSeedCheckedFirst:
         def fail(*args):
             raise AssertionError("a partition was evaluated before the seed check")
 
-        monkeypatch.setattr(partitions, "_rows", fail)
+        monkeypatch.setattr(partitions, "ladder_levels", fail)
         monkeypatch.setattr(partitions, "_polyline_stats", fail)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
