@@ -34,7 +34,6 @@ from .geometry import (
     CirclePoint,
     chord_length,
     compare_by_ordinate,
-    height_at_origin,
     height_for_chord,
     point_from_ordinate,
 )
@@ -156,8 +155,9 @@ def upper_bound(a: CirclePoint, b: CirclePoint) -> float:
     """Bound l0 / h0^2 dominating every polygonal length of the arc ``ab``."""
     if a.y == b.y:
         raise DegenerateArcError("upper bound of a degenerate arc")
-    h = height_at_origin(a, b)
-    return chord_length(a, b) / (h * h)
+    ell = chord_length(a, b)
+    h = height_for_chord(ell)
+    return ell / (h * h)
 
 
 def arc_length(a: CirclePoint, b: CirclePoint, tol: float,

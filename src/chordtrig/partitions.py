@@ -36,55 +36,46 @@ relative u at most; ordinates are exact, as they define the partition.
 Bounds are first order, the remainder falls in the spare units below.
 
 - Grid chords (:func:`_chord_stats`). x = sqrt((1 - y)(1 + y)) is within
-  2.5u, x_i + x_(i+1) within 3.5u, t within 5.5u, sqrt(1 + t^2) within
-  7.5u (t^2 / (1 + t^2) <= 1) and l within 9.5u < 10u. Since q <= 1/2,
-  1 - q amplifies the 21u of q by at most q / (1 - q) <= 1, so h is
-  within 12u, the excess within 46u and the width within 90u. The excess
-  is at most 0.1082 l and the width at most 0.030 l (both at l = sqrt 2),
-  so a chord's lower arm l + excess is within 15u l, its upper arm within
-  18u l. numpy sums a contiguous float64 array pairwise: leaves of at most
-  128 terms take at most 25 additions, and every halving adds one, so
-  each sum of n nonnegative terms passes every term through at most
-  log2 n + 21 additions and is within (log2 n + 21)u of its exact value
-  (Higham, section 4.2). Forming the two arms adds 2u.
+  2.5u, x_i + x_(i+1) within 3.5u, t within 5.5u, hypot(1, t) within
+  7.5u (t^2 / (1 + t^2) <= 1, and Python >= 3.10's hypot is within 1 ulp)
+  and l within 9.5u < 10u. Since q <= 1/2, 1 - q amplifies the 21u of q
+  by at most q / (1 - q) <= 1, so h is within 12u, the excess within 46u
+  and the width within 90u. The excess is at most 0.1082 l and the width
+  at most 0.030 l (both at l = sqrt 2), so a chord's lower arm l + excess
+  is within 15u l, its upper arm within 18u l. math.fsum is within u of
+  the exact sum, so each sum is within 19u, and forming the two arms adds
+  2u.
 - Bisection levels (:func:`_ladder`). chord_length gives l_0 within 10u.
   A step l' = l / sqrt(2 (1 + h)) takes an error e to (1 + r/4) e +
   (2.875 + r/8)u, where r = q / (1 - q) is at most 1 at level 0 and
   0.172 / 4^(m-1) at level m, so l_m is within (14 + 3.1m)u. L_m = 2^m l_m
   is exact, and the arms are within (18 + 3.5m)u of L_m's.
 - Widening (:func:`_pad`). Each arm moves out by (3 b + 48) u hi + n 2^-1071
-  for n chords with bit length b: 3b + 48 is at least log2 n + 41 + 2
-  (rounding the pad and the arm) + 1 (the midpoint's rounding) + 1 spare
-  for the grid, and at least 3.5m + 22 for bisection levels m <= 48. An
-  operation that underflows errs by an absolute 2^-1075 instead, and at
-  most eight of those reach a chord's arms: the second term. So a widened
-  bracket holds the arc length, and its midpoint is within half its
-  width of it.
+  for n chords with bit length b: 3b + 48 is at least 21 + 2 (rounding the
+  pad and the arm) + 1 (the midpoint's rounding) for the grid, and at
+  least 3.5m + 22 for bisection levels m <= 48. An operation that
+  underflows errs by an absolute 2^-1075 instead, and at most eight of
+  those reach a chord's arms: the second term. So a widened bracket holds
+  the arc length, and its midpoint is within half its width of it.
 
 Three partition families are provided: the chord-bisection levels, grids
 uniform in the ordinate, and seeded uniform random draws. The two grid
-families share one rule for ordinates that collide in floating point: a
-repeat is dropped, so both refine any arc, however short. The limit runs
-evaluate exactly the ordinate arrays the builders turn into points (no
-point objects), with the cancellation-free chord form of
-:func:`chordtrig.geometry.chord_length`, |dy| * sqrt(1 + t^2), but not its
-``math.hypot``: the two can differ in the last ulp.
-
-numpy is imported inside the two grid kernels, :func:`_ordinates` and
-:func:`_chord_stats`, and nowhere else. Arc length, sector area, pi,
-arcsin, sin and the additivity check run on the scalar chord ladder alone,
-so they never pay for loading numpy, which takes several times as long as
-the rest of the import; ``import chordtrig`` loads this module only when
-one of its names is first used.
+families share one rule for ordinates that collide in floating point: an
+ordinate that does not fall below the last one kept is dropped, so both
+refine any arc, however short. The limit runs evaluate exactly the
+ordinate lists the builders turn into points (no point objects), with the
+chord formula of :func:`chordtrig.geometry.chord_length`, so a grid's sum
+of chords is :func:`polygonal_length` of its partition bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import random
 from collections.abc import Iterator
 from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from ._value import Value, set_field
 from .arclength import (DEFAULT_MAX_ITER, arc_length, bisection_step, ladder_levels,
@@ -99,9 +90,6 @@ from .geometry import (
     point_from_ordinate,
 )
 from .sector import sector_area
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
 
@@ -255,55 +243,58 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
 
 
 def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
-               seed: int | None) -> np.ndarray:
+               seed: int | None) -> list[float]:
     """The ``n``-segment grid of a grid scheme, from ``hi_y`` down to
-    ``lo_y``: evenly spaced for ``ordinate_uniform``, ``n - 1`` sorted seeded
-    draws for ``random``.
+    ``lo_y``: evenly spaced for ``ordinate_uniform`` (the arithmetic of
+    ``numpy.linspace``, with its fallback for a step that underflows to 0),
+    ``n - 1`` sorted draws of ``lo_y + (hi_y - lo_y) * random()`` for
+    ``random``, from a generator keyed by the seed and n (n < 2^21).
 
-    An ordinate that does not fall below its predecessor (a step below float
-    resolution, or a repeated draw) would make a zero-length chord; both
-    schemes drop it.
+    An ordinate that does not fall below the last one kept (a step below
+    float resolution, or a repeated draw) would make a zero-length chord;
+    both schemes drop it.
     """
-    import numpy as np
-
     if n < 1:
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > _MAX_PARTITION_POINTS:
         raise CapacityError(f"{n} segments exceed the partition size limit")
-    if scheme == "ordinate_uniform":
-        ys = np.linspace(hi_y, lo_y, n + 1)
+    if scheme == "random":
+        draw = random.Random((as_integer(seed, "seed") << 21) | n).random
+        span = hi_y - lo_y
+        inner = sorted([lo_y + span * draw() for _ in range(n - 1)], reverse=True)
     else:
-        ys = np.empty(n + 1)
-        ys[0], ys[-1] = hi_y, lo_y
-        ys[1:-1] = np.random.default_rng((seed, n)).uniform(lo_y, hi_y, n - 1)
-        ys[1:-1][::-1].sort()
-    falls = ys[1:] < ys[:-1]
-    if falls.all():  # most grids repeat no ordinate: skip the masked copy
-        return ys
-    return ys[np.concatenate(([True], falls))]
+        delta = lo_y - hi_y
+        step = delta / n
+        inner = ([i * step + hi_y for i in range(1, n)] if step != 0.0
+                 else [i / n * delta + hi_y for i in range(1, n)])
+    inner.append(lo_y)
+    ys = [hi_y]
+    for y in inner:
+        if y < ys[-1]:
+            ys.append(y)
+    return ys
 
 
-def _chord_stats(ys: np.ndarray) -> tuple[float, float, float]:
+def _chord_stats(ys: list[float]) -> tuple[float, float, float]:
     """(sum of l, Snell excess, Snell-Huygens width) over the adjacent
-    chords l of one descending ordinate array.
+    chords l of one descending ordinate list: each l by the formula of
+    geometry.chord_length, each sum correctly rounded by math.fsum."""
+    chords, excesses, widths = [], [], []
+    x0 = math.sqrt((1.0 - ys[0]) * (1.0 + ys[0]))
+    for y0, y1 in zip(ys, ys[1:]):
+        x1 = math.sqrt((1.0 - y1) * (1.0 + y1))
+        ell = (y0 - y1) * math.hypot(1.0, (y0 + y1) / (x0 + x1))
+        excess, width = _snell_huygens(ell, ell, math.sqrt(1.0 - ell * ell * 0.25))
+        chords.append(ell)
+        excesses.append(excess)
+        widths.append(width)
+        x0 = x1
+    return math.fsum(chords), math.fsum(excesses), math.fsum(widths)
 
-    The cancellation-free form of geometry.chord_length, vectorized, with
-    sqrt(1 + t^2) in place of its hypot(1, t): they can differ by one ulp,
-    and np.hypot is slower on large grids.
-    """
-    import numpy as np
 
-    x = np.sqrt((1.0 - ys) * (1.0 + ys))
-    t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
-    chords = (ys[:-1] - ys[1:]) * np.sqrt(1.0 + t * t)
-    excess, width = _snell_huygens(chords, chords, np.sqrt(1.0 - chords * chords * 0.25))
-    return float(chords.sum()), float(excess.sum()), float(width.sum())
-
-
-def _snell_huygens(total, ell, h):
+def _snell_huygens(total: float, ell: float, h: float) -> tuple[float, float]:
     """(Snell excess, width) of ``total / ell`` chords of length ``ell`` and
-    height ``h``: the one copy of these expressions. It takes floats, or
-    numpy arrays of per-chord values (``total`` then ``ell`` itself)."""
+    height ``h``: the one copy of these expressions."""
     q = ell * ell * 0.25
     excess = total * q / (2.0 + h) / (1.0 + h)
     return excess, excess * q / (1.5 * h * (1.0 + h))
@@ -323,9 +314,9 @@ def _arms(total: float, excess: float, width: float, n: int) -> tuple[float, flo
     return lo - pad, hi + pad
 
 
-def _polyline_stats(ys: np.ndarray) -> tuple[float, float]:
+def _polyline_stats(ys: list[float]) -> tuple[float, float]:
     """The widened Snell-Huygens bracket [lo, hi] of the arc through a
-    descending ordinate array."""
+    descending ordinate list."""
     return _arms(*_chord_stats(ys), len(ys) - 1)
 
 
@@ -377,7 +368,7 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
     every family, so the value is within ``tol / 2`` of it.
 
     Bisection climbs at most 48 levels. The grid schemes evaluate exactly
-    the ordinate arrays that :func:`ordinate_uniform_partition` and
+    the ordinate lists that :func:`ordinate_uniform_partition` and
     :func:`random_partition` build, up to 2^20 + 1 points, starting at the
     first size that could meet ``tol`` (:func:`_first_grid_size`). A run
     that has not met ``tol`` by then raises ``ConvergenceError``. Once the

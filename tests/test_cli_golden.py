@@ -4,9 +4,10 @@
 ``arcsin``, ``sin``, ``sector``, ``ratio`` and ``additivity`` in JSON and
 CSV at two tolerances, plus two capped runs), the exit code and the exact
 stdout that the CLI printed before its ladder code was consolidated.
-``partition-compare`` is left out: numpy's summation order, hence the last
-bits of its limits, can differ between numpy builds. Do not regenerate the
-file to make this test pass; a difference means the CLI output changed.
+``partition-compare`` has a golden file of its own,
+``data/partition_golden.json`` (``test_partition_golden.py``). Do not
+regenerate the file to make this test pass; a difference means the CLI
+output changed.
 """
 
 import json

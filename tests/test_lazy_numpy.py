@@ -1,4 +1,4 @@
-"""Only the grid kernels load numpy, only partition work loads
+"""No entry point loads numpy, only partition work loads
 chordtrig.partitions, and nothing loads dataclasses.
 
 Each case runs in a fresh interpreter, because this test process has
@@ -76,10 +76,10 @@ def test_non_partition_entry_points_never_load_numpy():
     assert _last_line(NON_PARTITION_CALLS, str(GOLDEN)) == "False"
 
 
-def test_random_limit_loads_numpy_on_first_call():
+def test_random_limit_never_loads_numpy():
     expected = scheme_limit(point_from_ordinate(0.9), point_from_ordinate(0.1),
                             "random", 1e-9, seed=0)
-    assert _last_line(RANDOM_LIMIT) == f"False True {expected!r}"
+    assert _last_line(RANDOM_LIMIT) == f"False False {expected!r}"
 
 
 def test_no_entry_point_loads_dataclasses():

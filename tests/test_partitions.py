@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chordtrig import (
     CapacityError,
@@ -427,38 +428,46 @@ class TestGridsDropOnlyRepeats:
 
 def _random_ordinates_reference(hi_y, lo_y, n, seed):
     """The random grid by its defining formula: ``n - 1`` draws of
-    ``Generator.uniform``, sorted descending through a reversed view, with
-    repeated ordinates dropped."""
-    ys = np.empty(n + 1)
-    ys[0], ys[-1] = hi_y, lo_y
-    ys[1:-1] = np.random.default_rng((seed, n)).uniform(lo_y, hi_y, n - 1)
-    ys[1:-1][::-1].sort()
-    return ys[np.concatenate(([True], ys[1:] < ys[:-1]))]
+    ``lo_y + (hi_y - lo_y) * random()`` from ``random.Random((seed << 21) | n)``,
+    sorted descending between the endpoints, an ordinate kept only if it
+    falls below the last one kept."""
+    r = random.Random((seed << 21) | n)
+    draws = sorted((lo_y + (hi_y - lo_y) * r.random() for _ in range(n - 1)), reverse=True)
+    ys = [hi_y]
+    for y in [*draws, lo_y]:
+        if y < ys[-1]:
+            ys.append(y)
+    return ys
 
 
-class TestRandomGridInPlace:
+class TestRandomGridMatchesReference:
     @pytest.mark.parametrize("hi_y, lo_y", [(1.0, 0.0), (0.9, 0.1), (0.5, 0.5 - 1e-13)])
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_bit_identical_to_uniform_draws(self, hi_y, lo_y, seed):
         for n in (1, 2, 3, 64, 1000, (1 << 16) + 1):
             ys = partitions._ordinates("random", hi_y, lo_y, n, seed)
-            assert ys.tobytes() == _random_ordinates_reference(hi_y, lo_y, n, seed).tobytes()
+            assert ([y.hex() for y in ys]
+                    == [y.hex() for y in _random_ordinates_reference(hi_y, lo_y, n, seed)])
 
 
 def _chord_stats_reference(ys):
-    """The chord kernel as one expression per quantity, temporaries and all."""
-    x = np.sqrt((1.0 - ys) * (1.0 + ys))
-    dy = ys[:-1] - ys[1:]
-    t = (ys[:-1] + ys[1:]) / (x[:-1] + x[1:])
-    chords = dy * np.sqrt(1.0 + t * t)
-    q = chords * chords * 0.25
-    h = np.sqrt(1.0 - q)
-    excess = chords * q / (2.0 + h) / (1.0 + h)
-    width = excess * q / (1.5 * h * (1.0 + h))
-    return float(chords.sum()), float(excess.sum()), float(width.sum())
+    """The chord kernel by its defining formula: each chord as
+    geometry.chord_length computes it, its Snell excess and width written
+    out, and each sum correctly rounded."""
+    chords, excesses, widths = [], [], []
+    for y0, y1 in zip(ys, ys[1:]):
+        x0, x1 = math.sqrt((1.0 - y0) * (1.0 + y0)), math.sqrt((1.0 - y1) * (1.0 + y1))
+        chord = (y0 - y1) * math.hypot(1.0, (y0 + y1) / (x0 + x1))
+        q = chord * chord * 0.25
+        h = math.sqrt(1.0 - q)
+        excess = chord * q / (2.0 + h) / (1.0 + h)
+        chords.append(chord)
+        excesses.append(excess)
+        widths.append(excess * q / (1.5 * h * (1.0 + h)))
+    return math.fsum(chords), math.fsum(excesses), math.fsum(widths)
 
 
-class TestChordKernelInPlace:
+class TestChordKernelMatchesReference:
     @given(hi=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0), n=st.integers(2, 5000),
            ulp_steps=st.booleans(), seed=st.integers(0, 2 ** 32))
     def test_bit_identical_to_the_plain_expression(self, hi, width, n, ulp_steps, seed):
@@ -473,6 +482,50 @@ class TestChordKernelInPlace:
             ys = np.unique(np.concatenate(([hi, lo], draws)))[::-1].copy()
             if len(ys) < 2:
                 ys = np.array([hi, math.nextafter(hi, -1.0)]) if hi > 0.0 else np.array([1.0, 0.0])
-        before = ys.copy()
-        assert partitions._chord_stats(ys) == _chord_stats_reference(ys)
-        assert ys.tobytes() == before.tobytes()
+        ys = ys.tolist()
+        before = list(ys)
+        assert ([v.hex() for v in partitions._chord_stats(ys)]
+                == [v.hex() for v in _chord_stats_reference(ys)])
+        assert ys == before
+
+
+unit = st.floats(0.0, 1.0)
+# any arc, arcs a few ulps wide (grid steps below one ulp) and subnormal arcs
+grid_arcs = st.one_of(
+    st.tuples(unit, unit).filter(lambda ys: ys[0] != ys[1])
+    .map(lambda ys: (max(ys), min(ys))),
+    st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 8))
+    .map(lambda t: (t[0], max(t[0] - t[1] * math.ulp(t[0]), 0.0))),
+    st.floats(5e-324, 1e-300).map(lambda y: (y, 0.0)),
+)
+
+
+class TestGridSumIsPolygonalLength:
+    """A grid's chord sum is polygonal_length of the partition built on it."""
+
+    @pytest.mark.parametrize("scheme", ["ordinate_uniform", "random"])
+    @given(arc=grid_arcs, n=st.integers(1, 4096), seed=st.integers(0, 2 ** 32))
+    def test_bit_identical(self, scheme, arc, n, seed):
+        hi_y, lo_y = arc
+        part = make_partition(point_from_ordinate(hi_y), point_from_ordinate(lo_y),
+                              scheme, n, seed=seed)
+        total = partitions._chord_stats(partitions._ordinates(scheme, hi_y, lo_y, n, seed))[0]
+        assert total.hex() == polygonal_length(part).hex()
+
+
+def _linspace_grid(hi_y, lo_y, n):
+    """``np.linspace`` with the repeat rule: an ordinate is kept only if it
+    falls below the last one kept."""
+    ys = [hi_y]
+    for y in np.linspace(hi_y, lo_y, n + 1).tolist()[1:]:
+        if y < ys[-1]:
+            ys.append(y)
+    return ys
+
+
+class TestUniformGridMatchesLinspace:
+    @given(arc=grid_arcs, n=st.integers(1, 4096))
+    @example(arc=(1e-320, 0.0), n=4097)  # the step underflows to 0
+    def test_bit_identical(self, arc, n):
+        ys = partitions._ordinates("ordinate_uniform", *arc, n, None)
+        assert [y.hex() for y in ys] == [y.hex() for y in _linspace_grid(*arc, n)]

@@ -1,6 +1,6 @@
 """Snell-Huygens brackets behind scheme_limit: soundness against mpmath,
-the predicted start of the grid ladder, the binary64 floor, integer seeds
-and sizes, and the summation order the rounding bound relies on."""
+the predicted start of the grid ladder, the binary64 floor, and integer
+seeds and sizes."""
 
 import math
 import time
@@ -153,36 +153,3 @@ class TestIntegerSeedsAndSizes:
     def test_numpy_integers_are_integers(self, scheme):
         built = make_partition(TOP, Q, scheme, np.int64(4), seed=np.int64(3))
         assert built == make_partition(TOP, Q, scheme, 4, seed=3)
-
-
-def _pairwise(terms, n):
-    """numpy's pairwise summation of ``terms[:n]``: 8 accumulators on
-    leaves of up to 128 terms, halving above that."""
-    if n < 8:
-        total = 0.0
-        for value in terms[:n]:
-            total += value
-        return total
-    if n <= 128:
-        acc = list(terms[:8])
-        i = 8
-        while i < n - n % 8:
-            for j in range(8):
-                acc[j] += terms[i + j]
-            i += 8
-        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-        for value in terms[i:n]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise(terms, half) + _pairwise(terms[half:], n - half)
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000, 8193, (1 << 16) + 1])
-def test_numpy_sums_a_grid_pairwise(n):
-    """The rounding bound counts the additions of this order."""
-    rng = np.random.default_rng(n)
-    terms = rng.random(n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
-    assert float(terms.sum()) == 0.0 + _pairwise(terms.tolist(), n)
