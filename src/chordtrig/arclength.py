@@ -11,22 +11,24 @@ which is the stable form of sqrt(2 - 2h) (no cancellation as h -> 1). Since
 sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
-One generator, :func:`ladder_levels`, holds the only copy of this recurrence
-and of the brackets; every ladder in the package runs on it. It yields each
-level as (l_m, h_m, lo, hi), the arms of the bracket asked for: arc length
-takes [L_m, L_m / h_m], the lower arm because the polygonal lengths increase
-to the arc length, the upper arm because L_m / h_m is twice the
-circumscribed tangent fan's area, which contains the sector whose doubled
-area equals the arc length. The sector area (:mod:`chordtrig.sector`) takes
-the two fans. A run keeps these tuples; its report builds the
-:class:`~chordtrig.report.IterationRow` table from them when it is read.
+One flat loop, :func:`_climb`, holds the only copy of this recurrence and
+of the brackets; every ladder in the package runs on it. At each level it
+forms the arms of the bracket asked for: arc length takes [L_m, L_m / h_m],
+the lower arm because the polygonal lengths increase to the arc length, the
+upper arm because L_m / h_m is twice the circumscribed tangent fan's area,
+which contains the sector whose doubled area equals the arc length. The
+sector area (:mod:`chordtrig.sector`) takes the two fans. A run keeps no
+level: :func:`enclose` returns the last bracket and a report that replays
+the run through :func:`ladder_levels`, the loop's recorder of
+(l_m, h_m, lo, hi) per level, when its
+:class:`~chordtrig.report.IterationRow` table is first read.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from itertools import islice
+from collections.abc import Sequence
+from functools import partial
 
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      as_integer)
@@ -86,52 +88,71 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-def ladder_levels(a: CirclePoint, b: CirclePoint, bracket: str = ARC_BRACKET
-                  ) -> Iterator[tuple[float, float, float, float]]:
-    """Unbounded stream of the ladder's levels m = 0, 1, ... on the arc ``ab``
-    (a != b), each as (l_m, h_m, lo, hi) with the arms of ``bracket``:
-    [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``."""
+def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
+           levels: list | None = None) -> tuple[int, float, float]:
+    """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
+    ``bracket`` is at most ``tol`` wide or level ``last`` (>= 0) is reached,
+    and return (m, lo, hi) of the level it stopped at. Each level's
+    (l_m, h_m, lo, hi) is appended to ``levels`` if it is given."""
     fans = bracket == FAN_BRACKET
+    sqrt = math.sqrt
     ell = chord_length(a, b)
     scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit
-    while True:
-        h = height_for_chord(ell)
+    for m in range(last + 1):
+        half = 0.5 * ell
+        h = sqrt(1.0 - half * half)  # height_for_chord(ell), written out
         total = scale * ell
         if fans:
             # report.fan_areas written out: a call here makes the sector run a
             # third slower. TestLazyRows (_check_rows) pins the two bit-equal.
             half = 0.5 * total
-            yield ell, h, half * h, half / h
+            lo, hi = half * h, half / h
         else:
-            yield ell, h, total, total / h
-        ell = ell / math.sqrt(2.0 * (1.0 + h))
+            lo, hi = total, total / h
+        if levels is not None:
+            levels.append((ell, h, lo, hi))
+        if hi - lo <= tol:
+            break
+        ell = ell / sqrt(2.0 * (1.0 + h))
         scale *= 2.0
+    return m, lo, hi
+
+
+def ladder_levels(a: CirclePoint, b: CirclePoint, count: int,
+                  bracket: str = ARC_BRACKET, tol: float = -1.0
+                  ) -> list[tuple[float, float, float, float]]:
+    """The ladder's levels m = 0 .. count - 1 (count >= 1) on the arc ``ab``
+    (a != b), each as (l_m, h_m, lo, hi) with the arms of ``bracket``:
+    [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``.
+    The list ends early at the first bracket at most ``tol`` wide, if one
+    comes first; none does for the default ``tol``."""
+    levels: list[tuple[float, float, float, float]] = []
+    _climb(a, b, tol, count - 1, bracket, levels)
+    return levels
 
 
 def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
             bracket: str = ARC_BRACKET,
             strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
-    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows."""
+    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows. The
+    run records no level: its report replays them when its rows are read."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if max_iter < 0:
+    if as_integer(max_iter, "max_iter") < 0:
         raise DomainError(f"max_iter must be non-negative, got {max_iter}")
     if a.y == b.y:
-        return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, ())
-    levels = []
-    for m, level in enumerate(ladder_levels(a, b, bracket)):
-        levels.append(level)
-        _, _, lo, hi = level
-        width = hi - lo
-        met = width < tol if strict else width <= tol
-        if met or m >= max_iter:
-            break
+        return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, 0, tuple)
+    # width < tol exactly when width <= the float below tol
+    limit = math.nextafter(tol, 0.0) if strict else tol
+    m, lo, hi = _climb(a, b, limit, max_iter, bracket)
+    met = hi - lo <= limit
     enc = Enclosure(lo, hi)
-    report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP, levels)
+    report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP, m + 1,
+                           partial(ladder_levels, a, b, m + 1, bracket))
     if not met:
         raise ConvergenceError(
-            f"bracket width {width!r} has not reached tol {tol!r} by level {m}",
+            f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}",
             enclosure=enc, report=report)
     return enc, report
 
@@ -147,8 +168,7 @@ def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[Iteratio
     if m_max > _MAX_LEVEL:
         raise CapacityError(
             f"level {m_max} would need 2^{m_max} segments, beyond index capacity")
-    levels = islice(ladder_levels(a, b), m_max + 1)
-    return [level_row(m, *level) for m, level in enumerate(levels)]
+    return [level_row(m, *level) for m, level in enumerate(ladder_levels(a, b, m_max + 1))]
 
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:

@@ -74,7 +74,6 @@ import bisect
 import math
 import random
 from collections.abc import Iterator
-from itertools import islice
 from typing import NamedTuple
 
 from ._value import Value, set_field
@@ -99,7 +98,7 @@ DEDUPE_TOL = 1e-14
 
 _MAX_PARTITION_LEVEL = 20
 _MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1
-_MAX_BISECTION_STEPS = 48                   # scheme_limit bisection levels
+_BISECTION_LEVELS = 49                      # scheme_limit bisection levels 0..48
 _U = 2.0 ** -53                             # binary64 unit roundoff
 _UNDERFLOW = 2.0 ** -1071                   # 8 * 2^-1074, per chord
 
@@ -347,8 +346,14 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
     """(chords, lo, hi): the widened bracket of the scheme's partitions, by
     doubling size, up to the scheme's cap."""
     if scheme == "bisection":
-        for m, (ell, h, total, _) in enumerate(islice(ladder_levels(hi, lo),
-                                                      _MAX_BISECTION_STEPS + 1)):
+        # A level's Snell-Huygens bracket lies inside its arc bracket
+        # [L, L / h], so once that is at most tol wide only the pad can keep
+        # the widened one open: the levels past there are recorded only then.
+        levels = ladder_levels(hi, lo, _BISECTION_LEVELS, tol=tol)
+        for m in range(_BISECTION_LEVELS):
+            if m == len(levels):
+                levels = ladder_levels(hi, lo, _BISECTION_LEVELS)
+            ell, h, total, _ = levels[m]
             yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
         return
     n = _first_grid_size(hi, lo, tol)

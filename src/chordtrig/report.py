@@ -6,13 +6,13 @@ argued (not merely observed) to contain the true value. A
 one row per level m, ordered, with the bracket arms that run was tightening.
 
 Every run builds its report through :func:`ladder_report`, a degenerate
-arc's run too (with no levels). The report keeps the (l, h, lo, hi) tuple
-of each level as the ladder yielded it, arms included; the rest of a row
-follows from (l, h), so ``rows``, a :func:`functools.cached_property`,
-builds the :class:`IterationRow` table on first read, through
+arc's run too (with no levels). A run keeps none of its levels: the report
+holds the level count and a replay of the run, so ``len`` needs no rows,
+and ``rows``, a :func:`functools.cached_property`, replays the levels on
+first read, builds the :class:`IterationRow` table from them through
 :func:`level_row`, and keeps it. A run whose report is never read (``sin``'s
-inner ``arcsin`` runs) builds no rows at all. The positional constructor
-builds an eager report from rows a caller already has.
+inner ``arcsin`` runs) records no level and builds no row. The positional
+constructor builds an eager report from rows a caller already has.
 
 Tolerances below roughly 1e-13 exceed what binary64 evaluation of the arms
 can certify; the bracket then still brackets the computed ladder but carries
@@ -22,7 +22,7 @@ O(eps * value) evaluation fuzz.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from ._value import Value, set_field
@@ -30,7 +30,7 @@ from ._value import Value, set_field
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
 
-# Brackets a ladder can yield (arclength.ladder_levels): [L_m, L_m / h_m] for
+# Brackets a ladder can run on (arclength.ladder_levels): [L_m, L_m / h_m] for
 # arc length, the two fans [L_m h_m / 2, L_m / (2 h_m)] for sector area.
 ARC_BRACKET = "arc"
 FAN_BRACKET = "fans"
@@ -115,11 +115,12 @@ class ConvergenceReport(Value):
     """Trace of one run: endpoints, tolerance, stop reason and the rows.
 
     Unlike the other records it keeps an instance dict (no ``__slots__``):
-    the lazy report of :func:`ladder_report` holds its levels there, and
-    caches its rows there on first read. A report built through its
-    constructor stores ``rows`` there itself, which shadows the cached
-    property. Equality, hash and repr read ``rows``, so a lazy report equals
-    and hashes like the eager report built from the same rows.
+    a report from :func:`ladder_report` holds its level count and the replay
+    of its run there, replays the levels on the first read of ``rows`` and
+    caches the rows there. A report built through its constructor stores
+    ``rows`` there itself, which shadows the cached property. Equality, hash
+    and repr read ``rows``, so a replayed report equals and hashes like the
+    eager report built from the same rows.
     """
 
     _fields = ("a_ordinate", "b_ordinate", "tolerance", "stop_reason", "rows")
@@ -131,17 +132,17 @@ class ConvergenceReport(Value):
 
     @cached_property
     def rows(self) -> tuple[IterationRow, ...]:
-        """The rows of a :func:`ladder_report` report, from its levels."""
+        """The rows of a :func:`ladder_report` report, from its replayed levels."""
         # Built from a list, not a generator: CPython's tuple(generator) grows
         # a small tuple by resizing, and the freed results then pile up in
         # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
         # CPython 3.11).
-        return tuple([level_row(m, *level) for m, level in enumerate(self._levels)])
+        return tuple([level_row(m, *level) for m, level in enumerate(self._replay())])
 
     def __len__(self):
         """Number of levels run, counted without building the rows."""
-        levels = self.__dict__.get("_levels")
-        return len(self.rows if levels is None else levels)
+        count = self.__dict__.get("_count")
+        return len(self.rows) if count is None else count
 
     def to_dict(self) -> dict:
         return {
@@ -154,11 +155,13 @@ class ConvergenceReport(Value):
 
 
 def ladder_report(a_ordinate: float, b_ordinate: float, tolerance: float,
-                  stop_reason: str,
-                  levels: Sequence[tuple[float, float, float, float]]) -> ConvergenceReport:
-    """The report of a ladder run from its (l, h, lo, hi) tuple per level,
-    m = 0, 1, ...; its rows are built only when read."""
+                  stop_reason: str, count: int,
+                  replay: Callable[[], Sequence[tuple]]) -> ConvergenceReport:
+    """The report of a ladder run of ``count`` levels. ``replay()`` returns
+    the run's (l, h, lo, hi) tuple per level, m = 0, 1, ...; it is called
+    once, when the rows are first read."""
     report = ConvergenceReport.__new__(ConvergenceReport)
     report.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
-                           tolerance=tolerance, stop_reason=stop_reason, _levels=levels)
+                           tolerance=tolerance, stop_reason=stop_reason, _count=count,
+                           _replay=replay)
     return report

@@ -1,6 +1,6 @@
 """Edge cases: arguments near the binary64 floor, the endpoint flags' help
-text, integer ladder levels, and the single partition builder and report
-path."""
+text, integer ladder levels and level caps, and the single partition builder
+and report path."""
 
 import math
 
@@ -11,9 +11,12 @@ from chordtrig import (
     ConvergenceReport,
     DomainError,
     arc_length,
+    arcsin,
+    gap_iterations,
     inner_polygon_area,
     length_sequence,
     outer_polygon_area,
+    pi_constant,
     point_from_ordinate,
     random_partition,
     sector_area,
@@ -86,6 +89,37 @@ class TestIntegerLevels:
     @pytest.mark.parametrize("entry_point", entry_points)
     def test_numpy_integers_are_integers(self, entry_point):
         assert entry_point(TOP, Q, np.int64(3)) == entry_point(TOP, Q, 3)
+
+
+class TestIntegerMaxIter:
+    """The level cap of every ladder run is an integer other than a bool;
+    anything else is a domain error before any level runs."""
+
+    entry_points = {
+        "arc_length": lambda cap: arc_length(TOP, Q, 1e-9, cap),
+        "sector_area": lambda cap: sector_area(TOP, Q, 1e-9, cap),
+        "degenerate_arc": lambda cap: sector_area(Q, Q, 1e-9, cap),
+        "gap_iterations": lambda cap: gap_iterations(TOP, Q, 1e-9, cap),
+        "arcsin": lambda cap: arcsin(0.4, 1e-9, cap),
+        "pi_constant": lambda cap: pi_constant(1e-9, cap),
+        "sin": lambda cap: sin(0.5, 1e-9, cap),
+        "verify_ratio": lambda cap: verify_ratio(TOP, Q, 1e-9, cap),
+    }
+
+    @pytest.mark.parametrize("cap", [None, 2.5, 40.0, True, False, "40"])
+    @pytest.mark.parametrize("name", entry_points)
+    def test_non_integer_cap_is_a_domain_error(self, name, cap):
+        with pytest.raises(DomainError, match="max_iter must be an integer"):
+            self.entry_points[name](cap)
+
+    @pytest.mark.parametrize("name", entry_points)
+    def test_numpy_integers_are_integers(self, name):
+        call = self.entry_points[name]
+        assert call(np.int64(40)) == call(40)
+
+    def test_negative_cap_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="max_iter must be non-negative, got -1"):
+            arc_length(TOP, Q, 1e-9, np.int64(-1))
 
 
 class TestOneBuilder:

@@ -1,5 +1,5 @@
-"""The shared chord ladder: (l, h) stream, rows built on read, fan areas, level
-cap, argument checks."""
+"""The shared chord ladder: (l, h) recurrence, levels replayed and rows built
+on read, fan areas, level cap, argument checks."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -29,9 +29,12 @@ from chordtrig import (
     sin,
     verify_ratio,
 )
+from chordtrig import arclength as arclength_module
+from chordtrig import partitions
 from chordtrig import report as report_module
 from chordtrig import sector as sector_module
 from chordtrig.cli import run
+from chordtrig.errors import PrecisionFloorError
 from chordtrig.report import CSV_COLUMNS, fan_areas
 
 TOP = point_from_ordinate(1.0)
@@ -259,6 +262,121 @@ class TestNoRowsUnlessRead:
             assert call() == expected[name], name
         with pytest.raises(AssertionError, match="IterationRow was built"):
             arc_length(a, b, 1e-12)[1].rows
+
+
+class TestNoLevelsUnlessRead:
+    """A run records no level. With the recorder broken, every scalar entry
+    point still returns its value bit for bit, and a report replays its run
+    once, on the first read of its rows."""
+
+    def test_scalar_entry_points_record_no_level(self, monkeypatch):
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
+        calls = {
+            "arc_length": lambda: arc_length(a, b, 1e-12),
+            "sector_area": lambda: sector_area(a, b, 1e-12),
+            "arcsin": lambda: arcsin(0.3, 1e-12),
+            "pi_constant": lambda: pi_constant(1e-12),
+            "sin": lambda: sin(0.5, 1e-10),
+            "verify_ratio": lambda: verify_ratio(a, b, 1e-10),
+            "gap_iterations": lambda: gap_iterations(a, b, 1e-12),
+        }
+
+        def value(call):
+            # repr writes every float exactly; a report is told by its length
+            result = call()
+            if isinstance(result, tuple):
+                return repr(result[0]), len(result[1])
+            return repr(result)
+
+        expected = {name: value(call) for name, call in calls.items()}
+
+        def no_levels(*args):
+            raise AssertionError("a ladder was recorded")
+
+        monkeypatch.setattr(arclength_module, "ladder_levels", no_levels)
+        for name, call in calls.items():
+            assert value(call) == expected[name], name
+        with pytest.raises(AssertionError, match="ladder was recorded"):
+            arc_length(a, b, 1e-12)[1].rows
+
+    @pytest.mark.parametrize("fn", [arc_length, sector_area])
+    @pytest.mark.parametrize("run_kind, levels", [("met", 16), ("capped", 5),
+                                                  ("degenerate", 0)])
+    def test_rows_replay_the_run_once(self, fn, run_kind, levels, monkeypatch):
+        replays = []
+        recorder = arclength_module.ladder_levels
+
+        def counted(*args):
+            replays.append(args)
+            return recorder(*args)
+
+        monkeypatch.setattr(arclength_module, "ladder_levels", counted)
+        a, b = point_from_ordinate(0.8), point_from_ordinate(0.3)
+        if run_kind == "capped":
+            with pytest.raises(ConvergenceError) as info:
+                fn(a, b, 1e-10, max_iter=levels - 1)
+            report = info.value.report
+        else:
+            report = fn(a, a if run_kind == "degenerate" else b, 1e-10)[1]
+        assert len(report) == levels and not replays
+        rows = report.rows
+        assert report.rows is rows
+        assert report.to_dict()["rows"] == [row.to_dict() for row in rows]
+        assert len(replays) == (levels > 0)
+        assert len(report) == len(rows) == levels
+
+
+def _widened_bracket(row):
+    """The widened Snell-Huygens bracket of one length_sequence row and the
+    binary64 floor of its width (partitions module docstring)."""
+    ell, h, total = row.segment_length, row.height, row.total_length
+    q = ell * ell * 0.25
+    excess = total * q / (2.0 + h) / (1.0 + h)
+    lo = total + excess
+    hi = lo + excess * q / (1.5 * h * (1.0 + h))
+    n = 1 << row.m
+    bits = 3 * n.bit_length() + 48
+    pad = bits * 2.0 ** -53 * hi + n * 2.0 ** -1071
+    lo, hi = lo - pad, hi + pad
+    return lo, hi, 2.0 * (bits * 2.0 ** -53 * hi + n * 2.0 ** -1071)
+
+
+class TestBisectionFallback:
+    """Just above the binary64 floor, the widened Snell-Huygens bracket can
+    still be open at the level where the arc bracket meets tol. The
+    bisection branch then records the rest of its levels, and still gives
+    what the row ladder over length_sequence gives."""
+
+    @pytest.mark.parametrize("ys", [(0.5, 0.4999999999999997), (0.9, 0.8999999999999889),
+                                    (1.0, math.nextafter(1.0, 0.0)),
+                                    (0.7, 0.6999999888977697), (0.3, 0.2999999999994449),
+                                    (1e-300, 9.999983421907883e-301)])
+    def test_matches_the_row_ladder(self, ys, monkeypatch):
+        a, b = (point_from_ordinate(y) for y in ys)
+        rows = length_sequence(a, b, 48)
+        lo, hi, floor = _widened_bracket(rows[0])
+        tol = math.nextafter(hi - lo, 0.0)
+        # level 0 shuts the arc bracket but leaves the widened one open
+        assert rows[0].enclosure_hi - rows[0].enclosure_lo <= tol and floor <= tol
+        for row in rows:
+            lo, hi, floor = _widened_bracket(row)
+            if hi - lo <= tol or floor > tol:
+                break
+        recorded = []
+        recorder = partitions.ladder_levels
+
+        def counted(*args, **kwargs):
+            recorded.append(args)
+            return recorder(*args, **kwargs)
+
+        monkeypatch.setattr(partitions, "ladder_levels", counted)
+        if hi - lo <= tol:
+            assert scheme_limit(a, b, "bisection", tol) == 0.5 * (lo + hi)
+        else:
+            n = 1 << row.m
+            with pytest.raises(PrecisionFloorError, match=rf"\({n} segments?\)"):
+                scheme_limit(a, b, "bisection", tol)
+        assert len(recorded) == 2 and row.m > 0
 
 
 class TestBisectionLimitOnPairs:

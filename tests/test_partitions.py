@@ -324,7 +324,7 @@ class TestSchemeLimitEdges:
         reference = scheme_limit(a, b, "bisection", 1e-9)
         for scheme in SCHEMES:
             value = scheme_limit(a, b, scheme, 1e-9, seed=3)
-            # chord_length uses math.hypot, the grid kernel sqrt(1 + t^2)
+            # one chord in every scheme, by chord_length's formula (math.hypot)
             assert value == pytest.approx(reference, rel=2 * EPS)
 
     def test_tight_tol_stops_at_the_grid_cap(self, monkeypatch):
