@@ -89,11 +89,12 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
 
 
 def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
-           levels: list | None = None) -> tuple[int, float, float]:
+           levels: list | None = None) -> tuple[int, float, float, bool]:
     """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
     ``bracket`` is at most ``tol`` wide or level ``last`` (>= 0) is reached,
-    and return (m, lo, hi) of the level it stopped at. Each level's
-    (l_m, h_m, lo, hi) is appended to ``levels`` if it is given."""
+    and return (m, lo, hi, met) of the level it stopped at, ``met`` telling
+    whether the bracket reached ``tol``. Each level's (l_m, h_m, lo, hi) is
+    appended to ``levels`` if it is given."""
     fans = bracket == FAN_BRACKET
     sqrt = math.sqrt
     ell = chord_length(a, b)
@@ -112,22 +113,19 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
         if levels is not None:
             levels.append((ell, h, lo, hi))
         if hi - lo <= tol:
-            break
+            return m, lo, hi, True
         ell = ell / sqrt(2.0 * (1.0 + h))
         scale *= 2.0
-    return m, lo, hi
+    return m, lo, hi, False
 
 
-def ladder_levels(a: CirclePoint, b: CirclePoint, count: int,
-                  bracket: str = ARC_BRACKET, tol: float = -1.0
+def ladder_levels(a: CirclePoint, b: CirclePoint, count: int, bracket: str = ARC_BRACKET
                   ) -> list[tuple[float, float, float, float]]:
     """The ladder's levels m = 0 .. count - 1 (count >= 1) on the arc ``ab``
     (a != b), each as (l_m, h_m, lo, hi) with the arms of ``bracket``:
-    [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``.
-    The list ends early at the first bracket at most ``tol`` wide, if one
-    comes first; none does for the default ``tol``."""
+    [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``."""
     levels: list[tuple[float, float, float, float]] = []
-    _climb(a, b, tol, count - 1, bracket, levels)
+    _climb(a, b, -1.0, count - 1, bracket, levels)
     return levels
 
 
@@ -139,14 +137,14 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     run records no level: its report replays them when its rows are read."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if as_integer(max_iter, "max_iter") < 0:
+    max_iter = as_integer(max_iter, "max_iter")
+    if max_iter < 0:
         raise DomainError(f"max_iter must be non-negative, got {max_iter}")
     if a.y == b.y:
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, 0, tuple)
     # width < tol exactly when width <= the float below tol
     limit = math.nextafter(tol, 0.0) if strict else tol
-    m, lo, hi = _climb(a, b, limit, max_iter, bracket)
-    met = hi - lo <= limit
+    m, lo, hi, met = _climb(a, b, limit, max_iter, bracket)
     enc = Enclosure(lo, hi)
     report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP, m + 1,
                            partial(ladder_levels, a, b, m + 1, bracket))

@@ -346,14 +346,7 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
     """(chords, lo, hi): the widened bracket of the scheme's partitions, by
     doubling size, up to the scheme's cap."""
     if scheme == "bisection":
-        # A level's Snell-Huygens bracket lies inside its arc bracket
-        # [L, L / h], so once that is at most tol wide only the pad can keep
-        # the widened one open: the levels past there are recorded only then.
-        levels = ladder_levels(hi, lo, _BISECTION_LEVELS, tol=tol)
-        for m in range(_BISECTION_LEVELS):
-            if m == len(levels):
-                levels = ladder_levels(hi, lo, _BISECTION_LEVELS)
-            ell, h, total, _ = levels[m]
+        for m, (ell, h, total, _) in enumerate(ladder_levels(hi, lo, _BISECTION_LEVELS)):
             yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
         return
     n = _first_grid_size(hi, lo, tol)

@@ -117,6 +117,12 @@ class TestIntegerMaxIter:
         call = self.entry_points[name]
         assert call(np.int64(40)) == call(40)
 
+    def test_largest_numpy_cap_runs_to_tol(self):
+        """A cap at the top of int64 is taken as a Python int: stepping past
+        it cannot wrap around and empty the run."""
+        assert (arc_length(TOP, Q, 1e-9, np.int64(2**63 - 1))
+                == arc_length(TOP, Q, 1e-9, 2**63 - 1) == arc_length(TOP, Q, 1e-9))
+
     def test_negative_cap_is_a_domain_error(self):
         with pytest.raises(DomainError, match="max_iter must be non-negative, got -1"):
             arc_length(TOP, Q, 1e-9, np.int64(-1))
