@@ -13,15 +13,25 @@ factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
 One flat loop, :func:`_climb`, holds the only copy of this recurrence and
 of the brackets; every ladder in the package runs on it. At each level it
-forms the arms of the bracket asked for: arc length takes [L_m, L_m / h_m],
-the lower arm because the polygonal lengths increase to the arc length, the
-upper arm because L_m / h_m is twice the circumscribed tangent fan's area,
-which contains the sector whose doubled area equals the arc length. The
-sector area (:mod:`chordtrig.sector`) takes the two fans. A run keeps no
-level: :func:`enclose` returns the last bracket and a report that replays
-the run through :func:`ladder_levels`, the loop's recorder of
-(l_m, h_m, lo, hi) per level, when its
+forms L_m = 2^m * l_m and the arms of the bracket asked for: arc length
+takes [L_m, L_m / h_m], the lower arm because the polygonal lengths
+increase to the arc length, the upper arm because L_m / h_m is twice the
+circumscribed tangent fan's area, which contains the sector whose doubled
+area equals the arc length. The sector area (:mod:`chordtrig.sector`) takes
+the two fans. A level's record is (l_m, h_m, L_m, lo, hi), and
+:func:`ladder_levels`, the loop's checked recorder, is the one source of
+these values: :func:`length_sequence` builds its rows from the records, the
+sector sandwich reads its fans from the last one, and a run keeps no level:
+:func:`enclose` returns the last bracket and a report that replays the run
+through :func:`ladder_levels` when its
 :class:`~chordtrig.report.IterationRow` table is first read.
+
+Every run stops by level 27. An arc of the quarter circle spans at most
+pi/2, so l_m = 2 sin(theta / 2^(m+1)) <= pi / 2^(m+1), which is below
+2^-26 from level 27 on; the computed l_m is within a relative 2^-46 of
+it. A chord l <= 2^-26 has (l/2)^2 <= 2^-54, so 1 - (l/2)^2 rounds to 1
+and h = 1 exactly: both brackets are then zero wide and meet every
+tol > 0. So a replay never reaches the recorder's level cap.
 """
 
 from __future__ import annotations
@@ -44,6 +54,9 @@ from .report import (ARC_BRACKET, FAN_BRACKET, STOP_CAP, STOP_TOLERANCE,
                      level_row)
 
 DEFAULT_MAX_ITER = 40
+
+# A level's record: (l_m, h_m, L_m, lo, hi).
+_Level = tuple[float, float, float, float, float]
 
 # 2^m beyond this could not index a materialized point list on any host.
 _MAX_LEVEL = 62
@@ -89,12 +102,12 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
 
 
 def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
-           levels: list | None = None) -> tuple[int, float, float, bool]:
+           levels: list[_Level] | None = None) -> tuple[int, float, float, bool]:
     """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
     ``bracket`` is at most ``tol`` wide or level ``last`` (>= 0) is reached,
     and return (m, lo, hi, met) of the level it stopped at, ``met`` telling
-    whether the bracket reached ``tol``. Each level's (l_m, h_m, lo, hi) is
-    appended to ``levels`` if it is given."""
+    whether the bracket reached ``tol``. Each level's record
+    (l_m, h_m, L_m, lo, hi) is appended to ``levels`` if it is given."""
     fans = bracket == FAN_BRACKET
     sqrt = math.sqrt
     ell = chord_length(a, b)
@@ -111,7 +124,7 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
         else:
             lo, hi = total, total / h
         if levels is not None:
-            levels.append((ell, h, lo, hi))
+            levels.append((ell, h, total, lo, hi))
         if hi - lo <= tol:
             return m, lo, hi, True
         ell = ell / sqrt(2.0 * (1.0 + h))
@@ -119,13 +132,24 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
     return m, lo, hi, False
 
 
-def ladder_levels(a: CirclePoint, b: CirclePoint, count: int, bracket: str = ARC_BRACKET
-                  ) -> list[tuple[float, float, float, float]]:
-    """The ladder's levels m = 0 .. count - 1 (count >= 1) on the arc ``ab``
-    (a != b), each as (l_m, h_m, lo, hi) with the arms of ``bracket``:
-    [L_m, L_m / h_m] for ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``."""
-    levels: list[tuple[float, float, float, float]] = []
-    _climb(a, b, -1.0, count - 1, bracket, levels)
+def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
+                  bracket: str = ARC_BRACKET) -> list[_Level]:
+    """The records (l_m, h_m, L_m, lo, hi) of levels 0 .. ``m`` on the arc
+    ``ab``, with the arms of ``bracket``: [L_m, L_m / h_m] for
+    ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``.
+
+    Raises ``DegenerateArcError`` for a == b, ``DomainError`` for a level
+    that is not a non-negative integer, and ``CapacityError`` above level
+    62, where 2^m could not index a materialized point list."""
+    if a.y == b.y:
+        raise DegenerateArcError("ladder levels of a degenerate arc")
+    m = as_integer(m, "level")
+    if m < 0:
+        raise DomainError(f"level must be non-negative, got {m}")
+    if m > _MAX_LEVEL:
+        raise CapacityError(f"level {m} would need 2^{m} segments, beyond index capacity")
+    levels: list[_Level] = []
+    _climb(a, b, -1.0, m, bracket, levels)
     return levels
 
 
@@ -147,7 +171,7 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     m, lo, hi, met = _climb(a, b, limit, max_iter, bracket)
     enc = Enclosure(lo, hi)
     report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP, m + 1,
-                           partial(ladder_levels, a, b, m + 1, bracket))
+                           partial(ladder_levels, a, b, m, bracket))
     if not met:
         raise ConvergenceError(
             f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}",
@@ -157,16 +181,8 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
 
 def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[IterationRow]:
     """Rows for levels 0..m_max of the scheme on the arc ``ab``, bracket
-    [L_m, L_m / h_m]."""
-    if a.y == b.y:
-        raise DegenerateArcError("length sequence of a degenerate arc")
-    m_max = as_integer(m_max, "m_max")
-    if m_max < 0:
-        raise DomainError(f"m_max must be non-negative, got {m_max}")
-    if m_max > _MAX_LEVEL:
-        raise CapacityError(
-            f"level {m_max} would need 2^{m_max} segments, beyond index capacity")
-    return [level_row(m, *level) for m, level in enumerate(ladder_levels(a, b, m_max + 1))]
+    [L_m, L_m / h_m]; the arguments are checked by :func:`ladder_levels`."""
+    return [level_row(m, *level) for m, level in enumerate(ladder_levels(a, b, m_max))]
 
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:

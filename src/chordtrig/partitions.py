@@ -53,10 +53,22 @@ Bounds are first order, the remainder falls in the spare units below.
 - Widening (:func:`_pad`). Each arm moves out by (3 b + 48) u hi + n 2^-1071
   for n chords with bit length b: 3b + 48 is at least 21 + 2 (rounding the
   pad and the arm) + 1 (the midpoint's rounding) for the grid, and at
-  least 3.5m + 22 for bisection levels m <= 48. An operation that
+  least 3.5m + 22 for bisection levels m <= 13. An operation that
   underflows errs by an absolute 2^-1075 instead, and at most eight of
   those reach a chord's arms: the second term. So a widened bracket holds
   the arc length, and its midpoint is within half its width of it.
+- Last bisection level. Let S be the arc length, W_m the computed raw
+  width at level m, w_m the widened width and f_m = 2 pad the floor, and
+  c_m = 3m + 51, so that the pad is c_m u hi + 2^m 2^-1071. A run passes
+  level m + 1 only if f_(m+1) <= tol < w_m. The widened arms hold S, and
+  w_m is their exact difference (Sterbenz), within 3u S (with three
+  underflow errors) of W_m + 2 pad_m; c_(m+1) = c_m + 3 and the pad's
+  second term doubles, so f_(m+1) < w_m needs W_m > 2.9u S. But W_m is at
+  most 1.001 S l_m^4 / 133.9 (L_m <= S, and 1 / 133.9 bounds the width's
+  factor c(h), see :func:`_first_grid_size`), and l_m <= pi / 2^(m+1), as
+  an arc of the quarter circle spans at most pi/2; at m = 12 that is
+  1.5u S. So every run stops or raises by level 13, and :func:`_ladder`
+  records levels 0..13 only.
 
 Three partition families are provided: the chord-bisection levels, grids
 uniform in the ordinate, and seeded uniform random draws. The two grid
@@ -98,7 +110,7 @@ DEDUPE_TOL = 1e-14
 
 _MAX_PARTITION_LEVEL = 20
 _MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1
-_BISECTION_LEVELS = 49                      # scheme_limit bisection levels 0..48
+_MAX_BISECTION_LEVEL = 13                   # every bisection run ends by it
 _U = 2.0 ** -53                             # binary64 unit roundoff
 _UNDERFLOW = 2.0 ** -1071                   # 8 * 2^-1074, per chord
 
@@ -346,7 +358,8 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
     """(chords, lo, hi): the widened bracket of the scheme's partitions, by
     doubling size, up to the scheme's cap."""
     if scheme == "bisection":
-        for m, (ell, h, total, _) in enumerate(ladder_levels(hi, lo, _BISECTION_LEVELS)):
+        levels = ladder_levels(hi, lo, _MAX_BISECTION_LEVEL)
+        for m, (ell, h, total, _, _) in enumerate(levels):
             yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
         return
     n = _first_grid_size(hi, lo, tol)
@@ -365,7 +378,7 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
     ``tol`` wide. The bracket holds the arc length, which is the limit of
     every family, so the value is within ``tol / 2`` of it.
 
-    Bisection climbs at most 48 levels. The grid schemes evaluate exactly
+    Bisection ends by level 13. The grid schemes evaluate exactly
     the ordinate lists that :func:`ordinate_uniform_partition` and
     :func:`random_partition` build, up to 2^20 + 1 points, starting at the
     first size that could meet ``tol`` (:func:`_first_grid_size`). A run

@@ -6,16 +6,17 @@ tangent-line fan has area 2^m * l_m / (2 h_m): each outer triangle is the
 inner one scaled by 1/h_m along the radius, so its area is l/(2h) without
 ever intersecting tangent lines vertex by vertex. Both fans follow from the
 same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`),
-which yields them as the sector run's bracket arms. The sector sits between
-the two fans; the arc length equals twice the sector area, checked by
+which yields them as the sector run's bracket arms; :func:`sector_sandwich`
+reads them from the last level's record. The sector sits between the two
+fans; the arc length equals twice the sector area, checked by
 :func:`verify_ratio`.
 """
 
 from __future__ import annotations
 
 from ._value import Value, set_field
-from .arclength import DEFAULT_MAX_ITER, arc_length, enclose, length_sequence
-from .errors import DegenerateArcError, DomainError, as_integer
+from .arclength import DEFAULT_MAX_ITER, arc_length, enclose, ladder_levels
+from .errors import DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
 from .report import FAN_BRACKET, ConvergenceReport, Enclosure
 
@@ -33,16 +34,12 @@ class SectorSandwich(Value):
 
 
 def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:
-    """The level-``m`` fan areas for the arc ``ab`` (levels above 62 raise
-    ``CapacityError``, as in :func:`length_sequence`)."""
-    if a.y == b.y:
-        raise DegenerateArcError("polygon fans of a degenerate arc")
-    m = as_integer(m, "level")
-    if m < 0:
-        raise DomainError(f"level must be non-negative, got {m}")
-    row = length_sequence(a, b, m)[-1]
-    return SectorSandwich(m, row.inner_area, row.outer_area,
-                          row.outer_area - row.inner_area)
+    """The level-``m`` fan areas for the arc ``ab``: the arms of the last
+    ``FAN_BRACKET`` record of :func:`~chordtrig.arclength.ladder_levels`,
+    which checks the arguments (levels above 62 raise ``CapacityError``)."""
+    levels = ladder_levels(a, b, m, FAN_BRACKET)
+    _, _, _, inner, outer = levels[-1]
+    return SectorSandwich(len(levels) - 1, inner, outer, outer - inner)
 
 
 def inner_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
