@@ -11,27 +11,98 @@ which is the stable form of sqrt(2 - 2h) (no cancellation as h -> 1). Since
 sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
-One flat loop, :func:`_climb`, holds the only copy of this recurrence and
-of the brackets; every ladder in the package runs on it. At each level it
-forms L_m = 2^m * l_m and the arms of the bracket asked for: arc length
-takes [L_m, L_m / h_m], the lower arm because the polygonal lengths
-increase to the arc length, the upper arm because L_m / h_m is twice the
-circumscribed tangent fan's area, which contains the sector whose doubled
-area equals the arc length. The sector area (:mod:`chordtrig.sector`) takes
-the two fans. A level's record is (l_m, h_m, L_m, lo, hi), and
-:func:`ladder_levels`, the loop's checked recorder, is the one source of
-these values: :func:`length_sequence` builds its rows from the records, the
-sector sandwich reads its fans from the last one, and a run keeps no level:
+Closing the ladder. Write s = l_m / 2 = sin(phi), 2 phi being one sub-arc's
+angle. Every further level multiplies L_m by 1 / cos of the next half
+angle, so the arc length S is L_m times Viete's product, L_m phi / sin(phi)
+= L_m arcsin(s) / s. Newton's series arcsin(s) / s = sum_k a_k q^k, with
+q = s^2 and a_k = (2k)! / (4^k (k!)^2 (2k + 1)), has positive coefficients
+whose ratios are below 1, so with K terms, P(q) = sum_(k<K) a_k q^k:
+
+    L_m P(q)  <=  S  <=  L_m (P(q) + a_K q^K / (1 - q)).
+
+K is 10, or 4 once q < 2^-16, where four terms leave a tail below 2^-68.
+
+This is the ladder's own remaining product, summed in closed form: no host
+trig, no constant the ladder does not produce. Its width falls like
+4^(-K m) where the paper's [L_m, L_m / h_m] falls like 4^(-m). The sector
+area closes the inscribed fan the same way: with w = l_m h_m = sin(2 phi)
+and the fan's area A_m = L_m h_m / 2, the sector is A_m arcsin(w) / w, the
+series in z = w^2. It is used once z <= 1/2 (at level 0 of the quarter arc
+w = 1); before that the two fans [A_m, A_m / h_m^2] bracket the sector.
+
+One flat loop, :func:`_climb`, holds the only copy of the recurrence and of
+the brackets; every ladder in the package runs on it. At each level it forms
+L_m and the arms of the bracket asked for: ``ARC_BRACKET`` the arc closure,
+``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
+below, and ``FAN_BRACKET`` the paper's two fans as computed, which the
+sector sandwich, the fan-gap criterion and the bisection partition limit
+read. A level's record is (l_m, h_m, L_m, lo, hi), and :func:`ladder_levels`,
+the loop's checked recorder, is the one source of these values:
+:func:`length_sequence` builds its rows from the records, the sector
+sandwich reads its fans from the last one, and a run keeps no level:
 :func:`enclose` returns the last bracket and a report that replays the run
 through :func:`ladder_levels` when its
 :class:`~chordtrig.report.IterationRow` table is first read.
 
-Every run stops by level 27. An arc of the quarter circle spans at most
-pi/2, so l_m = 2 sin(theta / 2^(m+1)) <= pi / 2^(m+1), which is below
-2^-26 from level 27 on; the computed l_m is within a relative 2^-46 of
-it. A chord l <= 2^-26 has (l/2)^2 <= 2^-54, so 1 - (l/2)^2 rounds to 1
-and h = 1 exactly: both brackets are then zero wide and meet every
-tol > 0. So a replay never reaches the recorder's level cap.
+Rounding (the style of Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a relative
+u at most; ordinates are exact, as they define the arc. Bounds are first
+order; the remainder falls in the spare units below. Errors are counted in
+units of u.
+
+- Chord. :func:`~chordtrig.geometry.chord_length` gives l_0 within
+  e_0 = 10: x = sqrt((1 - y)(1 + y)) is within 2.5, x_i + x_(i+1) within
+  3.5, t within 5.5, hypot(1, t) within 7.5 (t^2 / (1 + t^2) <= 1, and
+  Python >= 3.10's hypot is within 1 ulp) and l within 9.5.
+- Step. With r = q / (1 - q), which is at most 1 at level 0 and
+  0.172 / 4^(m-1) at level m, a chord within e gives h within
+  r e + r/2 + 1.5, 1 + h within half of that plus 1 (h / (1 + h) <= 1/2),
+  and sqrt(2 (1 + h)) within half again plus 1, so the step takes e to
+  e' = (1 + r/4) e + 2.875 + r/8. The loop carries this bound, e_m, with
+  the r it computes; L_m = 2^m l_m is exact.
+- Chord to arc. S is 2^(m+1) arcsin(l_m / 2), whose logarithmic derivative
+  in l_m, s / (arcsin(s) sqrt(1 - q)), is at most sqrt(1 + r) <= 1 + r/2:
+  the arc (and half of it, the sector) of the computed chord is within
+  (1 + r/2) e_m of the true one.
+- Arc closure (q <= 1/2). q errs by 1, which moves arcsin(s) / s by r/4 at
+  most: its logarithmic derivative in q is (s / (arcsin(s) sqrt(1 - q)) - 1)
+  / 2 <= r/4. Horner's rule with the stored coefficients keeps P within 2:
+  each inner sum q p_(j+1) is at most half of p_j for j >= 1 and a tenth of
+  P at j = 0. P plus the tail adds 1 (the tail is below 2^-15 P, so its own
+  ~13 count for less than 0.001), the product with L_m 1 and widening the
+  arm 1: (1 + r/2) e_m + 5.25 at most, and the pad takes 6. (Against mpmath,
+  pads a quarter as wide already miss on a few of 3000 random arcs;
+  ``tests/test_certified.py`` checks the full ones.)
+- Fan closure (z <= 1/2, so q <= 0.147 and r <= 0.172). h is within
+  r/2 + 1.5, A_m and w within r/2 + 2.5 and z within r + 6, which moves
+  arcsin(w) / w by r_z (r + 6) / 4 <= 1.55 (r_z = z / (1 - z) <= 1);
+  Horner 2, the sum 1, the product 1 and widening 1 make
+  (1 + r/2) e_m + 8.2. The fans before that make (1 + r/2) e_m + r/2 + 3.5
+  with widening. The pad takes 9.
+- Underflow. A result below 2^-1022 errs by an absolute 2^-1075 instead.
+  Only a chord below 2^-1021 underflows (then q and r vanish and h = 1):
+  l_0 is then exact, each step halves l and errs by 2^-1075 at most, so
+  L_m is within 2^m 2^-1074, and halving, the products and the pad add at
+  most 2^-1075 each. The pad's second term, 2^m 2^-1072, covers them.
+- Pad. Each arm moves out by (units) u hi + 2^m 2^-1072, with the units
+  above, e_m and r as computed and hi the raw upper arm; a lower arm below
+  0 is raised to 0, as lengths and areas are not negative. So a widened
+  bracket holds the arc length, or the sector area.
+
+Floor. The widening alone, 2 pad, is the binary64 floor of a closure at
+that level. It does not fall from one closure level to the next: the pad's
+units grow by 2.875 + r/8 - r e_m / 4 >= 0.5 per level, far more than the
+raw upper arm can fall. So a run skips the polynomial and the pad at a level
+whose tail alone is wider than tol (the widened bracket is wider still),
+unless the level is its cap or is recorded; wherever it forms the arms, a
+tol below the floor raises ``PrecisionFloorError``. From level 2 on the arc
+closure's tail is at most u/2 of its arm (q <= sin^2(pi/16) = 0.0381), and
+from level 3 on the fan closure's (z <= 0.0381): a run still open at such a
+level has a tol below 2 pad + 2.5u hi, and one level later its floor has
+grown by more than 5u hi and passes tol. Every closure run thus ends, at
+tol or at the floor, by level 4. The fans of ``FAN_BRACKET`` reach zero
+width once h = 1 exactly (a chord below 2^-26, from level 27 on), so those
+runs end by level 27.
 """
 
 from __future__ import annotations
@@ -41,7 +112,7 @@ from collections.abc import Sequence
 from functools import partial
 
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
-                     as_integer)
+                     PrecisionFloorError, as_integer)
 from .geometry import (
     CirclePoint,
     chord_length,
@@ -49,9 +120,9 @@ from .geometry import (
     height_for_chord,
     point_from_ordinate,
 )
-from .report import (ARC_BRACKET, FAN_BRACKET, STOP_CAP, STOP_TOLERANCE,
-                     ConvergenceReport, Enclosure, IterationRow, ladder_report,
-                     level_row)
+from .report import (ARC_BRACKET, FAN_BRACKET, SECTOR_BRACKET, STOP_CAP, STOP_FLOOR,
+                     STOP_TOLERANCE, ConvergenceReport, Enclosure, IterationRow,
+                     ladder_report, level_row)
 
 DEFAULT_MAX_ITER = 40
 
@@ -60,6 +131,17 @@ _Level = tuple[float, float, float, float, float]
 
 # 2^m beyond this could not index a materialized point list on any host.
 _MAX_LEVEL = 62
+
+# a_1 .. a_10 of Newton's series, a_k = (2k)! / (4^k (k!)^2 (2k + 1)), each
+# rounded to nearest; a_0 = 1. The last one bounds the tail.
+_SERIES = (0.16666666666666666, 0.075, 0.044642857142857144, 0.030381944444444444,
+           0.022372159090909092, 0.017352764423076924, 0.01396484375,
+           0.011551800896139705, 0.009761609529194078, 0.008390335809616815)
+
+_U = 2.0 ** -53                 # binary64 unit roundoff
+_TINY = 2.0 ** -1072            # the pad's underflow term, per 2^m
+_ARC_UNITS = 6.0                # the closures' pads besides (1 + r/2) e_m
+_FAN_UNITS = 9.0
 
 
 def circle_midpoint(a: CirclePoint, b: CirclePoint) -> CirclePoint:
@@ -102,19 +184,31 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
 
 
 def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
-           levels: list[_Level] | None = None) -> tuple[int, float, float, bool]:
+           levels: list[_Level] | None = None) -> tuple[int, float, float, str]:
     """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
-    ``bracket`` is at most ``tol`` wide or level ``last`` (>= 0) is reached,
-    and return (m, lo, hi, met) of the level it stopped at, ``met`` telling
-    whether the bracket reached ``tol``. Each level's record
-    (l_m, h_m, L_m, lo, hi) is appended to ``levels`` if it is given."""
+    ``bracket`` is at most ``tol`` wide, its floor (module docstring) is
+    above a positive ``tol``, or level ``last`` (>= 0) is reached, and
+    return (m, lo, hi, stop) of the level it stopped at, ``stop`` being the
+    report's stop reason. Each level's record (l_m, h_m, L_m, lo, hi) is
+    appended to ``levels`` if it is given."""
     fans = bracket == FAN_BRACKET
+    sector = bracket == SECTOR_BRACKET
+    units = _FAN_UNITS if sector else _ARC_UNITS
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = _SERIES
     sqrt = math.sqrt
     ell = chord_length(a, b)
     scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit
+    err = 10.0   # e_m, the chord's rounding bound in units of u
+    r = floor = h = 0.0
     for m in range(last + 1):
+        if m:  # the step to level m
+            ell = ell / sqrt(2.0 * (1.0 + h))
+            scale *= 2.0
+            err += 0.25 * r * err + 2.875 + 0.125 * r
         half = 0.5 * ell
-        h = sqrt(1.0 - half * half)  # height_for_chord(ell), written out
+        q = half * half
+        c = 1.0 - q
+        h = sqrt(c)  # height_for_chord(ell), written out
         total = scale * ell
         if fans:
             # report.fan_areas written out: a call here makes the sector run a
@@ -122,21 +216,48 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
             half = 0.5 * total
             lo, hi = half * h, half / h
         else:
-            lo, hi = total, total / h
+            r = q / c
+            if sector:
+                w = ell * h
+                base, z = 0.5 * total * h, w * w
+            else:
+                base, z = total, q
+            if sector and z > 0.5:
+                # The series needs z <= 1/2. Until then the sector has the
+                # fans, whose pad can fall at the next level: no floor test.
+                lo, hi, closed = base, 0.5 * total / h, False
+            else:
+                if z < 1.52587890625e-05:  # 2^-16: four terms leave a tail < 2^-68
+                    p = 1.0 + z * (a1 + z * (a2 + z * a3))
+                    tail = a4 * (z * z) * (z * z) / (1.0 - z)
+                else:
+                    tail = a10 * z ** 10 / (1.0 - z)
+                    if base * tail > tol and m < last and levels is None:
+                        continue  # the widened bracket is wider still
+                    p = 1.0 + z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (
+                        a5 + z * (a6 + z * (a7 + z * (a8 + z * a9))))))))
+                lo, hi, closed = base * p, base * (p + tail), True
+            pad = (err + 0.5 * r * err + units) * _U * hi + scale * _TINY
+            lo -= pad
+            hi += pad
+            if lo < 0.0:  # lengths and areas are not negative
+                lo = 0.0
+            floor = pad + pad if closed else 0.0
         if levels is not None:
             levels.append((ell, h, total, lo, hi))
         if hi - lo <= tol:
-            return m, lo, hi, True
-        ell = ell / sqrt(2.0 * (1.0 + h))
-        scale *= 2.0
-    return m, lo, hi, False
+            return m, lo, hi, STOP_TOLERANCE
+        if floor > tol > 0.0:
+            return m, lo, hi, STOP_FLOOR
+    return m, lo, hi, STOP_CAP
 
 
 def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
                   bracket: str = ARC_BRACKET) -> list[_Level]:
     """The records (l_m, h_m, L_m, lo, hi) of levels 0 .. ``m`` on the arc
-    ``ab``, with the arms of ``bracket``: [L_m, L_m / h_m] for
-    ``ARC_BRACKET``, the two fans for ``FAN_BRACKET``.
+    ``ab``, with the arms of ``bracket``: the widened arc closure for
+    ``ARC_BRACKET``, the widened fan closure for ``SECTOR_BRACKET``, the
+    two fans as computed for ``FAN_BRACKET`` (module docstring).
 
     Raises ``DegenerateArcError`` for a == b, ``DomainError`` for a level
     that is not a non-negative integer, and ``CapacityError`` above level
@@ -158,7 +279,11 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
             strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
     ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows. The
-    run records no level: its report replays them when its rows are read."""
+    run records no level: its report replays them when its rows are read.
+
+    Raises ``ConvergenceError`` at the level cap and ``PrecisionFloorError``
+    (also a ``DomainError``) once a closure's widening alone is wider than
+    ``tol``; both carry the last bracket and the report."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     max_iter = as_integer(max_iter, "max_iter")
@@ -168,20 +293,22 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, 0, tuple)
     # width < tol exactly when width <= the float below tol
     limit = math.nextafter(tol, 0.0) if strict else tol
-    m, lo, hi, met = _climb(a, b, limit, max_iter, bracket)
+    m, lo, hi, stop = _climb(a, b, limit, max_iter, bracket)
     enc = Enclosure(lo, hi)
-    report = ladder_report(a.y, b.y, tol, STOP_TOLERANCE if met else STOP_CAP, m + 1,
+    report = ladder_report(a.y, b.y, tol, stop, m + 1,
                            partial(ladder_levels, a, b, m, bracket))
-    if not met:
-        raise ConvergenceError(
-            f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}",
+    if stop != STOP_TOLERANCE:
+        floor = stop == STOP_FLOOR
+        raise (PrecisionFloorError if floor else ConvergenceError)(
+            f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}"
+            + (", and tol is below the binary64 floor of this arc" if floor else ""),
             enclosure=enc, report=report)
     return enc, report
 
 
 def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[IterationRow]:
-    """Rows for levels 0..m_max of the scheme on the arc ``ab``, bracket
-    [L_m, L_m / h_m]; the arguments are checked by :func:`ladder_levels`."""
+    """Rows for levels 0..m_max of the scheme on the arc ``ab``, with the
+    arc closure's arms; the arguments are checked by :func:`ladder_levels`."""
     return [level_row(m, *level) for m, level in enumerate(ladder_levels(a, b, m_max))]
 
 
@@ -198,9 +325,10 @@ def arc_length(a: CirclePoint, b: CirclePoint, tol: float,
                max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure of the arc length from ``a`` to ``b``.
 
-    Runs the ladder until the bracket [L_m, L_m / h_m] is narrower than
-    ``tol``. A degenerate arc (a == b) is legal and yields [0, 0]. Raises
-    ``ConvergenceError`` (carrying the last bracket and the report) if the
-    level cap is hit first.
+    Runs the ladder until the widened arc closure (module docstring) is at
+    most ``tol`` wide. A degenerate arc (a == b) is legal and yields [0, 0].
+    Raises ``ConvergenceError`` (carrying the last bracket and the report)
+    if the level cap is hit first, and ``PrecisionFloorError`` if ``tol`` is
+    below the binary64 floor of the arc.
     """
     return enclose(a, b, tol, max_iter)

@@ -30,9 +30,9 @@ import json
 import sys
 
 from .arclength import DEFAULT_MAX_ITER, arc_length
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
-from .inverse import arcsin, pi_constant, sin
+from .inverse import arcsin, pi_run, sin
 from .report import CSV_COLUMNS, ConvergenceReport
 from .sector import ratio_runs, sector_area
 
@@ -75,8 +75,7 @@ def _endpoints(args):
 
 
 def _cmd_pi(args):
-    _, rep = arcsin(1.0, args.tol, args.max_iter)
-    return _ladder_run(args, (), pi_constant(args.tol, args.max_iter), rep)
+    return _ladder_run(args, (), *pi_run(args.tol, args.max_iter))
 
 
 def _cmd_arc(args):
@@ -90,7 +89,10 @@ def _cmd_arcsin(args):
 
 def _cmd_sin(args):
     value = sin(args.x, args.tol, args.max_iter)
-    enc, rep = arcsin(value, args.tol, args.max_iter)
+    try:
+        enc, rep = arcsin(value, args.tol, args.max_iter)
+    except PrecisionFloorError as err:  # x^3 <= tol / 2 needs no arcsin to meet tol
+        enc, rep = err.enclosure, err.report
     payload = _payload(args, ("x",), value=value, residual=enc.mid - args.x,
                        arcsin_of_value=enc.to_dict(), report=rep.to_dict())
     return payload, _report_csv(rep)

@@ -3,9 +3,10 @@
 arcsin(y) is the length of the arc from (sqrt(1 - y^2), y) down to (1, 0),
 so it inherits the certified bracket of the bisection scheme. pi is twice
 the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly.
-sin inverts arcsin by plain interval bisection on the ordinate: continuity
-plus strict monotonicity of the sector area make the inverse unique, and
-bisection is the computable shadow of that argument.
+sin inverts arcsin by interval bisection on the ordinate: continuity plus
+strict monotonicity of the sector area make the inverse unique, and
+bisection is the computable shadow of that argument. Each step is decided
+by arcsin's certified arms, so the ordinate interval always holds sin x.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, arc_length
-from .errors import DomainError
+from .errors import DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
 from .report import ConvergenceReport, Enclosure
 
@@ -42,51 +43,77 @@ def arcsin(y: float, tol: float,
     return arc_length(point_from_ordinate(y), _Q, tol, max_iter)
 
 
+def pi_run(tol: float,
+           max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
+    """The run behind :func:`pi_constant`: its enclosure of pi and the
+    report of the quarter-arc run it doubles."""
+    quarter, report = arcsin(1.0, tol, max_iter)
+    return Enclosure(2.0 * quarter.lo, 2.0 * quarter.hi), report
+
+
 def pi_constant(tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Enclosure:
     """Certified enclosure of pi: the quarter-arc bracket with both arms doubled.
 
     Arc lengths are additive and the two quarter arcs of the upper
     semicircle are mirror images, so the semicircle length is twice the
-    quarter length. Width is at most 2 * tol.
+    quarter length. Width is at most 2 * tol. A ``tol`` below the quarter
+    arc's binary64 floor raises ``PrecisionFloorError``.
     """
-    enc, _ = arcsin(1.0, tol, max_iter)
-    return Enclosure(2.0 * enc.lo, 2.0 * enc.hi)
+    return pi_run(tol, max_iter)[0]
 
 
 def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """The ordinate y whose arc length to (1, 0) is ``x``, to within ``tol``.
 
-    Bisection on y in [0, 1] against the arcsin bracket midpoint, down to
-    adjacent floats at the latest. Near y = 1 the ordinate grid is coarser
-    than the arc grid (arcsin has unbounded slope there), so when the
-    bracket collapses to adjacent floats the endpoint with the smaller
-    residual is returned.
+    Bisection on y in [0, 1] that keeps y_lo <= sin x <= y_hi: arcsin is
+    increasing, so an upper arm of arcsin(y_mid) at most x puts y_mid at or
+    below sin x, and a lower arm at least x puts it at or above. Each step
+    asks arcsin for an eighth of the ordinate interval, or ``tol`` if that
+    is larger, which early steps meet on a level or two. A bracket that
+    holds x returns y_mid once it is at most ``tol`` wide, as
+    |y_mid - sin x| <= |arcsin(y_mid) - x| (sin is 1-Lipschitz); a wider one
+    is asked again at ``tol``. Otherwise the loop ends with an interval at
+    most ``tol`` wide and returns its midpoint. A ``tol`` below arcsin's
+    binary64 floor near sin x raises ``PrecisionFloorError``; as that floor
+    is several ulps of the ordinate, the loop raises or ends before y_mid
+    could repeat an endpoint.
+
+    Two ends need no bisection. The chord, the arc and the tangent give
+    y <= x <= y / sqrt(1 - y^2), so x (1 - x^2) <= sin x <= x: x itself is
+    returned once x^3 <= tol / 2, and 0 once x <= tol. And x within w of
+    pi / 2, w the quarter arc's bracket width, has 1 - sin x <= w^2 / 2.
     """
-    top, _ = arcsin(1.0, tol, max_iter)
+    try:
+        top, _ = arcsin(1.0, tol, max_iter)
+    except PrecisionFloorError as err:  # its bracket still bounds pi / 2
+        top = err.enclosure
     if not 0.0 <= x <= top.hi:
         raise DomainError(
             f"argument must lie in [0, {top.hi!r}] (a quarter turn), got {x!r}")
     if x <= tol:
         return 0.0
-    if x >= top.mid:
+    if x * x * x <= 0.5 * tol:
+        return x
+    if x >= top.mid and 0.5 * top.width * top.width <= tol:
         return 1.0
-    y_lo, f_lo = 0.0, -x
-    y_hi, f_hi = 1.0, top.mid - x
-    # Reaching an ordinate near x takes about log2(1/x) + 53 halvings. The
-    # adjacent-floats exit ends the loop within ~1100 of them at the latest:
-    # no two floats in [0, 1] are closer than 2^-1074.
-    while True:
-        y_mid = 0.5 * (y_lo + y_hi)
-        if y_mid <= y_lo or y_mid >= y_hi:
-            return y_lo if abs(f_lo) <= abs(f_hi) else y_hi
-        enc, _ = arcsin(y_mid, tol, max_iter)
-        f_mid = enc.mid - x
-        if abs(f_mid) <= tol:
-            return y_mid
-        if f_mid < 0.0:
-            y_lo, f_lo = y_mid, f_mid
-        else:
-            y_hi, f_hi = y_mid, f_mid
+    y_lo, y_hi = 0.0, 1.0
+    try:
+        while y_hi - y_lo > tol:
+            y_mid = 0.5 * (y_lo + y_hi)
+            enc, _ = arcsin(y_mid, max(tol, 0.125 * (y_hi - y_lo)), max_iter)
+            if enc.lo < x < enc.hi and enc.hi - enc.lo > tol:
+                enc, _ = arcsin(y_mid, tol, max_iter)
+            if enc.hi <= x:
+                y_lo = y_mid
+            elif enc.lo >= x:
+                y_hi = y_mid
+            else:
+                return y_mid
+    except PrecisionFloorError as err:
+        raise PrecisionFloorError(
+            f"tol {tol!r} is below the binary64 floor of sin at {x!r}",
+            enclosure=err.enclosure, report=err.report) from err
+    return 0.5 * (y_lo + y_hi)
 
 
 def tangent_intersection(y0: float, y: float) -> TangentIntersection:

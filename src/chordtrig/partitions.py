@@ -45,11 +45,13 @@ Bounds are first order, the remainder falls in the spare units below.
   is within 15u l, its upper arm within 18u l. math.fsum is within u of
   the exact sum, so each sum is within 19u, and forming the two arms adds
   2u.
-- Bisection levels (:func:`_ladder`). chord_length gives l_0 within 10u.
-  A step l' = l / sqrt(2 (1 + h)) takes an error e to (1 + r/4) e +
-  (2.875 + r/8)u, where r = q / (1 - q) is at most 1 at level 0 and
-  0.172 / 4^(m-1) at level m, so l_m is within (14 + 3.1m)u. L_m = 2^m l_m
-  is exact, and the arms are within (18 + 3.5m)u of L_m's.
+- Bisection levels (:func:`_ladder`). The ladder's rounding is proven in
+  :mod:`chordtrig.arclength`: l_0 is within 10u and a step takes an error
+  e to (1 + r/4) e + (2.875 + r/8)u, where r = q / (1 - q) is at most 1 at
+  level 0 and 0.172 / 4^(m-1) at level m, so l_m is within (14 + 3.1m)u.
+  L_m = 2^m l_m is exact, and the arms are within (18 + 3.5m)u of L_m's.
+  The branch reads (l_m, h_m, L_m) from the ``FAN_BRACKET`` records, which
+  form no closure.
 - Widening (:func:`_pad`). Each arm moves out by (3 b + 48) u hi + n 2^-1071
   for n chords with bit length b: 3b + 48 is at least 21 + 2 (rounding the
   pad and the arm) + 1 (the midpoint's rounding) for the grid, and at
@@ -100,6 +102,7 @@ from .geometry import (
     height_for_chord,
     point_from_ordinate,
 )
+from .report import FAN_BRACKET
 from .sector import sector_area
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
@@ -358,7 +361,7 @@ def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
     """(chords, lo, hi): the widened bracket of the scheme's partitions, by
     doubling size, up to the scheme's cap."""
     if scheme == "bisection":
-        levels = ladder_levels(hi, lo, _MAX_BISECTION_LEVEL)
+        levels = ladder_levels(hi, lo, _MAX_BISECTION_LEVEL, FAN_BRACKET)
         for m, (ell, h, total, _, _) in enumerate(levels):
             yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
         return

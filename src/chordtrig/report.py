@@ -15,12 +15,12 @@ whose report is never read (``sin``'s inner ``arcsin`` runs) records no
 level and builds no row. The positional constructor builds an eager report
 from rows a caller already has.
 
-Not every bracket is certified yet. The arms are the computed ladder's
-values, with no allowance for its rounding, so below a tolerance of about
-1e-13 a bracket can miss the true value: measured against mpmath, arcsin
-brackets missed it for 6, 690 and 1765 of 2000 random arguments at tol
-1e-14, 1e-15 and 1e-16, and ``pi_constant`` at 1e-15 and 1e-16 excludes
-pi (ROADMAP item 1).
+Every ladder bracket is certified. The arc and sector runs close the
+ladder with Newton's series and widen both arms by the rounding bound that
+:mod:`chordtrig.arclength` proves, so each holds the true value; a
+tolerance below that widening stops the run with ``STOP_FLOOR`` and raises
+``PrecisionFloorError``. The paper's fans (``FAN_BRACKET``) are reported
+as computed: they are the sandwich of the paper, not enclosures.
 """
 
 from __future__ import annotations
@@ -32,10 +32,13 @@ from ._value import Value, set_field
 
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
+STOP_FLOOR = "precision_floor"
 
-# Brackets a ladder can run on (arclength.ladder_levels): [L_m, L_m / h_m] for
-# arc length, the two fans [L_m h_m / 2, L_m / (2 h_m)] for sector area.
+# Brackets a ladder can run on (arclength.ladder_levels): the widened closures
+# of the arc length and of the sector area, and the paper's two fans
+# [L_m h_m / 2, L_m / (2 h_m)] as computed.
 ARC_BRACKET = "arc"
+SECTOR_BRACKET = "sector"
 FAN_BRACKET = "fans"
 
 # Fixed CSV column order for iteration tables (kept stable for downstream

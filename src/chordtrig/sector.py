@@ -5,10 +5,11 @@ At level m the inscribed fan over the bisection points has area
 tangent-line fan has area 2^m * l_m / (2 h_m): each outer triangle is the
 inner one scaled by 1/h_m along the radius, so its area is l/(2h) without
 ever intersecting tangent lines vertex by vertex. Both fans follow from the
-same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`),
-which yields them as the sector run's bracket arms; :func:`sector_sandwich`
-reads them from the last level's record. The sector sits between the two
-fans; the arc length equals twice the sector area, checked by
+same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`);
+:func:`sector_sandwich` reads them from the last level's record, and the
+sector sits between them. The certified run, :func:`sector_area`, closes
+the inner fan with Newton's series instead, widened by a proven rounding
+bound. The arc length equals twice the sector area, checked by
 :func:`verify_ratio`.
 """
 
@@ -18,7 +19,7 @@ from ._value import Value, set_field
 from .arclength import DEFAULT_MAX_ITER, arc_length, enclose, ladder_levels
 from .errors import DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
-from .report import FAN_BRACKET, ConvergenceReport, Enclosure
+from .report import FAN_BRACKET, SECTOR_BRACKET, ConvergenceReport, Enclosure
 
 
 class SectorSandwich(Value):
@@ -66,8 +67,9 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float,
 
 def sector_area(a: CirclePoint, b: CirclePoint, tol: float,
                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
-    """Certified enclosure [inner fan, outer fan] of the sector area."""
-    return enclose(a, b, tol, max_iter, FAN_BRACKET)
+    """Certified enclosure of the sector area: the widened fan closure
+    (:mod:`chordtrig.arclength`), raising as :func:`arc_length` does."""
+    return enclose(a, b, tol, max_iter, SECTOR_BRACKET)
 
 
 def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float,

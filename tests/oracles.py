@@ -4,10 +4,13 @@ These deliberately avoid the production code paths: distances come from the
 naive coordinate arithmetic, the equidistant point is located by interval
 bisection on the signed distance difference (the existence argument run
 literally), and the half-chord ladder uses the textbook recurrence in its
-raw form. Host-library asin/pi stay confined to tests as reference values.
+raw form. Host-library asin/pi stay confined to tests as reference values;
+where they are too coarse, mpmath at 40 digits gives the exact value.
 """
 
 import math
+
+import mpmath
 
 
 def naive_dist(y1: float, y2: float) -> float:
@@ -59,3 +62,21 @@ def half_chord_ladder(c0: float, levels: int) -> list:
 def naive_polyline_length(ordinates) -> float:
     """Sum of naive chord distances over a descending ordinate sequence."""
     return math.fsum(naive_dist(a, b) for a, b in zip(ordinates, ordinates[1:]))
+
+
+def exact_arc(y_hi: float, y_lo: float = 0.0) -> mpmath.mpf:
+    """The length of the arc between two ordinates, at 40 significant
+    digits (the float inputs are exact)."""
+    with mpmath.workdps(40):
+        return mpmath.asin(mpmath.mpf(y_hi)) - mpmath.asin(mpmath.mpf(y_lo))
+
+
+def exact_sector(y_hi: float, y_lo: float = 0.0) -> mpmath.mpf:
+    """The area of the sector over that arc, half its length, at 40 digits."""
+    with mpmath.workdps(40):
+        return exact_arc(y_hi, y_lo) / 2
+
+
+def holds(lo: float, hi: float, truth: mpmath.mpf) -> bool:
+    """Whether [lo, hi] contains ``truth``, compared exactly."""
+    return mpmath.mpf(lo) <= truth <= mpmath.mpf(hi)

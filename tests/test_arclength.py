@@ -17,7 +17,7 @@ from chordtrig import (
 )
 
 from conftest import EPS, random_arc_ordinates
-from oracles import half_chord_ladder, ivt_midpoint_ordinate
+from oracles import exact_arc, half_chord_ladder, holds, ivt_midpoint_ordinate
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
@@ -179,10 +179,11 @@ class TestArcLength:
         assert enc.mid == pytest.approx(0.64350111, abs=1e-8)
 
     def test_soundness_on_random_arcs(self, rng):
-        # min separation keeps the host-library oracle difference meaningful
+        # the exact arc length, at 40 digits: the difference of two host asin
+        # values errs by more than the certified brackets are wide
         for ya, yb in random_arc_ordinates(rng, 60, min_sep=1e-3):
             enc, rep = arc_length(point_from_ordinate(ya), point_from_ordinate(yb), 1e-10)
-            assert enc.lo <= math.asin(ya) - math.asin(yb) <= enc.hi
+            assert holds(enc.lo, enc.hi, exact_arc(ya, yb))
             widths = [r.enclosure_hi - r.enclosure_lo for r in rep.rows]
             assert all(v <= u for u, v in zip(widths, widths[1:]))
 
@@ -199,7 +200,7 @@ class TestArcLength:
 
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError) as err:
-            arc_length(TOP, Q, 1e-12, max_iter=5)
+            arc_length(TOP, Q, 1e-12, max_iter=1)
         assert err.value.enclosure is not None
         assert err.value.enclosure.lo <= math.pi / 2.0 <= err.value.enclosure.hi
         assert err.value.report.stop_reason == "iteration_cap"

@@ -153,7 +153,7 @@ class TestExitCodes:
 
     def test_non_convergence(self, capsys):
         code, out, err = invoke(capsys, "arc", "--a", "1.0", "--b", "0.0",
-                                "--tol", "1e-13", "--max-iter", "3")
+                                "--tol", "1e-13", "--max-iter", "1")
         assert code == 2
         assert "did not converge" in err
         assert "last bracket" in err

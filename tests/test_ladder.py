@@ -32,9 +32,13 @@ from chordtrig import (
 from chordtrig import arclength as arclength_module
 from chordtrig import report as report_module
 from chordtrig import sector as sector_module
+from chordtrig.arclength import ladder_levels
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
-from chordtrig.report import CSV_COLUMNS, fan_areas
+from chordtrig.report import (ARC_BRACKET, CSV_COLUMNS, FAN_BRACKET, SECTOR_BRACKET,
+                              fan_areas)
+
+from oracles import exact_arc, exact_sector, holds
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
@@ -42,11 +46,16 @@ Q = point_from_ordinate(0.0)
 
 class TestRows:
     def test_length_sequence_rows_carry_arc_bracket_and_fans(self):
+        """Every row's arc closure holds the quarter arc and, its pad aside,
+        lies inside the paper's bracket [L_m, L_m / h_m]; the fans are the
+        paper's."""
         rows = length_sequence(TOP, Q, 12)
         assert all(isinstance(row, IterationRow) for row in rows)
         for row in rows:
-            assert row.enclosure_lo == row.total_length
-            assert row.enclosure_hi == row.total_length / row.height
+            assert holds(row.enclosure_lo, row.enclosure_hi, exact_arc(1.0))
+            pad = 2.0 ** -47 * row.total_length
+            assert row.total_length - pad <= row.enclosure_lo
+            assert row.enclosure_hi <= row.total_length / row.height + pad
             assert (row.inner_area, row.outer_area) == fan_areas(row.total_length,
                                                                  row.height)
 
@@ -56,9 +65,13 @@ class TestRows:
         _, sec_rep = sector_area(a, b, 1e-9)
         seq = length_sequence(a, b, len(arc_rep.rows) - 1)
         assert arc_rep.rows == tuple(seq)
-        for sec_row, row in zip(sec_rep.rows, seq):
-            assert (sec_row.enclosure_lo, sec_row.enclosure_hi) == (row.inner_area,
-                                                                    row.outer_area)
+        last = len(sec_rep.rows) - 1
+        closures = ladder_levels(a, b, last, SECTOR_BRACKET)
+        for sec_row, ref, level in zip(sec_rep.rows, length_sequence(a, b, last), closures):
+            assert (sec_row.enclosure_lo, sec_row.enclosure_hi) == level[3:]
+            assert holds(*level[3:], exact_sector(0.8, 0.3))
+            for name in CSV_COLUMNS[:6]:
+                assert getattr(sec_row, name) == getattr(ref, name)
 
     def test_sandwich_is_the_last_row(self):
         a, b = point_from_ordinate(0.95), point_from_ordinate(0.05)
@@ -141,21 +154,25 @@ def _ladder_run(fn, *args, **kwargs):
         return err.enclosure, err.report
 
 
-def _check_rows(enc, rep, a, b, fans=False):
-    """The report's rows are length_sequence's, field for field (the sector
-    bracket in the enclosure columns if ``fans``); reading them again gives
-    the same tuple; the enclosure is the last row's bracket."""
+def _check_rows(enc, rep, a, b, bracket=ARC_BRACKET):
+    """The report's rows are length_sequence's, field for field (with the
+    ``bracket`` records' arms in the enclosure columns, the fans themselves
+    for ``FAN_BRACKET``); reading them again gives the same tuple; the
+    enclosure is the last row's bracket."""
     rows = rep.rows
     assert rows is rep.rows
     assert isinstance(rows, tuple) and rows
     seq = length_sequence(a, b, len(rows) - 1)
+    levels = ladder_levels(a, b, len(rows) - 1, bracket)
     assert [row.m for row in rows] == list(range(len(rows)))
-    for row, ref in zip(rows, seq):
+    for row, ref, level in zip(rows, seq, levels):
         for name in CSV_COLUMNS[:6]:
             assert getattr(row, name) == getattr(ref, name)
-        if fans:
+        if bracket == FAN_BRACKET:
             assert (row.enclosure_lo, row.enclosure_hi) == (ref.inner_area,
                                                             ref.outer_area)
+        elif bracket == SECTOR_BRACKET:
+            assert (row.enclosure_lo, row.enclosure_hi) == level[3:]
         else:
             assert row == ref
     assert (enc.lo, enc.hi) == (rows[-1].enclosure_lo, rows[-1].enclosure_hi)
@@ -170,9 +187,9 @@ class TestLazyRows:
     @given(arcs, tols)
     def test_runs_build_the_sequence_rows_on_read(self, ys, tol):
         a, b = (point_from_ordinate(y) for y in sorted(ys, reverse=True))
-        for fn, fans in ((arc_length, False), (sector_area, True)):
+        for fn, bracket in ((arc_length, ARC_BRACKET), (sector_area, SECTOR_BRACKET)):
             enc, rep = _ladder_run(fn, a, b, tol)
-            _check_rows(enc, rep, a, b, fans)
+            _check_rows(enc, rep, a, b, bracket)
             again = _ladder_run(fn, a, b, tol)[1]
             assert again == rep
             assert again.to_dict() == rep.to_dict()
@@ -180,7 +197,7 @@ class TestLazyRows:
                 with pytest.raises(ConvergenceError) as info:
                     fn(a, b, tol, max_iter=len(rep.rows) - 2)
                 capped = info.value.report
-                _check_rows(info.value.enclosure, capped, a, b, fans)
+                _check_rows(info.value.enclosure, capped, a, b, bracket)
                 assert capped.rows == rep.rows[:-1]
                 assert capped == _ladder_run(fn, a, b, tol, len(rep.rows) - 2)[1]
 
@@ -207,7 +224,7 @@ class TestLazyRows:
         with mock.patch.object(sector_module, "enclose", record):
             levels = [level(), level()]
         (enc, rep), (_, rep_again) = runs
-        _check_rows(enc, rep, a, b, fans=True)
+        _check_rows(enc, rep, a, b, FAN_BRACKET)
         assert rep == rep_again and rep.to_dict() == rep_again.to_dict()
         if rep.stop_reason == "tolerance_met":
             assert levels == [rep.rows[-1].m] * 2
@@ -299,7 +316,7 @@ class TestNoLevelsUnlessRead:
             arc_length(a, b, 1e-12)[1].rows
 
     @pytest.mark.parametrize("fn", [arc_length, sector_area])
-    @pytest.mark.parametrize("run_kind, levels", [("met", 16), ("capped", 5),
+    @pytest.mark.parametrize("run_kind, levels", [("met", 3), ("capped", 2),
                                                   ("degenerate", 0)])
     def test_rows_replay_the_run_once(self, fn, run_kind, levels, monkeypatch):
         replays = []
@@ -310,13 +327,13 @@ class TestNoLevelsUnlessRead:
             return recorder(*args)
 
         monkeypatch.setattr(arclength_module, "ladder_levels", counted)
-        a, b = point_from_ordinate(0.8), point_from_ordinate(0.3)
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         if run_kind == "capped":
             with pytest.raises(ConvergenceError) as info:
-                fn(a, b, 1e-10, max_iter=levels - 1)
+                fn(a, b, 1e-14, max_iter=levels - 1)
             report = info.value.report
         else:
-            report = fn(a, a if run_kind == "degenerate" else b, 1e-10)[1]
+            report = fn(a, a if run_kind == "degenerate" else b, 1e-14)[1]
         assert len(report) == levels and not replays
         rows = report.rows
         assert report.rows is rows
@@ -352,7 +369,7 @@ class TestBisectionFallback:
                                     (1e-300, 9.999983421907883e-301)])
     def test_matches_the_row_ladder(self, ys):
         a, b = (point_from_ordinate(y) for y in ys)
-        rows = length_sequence(a, b, 48)
+        rows = length_sequence(a, b, 13)  # every bisection run ends by level 13
         lo, hi, floor = _widened_bracket(rows[0])
         tol = math.nextafter(hi - lo, 0.0)
         # level 0 shuts the arc bracket but leaves the widened one open
@@ -380,7 +397,7 @@ class TestBisectionLimitOnPairs:
         bracket on 2^m chords of length l and height h, widened by the
         rounding pad, that is at most tol wide."""
         a, b = (point_from_ordinate(y) for y in ys)
-        for row in length_sequence(a, b, 48):
+        for row in length_sequence(a, b, 13):  # every bisection run ends by level 13
             ell, h, total = row.segment_length, row.height, row.total_length
             q = ell * ell * 0.25
             excess = total * q / (2.0 + h) / (1.0 + h)

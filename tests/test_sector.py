@@ -19,6 +19,7 @@ from chordtrig import (
 )
 
 from conftest import EPS, random_arc_ordinates
+from oracles import exact_sector, holds
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
@@ -129,13 +130,14 @@ class TestSectorArea:
                 prev = sw
 
     def test_soundness_on_random_arcs(self, rng):
+        # the exact sector area, at 40 digits (see the arc-length twin)
         for ya, yb in random_arc_ordinates(rng, 50, min_sep=1e-3):
             enc, _ = sector_area(point_from_ordinate(ya), point_from_ordinate(yb), 1e-10)
-            assert enc.lo <= (math.asin(ya) - math.asin(yb)) / 2.0 <= enc.hi
+            assert holds(enc.lo, enc.hi, exact_sector(ya, yb))
 
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError):
-            sector_area(TOP, Q, 1e-12, max_iter=4)
+            sector_area(TOP, Q, 1e-12, max_iter=1)
 
     def test_strict_monotonicity_in_arc(self, rng):
         # the sector from (1, 0) grows with the ordinate, by at least the
