@@ -20,7 +20,7 @@ whose ratios are below 1, so with K terms, P(q) = sum_(k<K) a_k q^k:
 
     L_m P(q)  <=  S  <=  L_m (P(q) + a_K q^K / (1 - q)).
 
-K is 10, or 4 once q < 2^-16, where four terms leave a tail below 2^-68.
+K is 10 at every level.
 
 This is the ladder's own remaining product, summed in closed form: no host
 trig, no constant the ladder does not produce. Its width falls like
@@ -84,6 +84,9 @@ units of u.
   l_0 is then exact, each step halves l and errs by 2^-1075 at most, so
   L_m is within 2^m 2^-1074, and halving, the products and the pad add at
   most 2^-1075 each. The pad's second term, 2^m 2^-1072, covers them.
+  Longer chords can still underflow q, z or the tail (z^10 does once the
+  chord is below 2^-52): each then errs by an absolute 2^-1075, which moves
+  P >= 1 by far less than u and an arm by far less than 2^-1074.
 - Pad. Each arm moves out by (units) u hi + 2^m 2^-1072, with the units
   above, e_m and r as computed and hi the raw upper arm; a lower arm below
   0 is raised to 0, as lengths and areas are not negative. So a widened
@@ -92,12 +95,11 @@ units of u.
 Floor. The widening alone, 2 pad, is the binary64 floor of a closure at
 that level. It does not fall from one closure level to the next: the pad's
 units grow by 2.875 + r/8 - r e_m / 4 >= 0.5 per level, far more than the
-raw upper arm can fall. So a run skips the polynomial and the pad at a level
-whose tail alone is wider than tol (the widened bracket is wider still),
-unless the level is its cap or is recorded; wherever it forms the arms, a
-tol below the floor raises ``PrecisionFloorError``. From level 2 on the arc
-closure's tail is at most u/2 of its arm (q <= sin^2(pi/16) = 0.0381), and
-from level 3 on the fan closure's (z <= 0.0381): a run still open at such a
+raw upper arm can fall. So a run forms both arms at every closure level,
+and a tol below that level's floor raises ``PrecisionFloorError`` at once:
+no later level could meet it. From level 2 on the arc closure's tail is
+at most u/2 of its arm (q <= sin^2(pi/16) = 0.0381), and from level 3 on
+the fan closure's (z <= 0.0381): a run still open at such a
 level has a tol below 2 pad + 2.5u hi, and one level later its floor has
 grown by more than 5u hi and passes tol. Every closure run thus ends, at
 tol or at the floor, by level 4. The fans of ``FAN_BRACKET`` reach zero
@@ -204,7 +206,6 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
         if m:  # the step to level m
             ell = ell / sqrt(2.0 * (1.0 + h))
             scale *= 2.0
-            err += 0.25 * r * err + 2.875 + 0.125 * r
         half = 0.5 * ell
         q = half * half
         c = 1.0 - q
@@ -227,17 +228,11 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
                 # fans, whose pad can fall at the next level: no floor test.
                 lo, hi, closed = base, 0.5 * total / h, False
             else:
-                if z < 1.52587890625e-05:  # 2^-16: four terms leave a tail < 2^-68
-                    p = 1.0 + z * (a1 + z * (a2 + z * a3))
-                    tail = a4 * (z * z) * (z * z) / (1.0 - z)
-                else:
-                    tail = a10 * z ** 10 / (1.0 - z)
-                    if base * tail > tol and m < last and levels is None:
-                        continue  # the widened bracket is wider still
-                    p = 1.0 + z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (
-                        a5 + z * (a6 + z * (a7 + z * (a8 + z * a9))))))))
-                lo, hi, closed = base * p, base * (p + tail), True
+                p = 1.0 + z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (
+                    a5 + z * (a6 + z * (a7 + z * (a8 + z * a9))))))))
+                lo, hi, closed = base * p, base * (p + a10 * z ** 10 / (1.0 - z)), True
             pad = (err + 0.5 * r * err + units) * _U * hi + scale * _TINY
+            err += 0.25 * r * err + 2.875 + 0.125 * r  # e_(m+1), for the next step
             lo -= pad
             hi += pad
             if lo < 0.0:  # lengths and areas are not negative

@@ -103,6 +103,19 @@ class TestFloor:
         assert report.stop_reason == "precision_floor" and len(report) <= 5
         assert info.value.enclosure.width > tol
 
+    @pytest.mark.parametrize("arc", [(1.0, 0.0), (0.9, 0.1), (1.0, 1e-300)])
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_a_tol_below_the_floor_raises_at_the_first_closure_level(self, arc, tol):
+        # The floor never falls, so the first closed bracket decides: arcs
+        # close at level 0, sectors once w^2 = (l_m h_m)^2 <= 1/2.
+        a, b = (point_from_ordinate(y) for y in arc)
+        fans = arclength.ladder_levels(a, b, 4, FAN_BRACKET)
+        first = next(m for m, (ell, h, *_) in enumerate(fans) if (ell * h) ** 2 <= 0.5)
+        for call, level in ((arc_length, 0), (sector_area, first)):
+            with pytest.raises(PrecisionFloorError) as info:
+                call(a, b, tol)
+            assert len(info.value.report) == level + 1
+
     def test_tolerance_met_by_level_two_on_the_quarter_arc(self):
         top, q = point_from_ordinate(1.0), point_from_ordinate(0.0)
         for tol in (1e-10, 1e-12, 1e-14):
