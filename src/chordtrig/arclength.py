@@ -135,8 +135,9 @@ _Level = tuple[float, float, float, float, float]
 _MAX_LEVEL = 62
 
 # a_1 .. a_10 of Newton's series, a_k = (2k)! / (4^k (k!)^2 (2k + 1)), each
-# rounded to nearest; a_0 = 1. The last one bounds the tail.
-_SERIES = (0.16666666666666666, 0.075, 0.044642857142857144, 0.030381944444444444,
+# rounded to nearest; a_0 = 1. The last one bounds the tail. The partition
+# grids close each chord with them too.
+SERIES = (0.16666666666666666, 0.075, 0.044642857142857144, 0.030381944444444444,
            0.022372159090909092, 0.017352764423076924, 0.01396484375,
            0.011551800896139705, 0.009761609529194078, 0.008390335809616815)
 
@@ -196,7 +197,7 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
     fans = bracket == FAN_BRACKET
     sector = bracket == SECTOR_BRACKET
     units = _FAN_UNITS if sector else _ARC_UNITS
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = _SERIES
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = SERIES
     sqrt = math.sqrt
     ell = chord_length(a, b)
     scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit

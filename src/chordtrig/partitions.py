@@ -16,61 +16,44 @@ Coarsening each l_i^2 / (4 - l_i^2) with the norm, and sum_i l_i with the
 whole arc's cap l0 / h0^2, gives the paper's global bound
 :func:`refinement_gap_bound`, (l0 / h0^2) * ||P||^2 / (4 - ||P||^2).
 
-Snell-Huygens brackets. A chord l spans a sub-arc 2a with l = 2 sin a and
-h = cos a, so Snell's and Huygens' inequalities (Cyclometricus, 1621; De
-Circuli Magnitudine Inventa, 1654), 3 sin a / (2 + cos a) <= a <=
-(2 sin a + tan a) / 3, bracket its arc by the chord alone:
+Series brackets. A chord l spans the arc 2 arcsin(l / 2), which is l times
+Newton's series sum_k a_k q^k with q = l^2 / 4; the arc ladder of
+:mod:`chordtrig.arclength` closes on it, and its ten stored terms,
+P(q) = sum_(k<10) a_k q^k, bracket the arc by the chord alone:
 
-    3l / (2 + h) <= arc <= l (2 + 1/h) / 3.
+    l P(q)  <=  arc  <=  l (P(q) + a_10 q^10 / (1 - q)).
 
-With q = l^2 / 4 = 1 - h^2, so that 1 - h = q / (1 + h), the lower arm is
-l plus the Snell excess l q / ((2 + h)(1 + h)), and the arms are that
-excess times q / (1.5 h (1 + h)) apart, which is l^5 / (24 h (1 + h)^2
-(2 + h)): neither form cancels. Summed over a partition, they bracket the arc
-length inside [L(P), L(P) + certificate], and the width falls like n^-4
-where the certificate falls like n^-2. :func:`scheme_limit` stops on them.
+The lower arm is l plus the excess l (P(q) - 1) = l q (a_1 + q (a_2 + ...)),
+which does not cancel, and the arms are the tail l a_10 q^10 / (1 - q)
+apart. A chord of an arc of the quarter circle has q <= 1/2. Summed over a
+partition, the arms bracket the arc length inside [L(P), L(P) +
+certificate], and the width falls like n^-20 where the certificate falls
+like n^-2. :func:`scheme_limit` stops on them. The bisection partitions
+have 2^m equal chords, whose summed arms are the arc ladder's closure at
+level m: that family's limit is :func:`~chordtrig.arclength.arc_length`.
 
-Rounding (the style of Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a
-relative u at most; ordinates are exact, as they define the partition.
-Bounds are first order, the remainder falls in the spare units below.
+Rounding, in units of u = 2^-53, first order, as proven in
+:mod:`chordtrig.arclength` at level 0, where r = q / (1 - q) <= 1. A grid
+chord (:func:`_chord_stats`, :func:`~chordtrig.geometry.chord_length`'s
+formula) is within 10, so its arc is within (1 + r/2) 10 <= 15, and q's
+rounding moves P by r/4 <= 0.25. Horner's rule keeps a_1 + q (a_2 + ...)
+within 3.5 (each inner q p_(j+1) is at most half of p_j), so the excess is
+within 5.5 of itself; it is at most a tenth of the arm, which it moves by
+0.55. The tail is below 2^-15 of the arm, so its own error counts for less
+than 0.001. math.fsum is correctly rounded, so the sums of chords and of
+excesses add 1.1, adding the excess 1 and the tail 1, widening each arm 1
+and the midpoint 1: 20.9 in all, and each arm moves out by 24 u hi + n
+2^-1071 for n chords (:func:`_pad`). An operation that underflows errs by
+an absolute 2^-1075 instead, and at most eight of those reach a chord's
+arms: the second term. So a widened bracket holds the arc length, and its
+computed midpoint is within half its width of it.
 
-- Grid chords (:func:`_chord_stats`). x = sqrt((1 - y)(1 + y)) is within
-  2.5u, x_i + x_(i+1) within 3.5u, t within 5.5u, hypot(1, t) within
-  7.5u (t^2 / (1 + t^2) <= 1, and Python >= 3.10's hypot is within 1 ulp)
-  and l within 9.5u < 10u. Since q <= 1/2, 1 - q amplifies the 21u of q
-  by at most q / (1 - q) <= 1, so h is within 12u, the excess within 46u
-  and the width within 90u. The excess is at most 0.1082 l and the width
-  at most 0.030 l (both at l = sqrt 2), so a chord's lower arm l + excess
-  is within 15u l, its upper arm within 18u l. math.fsum is within u of
-  the exact sum, so each sum is within 19u, and forming the two arms adds
-  2u.
-- Bisection levels (:func:`_ladder`). The ladder's rounding is proven in
-  :mod:`chordtrig.arclength`: l_0 is within 10u and a step takes an error
-  e to (1 + r/4) e + (2.875 + r/8)u, where r = q / (1 - q) is at most 1 at
-  level 0 and 0.172 / 4^(m-1) at level m, so l_m is within (14 + 3.1m)u.
-  L_m = 2^m l_m is exact, and the arms are within (18 + 3.5m)u of L_m's.
-  The branch reads (l_m, h_m, L_m) from the ``FAN_BRACKET`` records, which
-  form no closure.
-- Widening (:func:`_pad`). Each arm moves out by (3 b + 48) u hi + n 2^-1071
-  for n chords with bit length b: 3b + 48 is at least 21 + 2 (rounding the
-  pad and the arm) + 1 (the midpoint's rounding) for the grid, and at
-  least 3.5m + 22 for bisection levels m <= 13. An operation that
-  underflows errs by an absolute 2^-1075 instead, and at most eight of
-  those reach a chord's arms: the second term. So a widened bracket holds
-  the arc length, and its midpoint is within half its width of it.
-- Last bisection level. Let S be the arc length, W_m the computed raw
-  width at level m, w_m the widened width and f_m = 2 pad the floor, and
-  c_m = 3m + 51, so that the pad is c_m u hi + 2^m 2^-1071. A run passes
-  level m + 1 only if f_(m+1) <= tol < w_m. The widened arms hold S, and
-  w_m is their exact difference (Sterbenz), within 3u S (with three
-  underflow errors) of W_m + 2 pad_m; c_(m+1) = c_m + 3 and the pad's
-  second term doubles, so f_(m+1) < w_m needs W_m > 2.9u S. But W_m is at
-  most 1.001 S l_m^4 / 133.9 (L_m <= S, and 1 / 133.9 bounds the width's
-  factor c(h), see :func:`_first_grid_size`), and l_m <= pi / 2^(m+1), as
-  an arc of the quarter circle spans at most pi/2; at m = 12 that is
-  1.5u S. So every run stops or raises by level 13, and :func:`_ladder`
-  records levels 0..13 only.
+Floor. Rounding the widened arms moves each by at most u hi, so once the
+tail sum is below half an ulp of the lower arm (it falls like n^-20), a
+bracket is at most 2 pad + 2u hi wide. The floor, 2 pad + 3u hi, is thus
+met by some size whenever tol is at or above it, and :func:`scheme_limit`
+raises once tol is below it: just above 2 pad, the widths can stay above
+tol up to the size cap.
 
 Three partition families are provided: the chord-bisection levels, grids
 uniform in the ordinate, and seeded uniform random draws. The two grid
@@ -87,22 +70,13 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from ._value import Value, set_field
-from .arclength import (DEFAULT_MAX_ITER, arc_length, bisection_step, ladder_levels,
-                        upper_bound)
+from .arclength import DEFAULT_MAX_ITER, SERIES, arc_length, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      PrecisionFloorError, as_integer)
-from .geometry import (
-    CirclePoint,
-    chord_length,
-    compare_by_ordinate,
-    height_for_chord,
-    point_from_ordinate,
-)
-from .report import FAN_BRACKET
+from .geometry import CirclePoint, chord_length, compare_by_ordinate, point_from_ordinate
 from .sector import sector_area
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
@@ -113,7 +87,6 @@ DEDUPE_TOL = 1e-14
 
 _MAX_PARTITION_LEVEL = 20
 _MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1
-_MAX_BISECTION_LEVEL = 13                   # every bisection run ends by it
 _U = 2.0 ** -53                             # binary64 unit roundoff
 _UNDERFLOW = 2.0 ** -1071                   # 8 * 2^-1074, per chord
 
@@ -272,7 +245,7 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > _MAX_PARTITION_POINTS:
         raise CapacityError(f"{n} segments exceed the partition size limit")
-    if scheme == "random":
+    if scheme == "random" and n > 1:  # one segment draws nothing: no generator
         draw = random.Random((as_integer(seed, "seed") << 21) | n).random
         span = hi_y - lo_y
         inner = sorted([lo_y + span * draw() for _ in range(n - 1)], reverse=True)
@@ -290,118 +263,80 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
 
 
 def _chord_stats(ys: list[float]) -> tuple[float, float, float]:
-    """(sum of l, Snell excess, Snell-Huygens width) over the adjacent
-    chords l of one descending ordinate list: each l by the formula of
-    geometry.chord_length, each sum correctly rounded by math.fsum."""
-    chords, excesses, widths = [], [], []
-    x0 = math.sqrt((1.0 - ys[0]) * (1.0 + ys[0]))
+    """(sum of l, excess, tail) over the adjacent chords l of one descending
+    ordinate list: each l by the formula of geometry.chord_length, its
+    series excess and tail (module docstring), each sum correctly rounded
+    by math.fsum."""
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = SERIES
+    sqrt, hypot = math.sqrt, math.hypot
+    chords, excesses, tails = [], [], []
+    x0 = sqrt((1.0 - ys[0]) * (1.0 + ys[0]))
     for y0, y1 in zip(ys, ys[1:]):
-        x1 = math.sqrt((1.0 - y1) * (1.0 + y1))
-        ell = (y0 - y1) * math.hypot(1.0, (y0 + y1) / (x0 + x1))
-        excess, width = _snell_huygens(ell, ell, math.sqrt(1.0 - ell * ell * 0.25))
+        x1 = sqrt((1.0 - y1) * (1.0 + y1))
+        ell = (y0 - y1) * hypot(1.0, (y0 + y1) / (x0 + x1))
+        half = 0.5 * ell
+        q = half * half
         chords.append(ell)
-        excesses.append(excess)
-        widths.append(width)
+        excesses.append(ell * q * (a1 + q * (a2 + q * (a3 + q * (a4 + q * (
+            a5 + q * (a6 + q * (a7 + q * (a8 + q * a9)))))))))
+        tails.append(ell * a10 * q ** 10 / (1.0 - q))
         x0 = x1
-    return math.fsum(chords), math.fsum(excesses), math.fsum(widths)
-
-
-def _snell_huygens(total: float, ell: float, h: float) -> tuple[float, float]:
-    """(Snell excess, width) of ``total / ell`` chords of length ``ell`` and
-    height ``h``: the one copy of these expressions."""
-    q = ell * ell * 0.25
-    excess = total * q / (2.0 + h) / (1.0 + h)
-    return excess, excess * q / (1.5 * h * (1.0 + h))
+    return math.fsum(chords), math.fsum(excesses), math.fsum(tails)
 
 
 def _pad(hi: float, n: int) -> float:
     """How far each arm of an ``n``-chord bracket with upper arm ``hi`` moves
     outward: the rounding bound of the module docstring."""
-    return (3 * n.bit_length() + 48) * _U * hi + n * _UNDERFLOW
-
-
-def _arms(total: float, excess: float, width: float, n: int) -> tuple[float, float]:
-    """The widened bracket from the three sums over ``n`` chords."""
-    lo = total + excess
-    hi = lo + width
-    pad = _pad(hi, n)
-    return lo - pad, hi + pad
+    return 24.0 * _U * hi + n * _UNDERFLOW
 
 
 def _polyline_stats(ys: list[float]) -> tuple[float, float]:
-    """The widened Snell-Huygens bracket [lo, hi] of the arc through a
-    descending ordinate list."""
-    return _arms(*_chord_stats(ys), len(ys) - 1)
-
-
-def _first_grid_size(hi: CirclePoint, lo: CirclePoint, tol: float) -> int:
-    """The size at which a grid ladder from n = 1 could first stop.
-
-    A partition of at most n segments has width at least sum_i l_i^5 / 288
-    >= l^5 / (288 n^4) >= 0.465 W / n^4, where l is the whole arc's chord
-    and W its own width: c(h) = 1 / (24 h (1 + h)^2 (2 + h)) falls from
-    1 / 133.9 at the quarter arc's h to 1 / 288 at h = 1, and sum_i l_i >= l
-    with the power mean give the middle step. Let n_s be the least power of
-    two with W / n_s^4 <= tol / 2; then W / n_s^4 > tol / 32, so at n_s / 4
-    every grid is wider than 3.7 tol, and the ladder cannot stop below
-    n_s / 2. Starting there (or lower, at the size cap) gives the value of
-    the ladder from n = 1 bit for bit; the rounding of W is far inside the
-    factor 3.7, and the widening grows with n, so both also raise alike.
-    """
-    ell = chord_length(hi, lo)
-    width = _snell_huygens(ell, ell, height_for_chord(ell))[1]
-    n = 1
-    while n + 1 < _MAX_PARTITION_POINTS and width > 0.5 * tol * n ** 4:
-        n *= 2
-    return max(1, n // 2)
-
-
-def _ladder(hi: CirclePoint, lo: CirclePoint, scheme: str, seed: int | None,
-            tol: float) -> Iterator[tuple[int, float, float]]:
-    """(chords, lo, hi): the widened bracket of the scheme's partitions, by
-    doubling size, up to the scheme's cap."""
-    if scheme == "bisection":
-        levels = ladder_levels(hi, lo, _MAX_BISECTION_LEVEL, FAN_BRACKET)
-        for m, (ell, h, total, _, _) in enumerate(levels):
-            yield 1 << m, *_arms(total, *_snell_huygens(total, ell, h), 1 << m)
-        return
-    n = _first_grid_size(hi, lo, tol)
-    while n + 1 <= _MAX_PARTITION_POINTS:
-        ys = _ordinates(scheme, hi.y, lo.y, n, seed)
-        yield len(ys) - 1, *_polyline_stats(ys)
-        n *= 2
+    """The widened series bracket [lo, hi] of the arc through a descending
+    ordinate list."""
+    total, excess, tail = _chord_stats(ys)
+    lo = total + excess
+    hi = lo + tail
+    pad = _pad(hi, len(ys) - 1)
+    return lo - pad, hi + pad
 
 
 def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
                  seed: int | None = None) -> float:
     """Polygonal-length limit of the named partition family on the arc ``ab``.
 
-    The ladder doubles the family's size parameter and returns the midpoint
-    of the first widened Snell-Huygens bracket (module docstring) at most
-    ``tol`` wide. The bracket holds the arc length, which is the limit of
-    every family, so the value is within ``tol / 2`` of it.
+    The value is the midpoint of the first widened series bracket (module
+    docstring) at most ``tol`` wide. The bracket holds the arc length, which
+    is the limit of every family, so the value is within ``tol / 2`` of it.
 
-    Bisection ends by level 13. The grid schemes evaluate exactly
-    the ordinate lists that :func:`ordinate_uniform_partition` and
-    :func:`random_partition` build, up to 2^20 + 1 points, starting at the
-    first size that could meet ``tol`` (:func:`_first_grid_size`). A run
-    that has not met ``tol`` by then raises ``ConvergenceError``. Once the
-    widening alone is wider than ``tol``, the binary64 floor of the arc,
-    no size can meet it: that raises ``PrecisionFloorError``, a
-    ``ConvergenceError`` and a ``DomainError``, at once.
+    Bisection is :func:`~chordtrig.arclength.arc_length`'s ladder, and the
+    value its midpoint. The grid schemes double their segment count from 1,
+    evaluating exactly the ordinate lists that
+    :func:`ordinate_uniform_partition` and :func:`random_partition` build,
+    up to 2^20 + 1 points; a run that has not met ``tol`` by then raises
+    ``ConvergenceError``. A ``tol`` below the binary64 floor of the arc
+    (module docstring; :func:`~chordtrig.arclength.arc_length`'s for
+    bisection) raises ``PrecisionFloorError``, a ``ConvergenceError`` and a
+    ``DomainError``, at once.
     """
     hi, lo = _ordered_endpoints(a, b)
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     _check_scheme(scheme, seed)
-    for n, lo_arm, hi_arm in _ladder(hi, lo, scheme, seed, tol):
+    if scheme == "bisection":
+        return arc_length(hi, lo, tol)[0].mid
+    size = 1
+    while size + 1 <= _MAX_PARTITION_POINTS:
+        ys = _ordinates(scheme, hi.y, lo.y, size, seed)
+        lo_arm, hi_arm = _polyline_stats(ys)
         if hi_arm - lo_arm <= tol:
             return 0.5 * (lo_arm + hi_arm)
-        floor = 2.0 * _pad(hi_arm, n)
+        n = len(ys) - 1
+        floor = 2.0 * _pad(hi_arm, n) + 3.0 * _U * hi_arm
         if floor > tol:
             raise PrecisionFloorError(
                 f"tol {tol!r} is below the binary64 floor {floor:.3g} of the "
                 f"{scheme} bracket on this arc ({n} segment{'s' * (n > 1)})")
+        size *= 2
     raise ConvergenceError(
         f"{scheme} ladder reached its size limit above tol {tol!r}")
 

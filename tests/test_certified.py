@@ -129,7 +129,7 @@ class TestFloor:
 
 class TestSeries:
     def test_coefficients_are_newtons_rounded_to_nearest(self):
-        for k, a_k in enumerate(arclength._SERIES, start=1):
+        for k, a_k in enumerate(arclength.SERIES, start=1):
             exact = Fraction(math.comb(2 * k, k), 4 ** k * (2 * k + 1))
             assert a_k == float(exact)
 
@@ -173,8 +173,8 @@ class TestOneRunPerCommand:
         assert run(["pi", "--tol", "1e-10"]) == 0
         assert runs == [ARC_BRACKET, ARC_BRACKET]  # the run and its replay
 
-    def test_bisection_limits_form_no_closure(self, monkeypatch):
+    def test_the_bisection_limit_is_one_arc_closure_run(self, monkeypatch):
         runs = self._count_runs(monkeypatch)
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         scheme_limit(a, b, "bisection", 1e-9)
-        assert runs == [FAN_BRACKET]
+        assert runs == [ARC_BRACKET]  # no replay: nothing reads its rows

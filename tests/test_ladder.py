@@ -342,73 +342,23 @@ class TestNoLevelsUnlessRead:
         assert len(report) == len(rows) == levels
 
 
-def _widened_bracket(row):
-    """The widened Snell-Huygens bracket of one length_sequence row and the
-    binary64 floor of its width (partitions module docstring)."""
-    ell, h, total = row.segment_length, row.height, row.total_length
-    q = ell * ell * 0.25
-    excess = total * q / (2.0 + h) / (1.0 + h)
-    lo = total + excess
-    hi = lo + excess * q / (1.5 * h * (1.0 + h))
-    n = 1 << row.m
-    bits = 3 * n.bit_length() + 48
-    pad = bits * 2.0 ** -53 * hi + n * 2.0 ** -1071
-    lo, hi = lo - pad, hi + pad
-    return lo, hi, 2.0 * (bits * 2.0 ** -53 * hi + n * 2.0 ** -1071)
-
-
-class TestBisectionFallback:
-    """Just above the binary64 floor, the widened Snell-Huygens bracket can
-    still be open at the level where the arc bracket meets tol. The
-    bisection branch climbs past that level and still gives what the row
-    ladder over length_sequence gives."""
-
-    @pytest.mark.parametrize("ys", [(0.5, 0.4999999999999997), (0.9, 0.8999999999999889),
-                                    (1.0, math.nextafter(1.0, 0.0)),
-                                    (0.7, 0.6999999888977697), (0.3, 0.2999999999994449),
-                                    (1e-300, 9.999983421907883e-301)])
-    def test_matches_the_row_ladder(self, ys):
-        a, b = (point_from_ordinate(y) for y in ys)
-        rows = length_sequence(a, b, 13)  # every bisection run ends by level 13
-        lo, hi, floor = _widened_bracket(rows[0])
-        tol = math.nextafter(hi - lo, 0.0)
-        # level 0 shuts the arc bracket but leaves the widened one open
-        assert rows[0].enclosure_hi - rows[0].enclosure_lo <= tol and floor <= tol
-        for row in rows:
-            lo, hi, floor = _widened_bracket(row)
-            if hi - lo <= tol or floor > tol:
-                break
-        assert row.m > 0
-        if hi - lo <= tol:
-            assert scheme_limit(a, b, "bisection", tol) == 0.5 * (lo + hi)
-        else:
-            n = 1 << row.m
-            with pytest.raises(PrecisionFloorError, match=rf"\({n} segments?\)"):
-                scheme_limit(a, b, "bisection", tol)
-
-
 class TestBisectionLimitOnPairs:
     @pytest.mark.parametrize("ys", [(1.0, 0.0), (0.9, 0.1), (0.97, 0.05),
-                                    (0.3, 0.29), (0.5, math.nextafter(0.5, 0.0))])
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-    def test_matches_the_row_ladder(self, ys, tol):
-        """scheme_limit's bisection branch gives what the same ladder over
-        length_sequence rows gives: the midpoint of the first Snell-Huygens
-        bracket on 2^m chords of length l and height h, widened by the
-        rounding pad, that is at most tol wide."""
+                                    (0.3, 0.29), (0.5, math.nextafter(0.5, 0.0)),
+                                    (0.9, 0.8999999999999889), (1.0, math.nextafter(1.0, 0.0)),
+                                    (0.7, 0.6999999888977697), (1e-300, 9.999983421907883e-301)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 2e-14, 1e-16])
+    def test_is_the_arc_length_midpoint(self, ys, tol):
+        """scheme_limit's bisection branch is arc_length's ladder: the same
+        midpoint bit for bit, or the same floor error."""
         a, b = (point_from_ordinate(y) for y in ys)
-        for row in length_sequence(a, b, 13):  # every bisection run ends by level 13
-            ell, h, total = row.segment_length, row.height, row.total_length
-            q = ell * ell * 0.25
-            excess = total * q / (2.0 + h) / (1.0 + h)
-            lo = total + excess
-            hi = lo + excess * q / (1.5 * h * (1.0 + h))
-            n = 1 << row.m
-            pad = (3 * n.bit_length() + 48) * 2.0 ** -53 * hi + n * 2.0 ** -1071
-            lo, hi = lo - pad, hi + pad
-            if hi - lo <= tol:
-                break
-        assert scheme_limit(a, b, "bisection", tol) == 0.5 * (lo + hi)
+        try:
+            expected = arc_length(a, b, tol)[0].mid
+        except PrecisionFloorError:
+            with pytest.raises(PrecisionFloorError, match="binary64 floor"):
+                scheme_limit(a, b, "bisection", tol)
+        else:
+            assert scheme_limit(a, b, "bisection", tol).hex() == expected.hex()
 
 
 class TestGapIterationsBuildsNoRows:

@@ -48,13 +48,19 @@ for case in cases:
 print("numpy" in sys.modules)
 """
 
-RANDOM_LIMIT = """
-import sys
+PARTITION_WORK = """
+import contextlib, io, sys
 import chordtrig as ct
+from chordtrig.cli import run
 
 before = "numpy" in sys.modules
-value = ct.scheme_limit(ct.point_from_ordinate(0.9), ct.point_from_ordinate(0.1),
-                        "random", 1e-9, seed=0)
+a, b = ct.point_from_ordinate(0.9), ct.point_from_ordinate(0.1)
+value = ct.scheme_limit(a, b, "random", 1e-9, seed=0)
+for scheme in ct.SCHEMES:
+    ct.scheme_limit(a, b, scheme, 1e-12, seed=0)
+    ct.make_partition(a, b, scheme, 4, seed=0)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["partition-compare", "--a", "0.9", "--b", "0.1", "--tol", "1e-9"]) == 0
 print(before, "numpy" in sys.modules, repr(value))
 """
 
@@ -76,13 +82,14 @@ def test_non_partition_entry_points_never_load_numpy():
     assert _last_line(NON_PARTITION_CALLS, str(GOLDEN)) == "False"
 
 
-def test_random_limit_never_loads_numpy():
+def test_partition_work_never_loads_numpy():
+    """Limits, builders and partition-compare, in every scheme."""
     expected = scheme_limit(point_from_ordinate(0.9), point_from_ordinate(0.1),
                             "random", 1e-9, seed=0)
-    assert _last_line(RANDOM_LIMIT) == f"False False {expected!r}"
+    assert _last_line(PARTITION_WORK) == f"False False {expected!r}"
 
 
 def test_no_entry_point_loads_dataclasses():
     code = (NON_PARTITION_CALLS + 'scalar_inspect = "inspect" in sys.modules\n'
-            + RANDOM_LIMIT + 'print(scalar_inspect, "dataclasses" in sys.modules)')
+            + PARTITION_WORK + 'print(scalar_inspect, "dataclasses" in sys.modules)')
     assert _last_line(code, str(GOLDEN)) == "False False"

@@ -1,6 +1,6 @@
 """One record per ladder level: (l_m, h_m, L_m, lo, hi) from
-arclength.ladder_levels is the source of the rows, of the sector sandwich
-and of the bisection limit."""
+arclength.ladder_levels is the source of the rows and of the sector
+sandwich; the bisection limit records none."""
 
 import math
 
@@ -14,7 +14,7 @@ from chordtrig import (
     scheme_limit,
     sector_sandwich,
 )
-from chordtrig import partitions
+from chordtrig import arclength, partitions
 from chordtrig import report as report_module
 from chordtrig.arclength import ladder_levels
 from chordtrig.report import ARC_BRACKET, FAN_BRACKET
@@ -65,38 +65,33 @@ def test_sandwich_builds_at_most_one_row(ys, monkeypatch):
     assert (inner, outer) == (last.inner_area, last.outer_area)
 
 
-class TestBisectionRecordsOnlyReachableLevels:
-    """The partitions docstring proves every bisection run ends by level 13;
-    the branch records levels 0..13 and no more."""
+class TestBisectionRecordsNoLevel:
+    """The bisection limit is arc_length's run, which records no level;
+    only reading its report's rows would replay them."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
         counts = []
-        recorder = partitions.ladder_levels
+        recorder = arclength.ladder_levels
 
         def counted(*args):
             levels = recorder(*args)
             counts.append(len(levels))
             return levels
 
-        monkeypatch.setattr(partitions, "ladder_levels", counted)
+        monkeypatch.setattr(arclength, "ladder_levels", counted)
         return counts
 
     @pytest.mark.parametrize("ys", [(1.0, 0.0), (0.9, 0.1), (0.5, math.nextafter(0.5, 0.0)),
                                     (1e-300, 0.0)])
     @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-13])
-    def test_at_most_fourteen_levels(self, ys, tol, recorded):
+    def test_no_level_is_recorded(self, ys, tol, recorded):
         a, b = (point_from_ordinate(y) for y in ys)
-        try:
-            scheme_limit(a, b, "bisection", tol)
-        except partitions.PrecisionFloorError:
-            pass
-        assert recorded and all(count <= 14 for count in recorded)
+        scheme_limit(a, b, "bisection", tol)
+        assert recorded == []
 
-    def test_the_last_level_is_reached(self, recorded):
-        """Near the floor a run can end at level 13 itself, where the floor
-        of the 2^13-chord bracket passes tol."""
+    def test_a_run_below_the_floor_records_none_either(self, recorded):
         a, b = point_from_ordinate(0.9999322592084545), point_from_ordinate(0.09292099090649254)
-        with pytest.raises(partitions.PrecisionFloorError, match=r"\(8192 segments\)"):
-            scheme_limit(a, b, "bisection", 2.832197133603819e-14)
-        assert recorded == [14]
+        with pytest.raises(partitions.PrecisionFloorError, match="binary64 floor"):
+            scheme_limit(a, b, "bisection", 1e-16)
+        assert recorded == []

@@ -2,7 +2,8 @@
 
 ``data/partition_golden.json`` holds, for a fixed argv set (the quarter arc
 and three interior or near-top arcs at ``--tol 1e-6`` and ``1e-9`` in JSON
-and CSV, plus the quarter arc at ``--tol 1e-17``, below the binary64 floor),
+and CSV, the quarter arc at ``--tol 1e-12``, where the grids refine, and at
+``--tol 1e-17``, below the binary64 floor),
 the exit code and the exact stdout of ``partition-compare``. The grid
 kernels run on the standard library alone, so these bytes do not depend on
 the Python version or on whether numpy is installed. Do not regenerate the

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ class TestSchemeLimit:
 
     def test_quarter_circle_ordinate_schemes_tight_tol(self):
         # the full-membership version of the scheme-independence claim at
-        # 1e-9; the Snell-Huygens bracket stops by 2^10 segments
+        # 1e-9; the series bracket stops at 2 segments
         reference, _ = arc_length(TOP, Q, 1e-9)
         for scheme in ("ordinate_uniform", "random"):
             v = scheme_limit(TOP, Q, scheme, 1e-9, seed=11)
@@ -280,16 +281,15 @@ class TestSchemeLimit:
         for scheme, size in (("ordinate_uniform", 64), ("random", 64)):
             part = make_partition(a, b, scheme, size, seed=3)
             ys = np.array([pt.y for pt in part.points])
-            value, excess, width = partitions._chord_stats(ys)
+            value, excess, tail = partitions._chord_stats(ys)
             assert value == pytest.approx(polygonal_length(part), abs=1e-12)
             chords = [chord_length(u, v) for u, v in zip(part.points, part.points[1:])]
-            heights = [math.sqrt(1.0 - c * c / 4.0) for c in chords]
+            # 2 arcsin(c / 2) - c, and the tail of Newton's series beyond ten terms
             assert excess == pytest.approx(math.fsum(
-                c * (c * c / 4.0) / ((1.0 + h) * (2.0 + h))
-                for c, h in zip(chords, heights)), rel=1e-12)
-            assert width == pytest.approx(math.fsum(
-                c ** 5 / (24.0 * h * (1.0 + h) ** 2 * (2.0 + h))
-                for c, h in zip(chords, heights)), rel=1e-12)
+                2.0 * math.asin(c / 2.0) - c for c in chords), rel=1e-9)
+            assert tail == pytest.approx(math.fsum(
+                c * _NEWTON[10] * (c * c / 4.0) ** 10 / (1.0 - c * c / 4.0)
+                for c in chords), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -347,7 +347,7 @@ class TestSeedCheckedFirst:
         def fail(*args):
             raise AssertionError("a partition was evaluated before the seed check")
 
-        monkeypatch.setattr(partitions, "ladder_levels", fail)
+        monkeypatch.setattr(partitions, "arc_length", fail)
         monkeypatch.setattr(partitions, "_polyline_stats", fail)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -450,21 +450,27 @@ class TestRandomGridMatchesReference:
                     == [y.hex() for y in _random_ordinates_reference(hi_y, lo_y, n, seed)])
 
 
+# a_0 .. a_10 of Newton's series for arcsin(s) / s, each rounded to nearest
+_NEWTON = [float(Fraction(math.comb(2 * k, k), 4 ** k * (2 * k + 1))) for k in range(11)]
+
+
 def _chord_stats_reference(ys):
     """The chord kernel by its defining formula: each chord as
-    geometry.chord_length computes it, its Snell excess and width written
-    out, and each sum correctly rounded."""
-    chords, excesses, widths = [], [], []
+    geometry.chord_length computes it, its series excess l q (a_1 + q (a_2
+    + ... + q a_9)) and tail l a_10 q^10 / (1 - q) with q = (l / 2)^2, and
+    each sum correctly rounded."""
+    chords, excesses, tails = [], [], []
     for y0, y1 in zip(ys, ys[1:]):
         x0, x1 = math.sqrt((1.0 - y0) * (1.0 + y0)), math.sqrt((1.0 - y1) * (1.0 + y1))
         chord = (y0 - y1) * math.hypot(1.0, (y0 + y1) / (x0 + x1))
-        q = chord * chord * 0.25
-        h = math.sqrt(1.0 - q)
-        excess = chord * q / (2.0 + h) / (1.0 + h)
+        q = 0.5 * chord * (0.5 * chord)
+        inner = _NEWTON[9]
+        for a_k in reversed(_NEWTON[1:9]):
+            inner = a_k + q * inner
         chords.append(chord)
-        excesses.append(excess)
-        widths.append(excess * q / (1.5 * h * (1.0 + h)))
-    return math.fsum(chords), math.fsum(excesses), math.fsum(widths)
+        excesses.append(chord * q * inner)
+        tails.append(chord * _NEWTON[10] * q ** 10 / (1.0 - q))
+    return math.fsum(chords), math.fsum(excesses), math.fsum(tails)
 
 
 class TestChordKernelMatchesReference:
