@@ -187,13 +187,13 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
 
 
 def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
-           levels: list[_Level] | None = None) -> tuple[int, float, float, str]:
+           levels: list[_Level] | None = None) -> tuple[int, float, float, str, float]:
     """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
     ``bracket`` is at most ``tol`` wide, its floor (module docstring) is
     above a positive ``tol``, or level ``last`` (>= 0) is reached, and
-    return (m, lo, hi, stop) of the level it stopped at, ``stop`` being the
-    report's stop reason. Each level's record (l_m, h_m, L_m, lo, hi) is
-    appended to ``levels`` if it is given."""
+    return (m, lo, hi, stop, floor) of that level: ``stop`` is the report's
+    stop reason, ``floor`` 0 without a closure. Each level's record
+    (l_m, h_m, L_m, lo, hi) is appended to ``levels`` if it is given."""
     fans = bracket == FAN_BRACKET
     sector = bracket == SECTOR_BRACKET
     units = _FAN_UNITS if sector else _ARC_UNITS
@@ -242,10 +242,10 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
         if levels is not None:
             levels.append((ell, h, total, lo, hi))
         if hi - lo <= tol:
-            return m, lo, hi, STOP_TOLERANCE
+            return m, lo, hi, STOP_TOLERANCE, floor
         if floor > tol > 0.0:
-            return m, lo, hi, STOP_FLOOR
-    return m, lo, hi, STOP_CAP
+            return m, lo, hi, STOP_FLOOR, floor
+    return m, lo, hi, STOP_CAP, floor
 
 
 def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
@@ -289,15 +289,15 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, 0, tuple)
     # width < tol exactly when width <= the float below tol
     limit = math.nextafter(tol, 0.0) if strict else tol
-    m, lo, hi, stop = _climb(a, b, limit, max_iter, bracket)
+    m, lo, hi, stop, floor = _climb(a, b, limit, max_iter, bracket)
     enc = Enclosure(lo, hi)
     report = ladder_report(a.y, b.y, tol, stop, m + 1,
                            partial(ladder_levels, a, b, m, bracket))
     if stop != STOP_TOLERANCE:
-        floor = stop == STOP_FLOOR
-        raise (PrecisionFloorError if floor else ConvergenceError)(
-            f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}"
-            + (", and tol is below the binary64 floor of this arc" if floor else ""),
+        below = stop == STOP_FLOOR
+        raise (PrecisionFloorError if below else ConvergenceError)(
+            f"tol {tol!r} is below the binary64 floor {floor:.3g} of this arc" if below
+            else f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}",
             enclosure=enc, report=report)
     return enc, report
 

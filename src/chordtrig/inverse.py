@@ -3,10 +3,8 @@
 arcsin(y) is the length of the arc from (sqrt(1 - y^2), y) down to (1, 0),
 so it inherits the certified bracket of the bisection scheme. pi is twice
 the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly.
-sin inverts arcsin by interval bisection on the ordinate: continuity plus
-strict monotonicity of the sector area make the inverse unique, and
-bisection is the computable shadow of that argument. Each step is decided
-by arcsin's certified arms, so the ordinate interval always holds sin x.
+sin inverts arcsin: monotonicity turns arcsin's certified arms at an
+ordinate into a side of sin x, so the ordinate interval always holds sin x.
 """
 
 from __future__ import annotations
@@ -65,20 +63,20 @@ def pi_constant(tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Enclosure:
 def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """The ordinate y whose arc length to (1, 0) is ``x``, to within ``tol``.
 
-    Bisection on y in [0, 1] that keeps y_lo <= sin x <= y_hi: arcsin is
-    increasing, so an upper arm of arcsin(y_mid) at most x puts y_mid at or
-    below sin x, and a lower arm at least x puts it at or above. Each step
-    asks arcsin for an eighth of the ordinate interval, or ``tol`` if that
-    is larger, which early steps meet on a level or two. A bracket that
-    holds x returns y_mid once it is at most ``tol`` wide, as
-    |y_mid - sin x| <= |arcsin(y_mid) - x| (sin is 1-Lipschitz); a wider one
-    is asked again at ``tol``. Otherwise the loop ends with an interval at
-    most ``tol`` wide and returns its midpoint. A ``tol`` below arcsin's
-    binary64 floor near sin x raises ``PrecisionFloorError``; as that floor
-    is several ulps of the ordinate, the loop raises or ends before y_mid
-    could repeat an endpoint.
+    Each iterate y gets one arcsin run at ``tol``, and its arms alone
+    decide: arcsin is increasing, so an upper arm at most x makes y the low
+    end y_lo of an interval that holds sin x, a lower arm at least x its
+    high end y_hi, and arms around x return y, as |y - sin x| <=
+    |arcsin(y) - x| <= ``tol`` (sin is 1-Lipschitz). An interval at most
+    ``tol`` wide returns its midpoint. The next y turns (sqrt(1 - y^2), y)
+    by x minus the arms' midpoint (cos and sin as short polynomials), from
+    sin's degree-7 Taylor polynomial; a step below ``tol`` / 2 is lengthened
+    to that, so the next arms fall across sin x. A step that leaves the
+    interval, or follows two runs that did not halve it, bisects it, so at
+    least every third run bisects or halves it and the loop ends. A ``tol``
+    below arcsin's binary64 floor at an iterate raises ``PrecisionFloorError``.
 
-    Two ends need no bisection. The chord, the arc and the tangent give
+    Two ends need no arcsin. The chord, the arc and the tangent give
     y <= x <= y / sqrt(1 - y^2), so x (1 - x^2) <= sin x <= x: x itself is
     returned once x^3 <= tol / 2, and 0 once x <= tol. And x within w of
     pi / 2, w the quarter arc's bracket width, has 1 - sin x <= w^2 / 2.
@@ -96,19 +94,21 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
         return x
     if x >= top.mid and 0.5 * top.width * top.width <= tol:
         return 1.0
-    y_lo, y_hi = 0.0, 1.0
+    y = x * (1.0 - x * x / 6.0 * (1.0 - x * x / 20.0 * (1.0 - x * x / 42.0)))
+    y_lo, y_hi, slow = 0.0, 1.0, 0
     try:
         while y_hi - y_lo > tol:
-            y_mid = 0.5 * (y_lo + y_hi)
-            enc, _ = arcsin(y_mid, max(tol, 0.125 * (y_hi - y_lo)), max_iter)
-            if enc.lo < x < enc.hi and enc.hi - enc.lo > tol:
-                enc, _ = arcsin(y_mid, tol, max_iter)
-            if enc.hi <= x:
-                y_lo = y_mid
-            elif enc.lo >= x:
-                y_hi = y_mid
-            else:
-                return y_mid
+            enc, half = arcsin(y, tol, max_iter)[0], 0.5 * (y_hi - y_lo)
+            if enc.lo < x < enc.hi:
+                return y
+            y_lo, y_hi = (y, y_hi) if enc.hi <= x else (y_lo, y)
+            slow = slow + 1 if y_hi - y_lo > half else 0
+            d = x - enc.mid
+            step = d * (math.sqrt((1.0 - y) * (1.0 + y)) * (1.0 - d * d / 6.0)
+                        - y * d / 2.0 * (1.0 - d * d / 12.0))
+            y += step if abs(step) >= 0.5 * tol else math.copysign(0.5 * tol, d)
+            if slow == 2 or not y_lo < y < y_hi:
+                y, slow = 0.5 * (y_lo + y_hi), 0
     except PrecisionFloorError as err:
         raise PrecisionFloorError(
             f"tol {tol!r} is below the binary64 floor of sin at {x!r}",

@@ -1,10 +1,12 @@
 """Certified brackets from the closed ladder: every bracket that arc_length,
 sector_area, arcsin and pi_constant return holds the exact value (mpmath at
 40 digits), or the call raises PrecisionFloorError, at every tolerance;
-floors are reached without climbing to the cap; sin keeps its contract."""
+floors are reached without climbing to the cap and named in the error; sin
+keeps its contract in a few arcsin runs."""
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -20,9 +22,10 @@ from chordtrig import (
     sector_area,
     sin,
 )
-from chordtrig import arclength
+from chordtrig import arclength, inverse
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
+from chordtrig.geometry import chord_length
 from chordtrig.report import ARC_BRACKET, FAN_BRACKET, SECTOR_BRACKET
 
 from oracles import exact_arc, exact_sector, holds
@@ -121,6 +124,25 @@ class TestFloor:
         for tol in (1e-10, 1e-12, 1e-14):
             assert len(arc_length(top, q, tol)[1]) <= 3
 
+    def test_the_error_names_the_floor_of_the_raised_bracket(self):
+        # The quarter arc closes at level 0 (e_0 = 10, scale 1), and its pad
+        # is (e_0 + r e_0 / 2 + 6) u hi + 2^-1072 on the raw upper arm hi.
+        a, b = point_from_ordinate(1.0), point_from_ordinate(0.0)
+        with pytest.raises(PrecisionFloorError) as info:
+            arc_length(a, b, 1e-17)
+        ell = chord_length(a, b)
+        q, p = 0.25 * ell * ell, 0.0
+        for a_k in reversed(arclength.SERIES[:-1]):  # Horner, as the ladder runs it
+            p = q * (a_k + p)
+        p += 1.0
+        raw_lo, raw_hi = ell * p, ell * (p + arclength.SERIES[-1] * q ** 10 / (1.0 - q))
+        pad = (10.0 + 5.0 * q / (1.0 - q) + 6.0) * 2.0 ** -53 * raw_hi + 2.0 ** -1072
+        enc = info.value.enclosure
+        assert enc.hi - raw_hi == pytest.approx(pad, abs=math.ulp(raw_hi))
+        assert raw_lo - enc.lo == pytest.approx(pad, abs=math.ulp(raw_hi))
+        printed = re.search(r"binary64 floor (\S+) of this arc", str(info.value))
+        assert printed and printed[1] == f"{2.0 * pad:.3g}"
+
     def test_the_cli_reports_the_floor_as_a_domain_error(self, capsys):
         assert run(["pi", "--tol", "1e-16"]) == 1
         captured = capsys.readouterr()
@@ -154,6 +176,46 @@ class TestSinBelowTheFloor:
     def test_within_tol_of_the_exact_sine(self, x, tol):
         with mpmath.workdps(40):
             assert abs(mpmath.mpf(sin(x, tol)) - mpmath.sin(mpmath.mpf(x))) <= tol
+
+
+HALF_PI = 0.5 * math.pi
+SIN_SWEEP = ([HALF_PI - 10.0 ** -k for k in range(17)] + [10.0 ** -k for k in range(17)]
+             + [HALF_PI * (i + 0.5) / 40 for i in range(40)] + [0.0, TINY, HALF_PI])
+
+
+class TestSinPredictorCertifier:
+    """sin picks each ordinate by a rotation and lets arcsin's arms decide."""
+
+    def test_every_value_is_within_tol_or_the_floor_is_raised(self):
+        with mpmath.workdps(40):
+            truths = [mpmath.sin(mpmath.mpf(x)) for x in SIN_SWEEP]
+            for tol in (10.0 ** -e for e in range(6, 17)):
+                for x, truth in zip(SIN_SWEEP, truths):
+                    try:
+                        y = sin(x, tol)
+                    except PrecisionFloorError as err:
+                        assert "floor of sin" in str(err)
+                        continue
+                    assert abs(mpmath.mpf(y) - truth) <= tol, (x, tol)
+
+    def test_at_most_eight_arcsin_runs_per_call(self, monkeypatch):
+        runs = []
+        arcsin_run = inverse.arcsin
+
+        def counted(*args):
+            runs.append(args[0])
+            return arcsin_run(*args)
+
+        monkeypatch.setattr(inverse, "arcsin", counted)
+        grid = ([HALF_PI * (i + 0.5) / 34 for i in range(34)]
+                + [HALF_PI - 10.0 ** -k for k in range(1, 9)]
+                + [10.0 ** -k for k in range(1, 9)])
+        assert len(grid) == 50
+        for tol in (1e-8, 1e-10, 1e-12):
+            for x in grid:
+                runs.clear()
+                sin(x, tol)
+                assert len(runs) <= 8, (x, tol, runs)
 
 
 class TestOneRunPerCommand:
