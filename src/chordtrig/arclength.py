@@ -36,13 +36,13 @@ L_m and the arms of the bracket asked for: ``ARC_BRACKET`` the arc closure,
 ``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
 below, and ``FAN_BRACKET`` the paper's two fans as computed, which the
 sector sandwich, the fan-gap criterion and the bisection partition limit
-read. A level's record is (l_m, h_m, L_m, lo, hi), and :func:`ladder_levels`,
-the loop's checked recorder, is the one source of these values:
-:func:`length_sequence` builds its rows from the records, the sector
-sandwich reads its fans from the last one, and a run keeps no level:
-:func:`enclose` returns the last bracket and a report that replays the run
-through :func:`ladder_levels` when its
-:class:`~chordtrig.report.IterationRow` table is first read.
+read. The loop records each level as (l_m, h_m, L_m, lo, hi), and these
+records are the one source of these values: :func:`enclose` returns the
+last one's bracket and a report that keeps them all (its
+:class:`~chordtrig.report.IterationRow` table is built from them when first
+read), :func:`length_sequence` builds its rows from those of
+:func:`ladder_levels`, the loop's checked recorder, and the sector
+sandwich reads its fans from the last one.
 
 Rounding (the style of Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a relative
@@ -111,7 +111,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import partial
 
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      PrecisionFloorError, as_integer)
@@ -187,13 +186,12 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
 
 
 def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
-           levels: list[_Level] | None = None) -> tuple[int, float, float, str, float]:
+           levels: list[_Level]) -> tuple[str, float]:
     """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
     ``bracket`` is at most ``tol`` wide, its floor (module docstring) is
-    above a positive ``tol``, or level ``last`` (>= 0) is reached, and
-    return (m, lo, hi, stop, floor) of that level: ``stop`` is the report's
-    stop reason, ``floor`` 0 without a closure. Each level's record
-    (l_m, h_m, L_m, lo, hi) is appended to ``levels`` if it is given."""
+    above a positive ``tol``, or level ``last`` (>= 0) is reached; append
+    each level's record (l_m, h_m, L_m, lo, hi) to ``levels`` and return the
+    report's stop reason and the last level's floor (0 without a closure)."""
     fans = bracket == FAN_BRACKET
     sector = bracket == SECTOR_BRACKET
     units = _FAN_UNITS if sector else _ARC_UNITS
@@ -239,13 +237,12 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
             if lo < 0.0:  # lengths and areas are not negative
                 lo = 0.0
             floor = pad + pad if closed else 0.0
-        if levels is not None:
-            levels.append((ell, h, total, lo, hi))
+        levels.append((ell, h, total, lo, hi))
         if hi - lo <= tol:
-            return m, lo, hi, STOP_TOLERANCE, floor
+            return STOP_TOLERANCE, floor
         if floor > tol > 0.0:
-            return m, lo, hi, STOP_FLOOR, floor
-    return m, lo, hi, STOP_CAP, floor
+            return STOP_FLOOR, floor
+    return STOP_CAP, floor
 
 
 def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
@@ -275,7 +272,8 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
             strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
     ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows. The
-    run records no level: its report replays them when its rows are read.
+    report keeps the run's level records and builds its rows from them when
+    they are first read.
 
     Raises ``ConvergenceError`` at the level cap and ``PrecisionFloorError``
     (also a ``DomainError``) once a closure's widening alone is wider than
@@ -286,18 +284,20 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
     if max_iter < 0:
         raise DomainError(f"max_iter must be non-negative, got {max_iter}")
     if a.y == b.y:
-        return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, 0, tuple)
+        return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, [])
     # width < tol exactly when width <= the float below tol
     limit = math.nextafter(tol, 0.0) if strict else tol
-    m, lo, hi, stop, floor = _climb(a, b, limit, max_iter, bracket)
+    levels: list[_Level] = []
+    stop, floor = _climb(a, b, limit, max_iter, bracket, levels)
+    _, _, _, lo, hi = levels[-1]
     enc = Enclosure(lo, hi)
-    report = ladder_report(a.y, b.y, tol, stop, m + 1,
-                           partial(ladder_levels, a, b, m, bracket))
+    report = ladder_report(a.y, b.y, tol, stop, levels)
     if stop != STOP_TOLERANCE:
         below = stop == STOP_FLOOR
         raise (PrecisionFloorError if below else ConvergenceError)(
             f"tol {tol!r} is below the binary64 floor {floor:.3g} of this arc" if below
-            else f"bracket width {hi - lo!r} has not reached tol {tol!r} by level {m}",
+            else f"bracket width {hi - lo!r} has not reached tol {tol!r} "
+                 f"by level {len(levels) - 1}",
             enclosure=enc, report=report)
     return enc, report
 

@@ -71,10 +71,11 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     ``tol`` wide returns its midpoint. The next y turns (sqrt(1 - y^2), y)
     by x minus the arms' midpoint (cos and sin as short polynomials), from
     sin's degree-7 Taylor polynomial; a step below ``tol`` / 2 is lengthened
-    to that, so the next arms fall across sin x. A step that leaves the
-    interval, or follows two runs that did not halve it, bisects it, so at
-    least every third run bisects or halves it and the loop ends. A ``tol``
-    below arcsin's binary64 floor at an iterate raises ``PrecisionFloorError``.
+    to that, so the next arms fall across sin x, and a step that reaches
+    y_hi = 1 stops ``tol`` / 2 below it. A step that leaves the interval, or
+    follows two runs that did not halve it, bisects it, so at least every
+    third run bisects or halves it and the loop ends. A ``tol`` below
+    arcsin's binary64 floor at an iterate raises ``PrecisionFloorError``.
 
     Two ends need no arcsin. The chord, the arc and the tangent give
     y <= x <= y / sqrt(1 - y^2), so x (1 - x^2) <= sin x <= x: x itself is
@@ -107,6 +108,8 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
             step = d * (math.sqrt((1.0 - y) * (1.0 + y)) * (1.0 - d * d / 6.0)
                         - y * d / 2.0 * (1.0 - d * d / 12.0))
             y += step if abs(step) >= 0.5 * tol else math.copysign(0.5 * tol, d)
+            if y >= y_hi == 1.0:  # sin x rounds to 1: stay inside the interval
+                y = 1.0 - 0.5 * tol
             if slow == 2 or not y_lo < y < y_hi:
                 y, slow = 0.5 * (y_lo + y_hi), 0
     except PrecisionFloorError as err:

@@ -6,14 +6,13 @@ argued (not merely observed) to contain the true value. A
 one row per level m, ordered, with the bracket arms that run was tightening.
 
 Every run builds its report through :func:`ladder_report`, a degenerate
-arc's run too (with no levels). A run keeps none of its levels: the report
-holds the level count and a replay of the run, so ``len`` needs no rows,
-and ``rows``, a :func:`functools.cached_property`, replays the levels on
-first read, builds the :class:`IterationRow` table from their records
-(l_m, h_m, L_m, lo, hi) through :func:`level_row`, and keeps it. A run
-whose report is never read (``sin``'s inner ``arcsin`` runs) records no
-level and builds no row. The positional constructor builds an eager report
-from rows a caller already has.
+arc's run too (with no levels). The report keeps the run's level records
+(l_m, h_m, L_m, lo, hi), so ``len`` needs no rows, and ``rows``, a
+:func:`functools.cached_property`, builds the :class:`IterationRow` table
+from those records through :func:`level_row` on first read and keeps it. A
+report that is never read (``sin``'s inner ``arcsin`` runs) builds no row.
+The positional constructor builds an eager report from rows a caller
+already has.
 
 Every ladder bracket is certified. The arc and sector runs close the
 ladder with Newton's series and widen both arms by the rounding bound that
@@ -25,7 +24,7 @@ as computed: they are the sandwich of the paper, not enclosures.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 
 from ._value import Value, set_field
@@ -120,12 +119,12 @@ class ConvergenceReport(Value):
     """Trace of one run: endpoints, tolerance, stop reason and the rows.
 
     Unlike the other records it keeps an instance dict (no ``__slots__``):
-    a report from :func:`ladder_report` holds its level count and the replay
-    of its run there, replays the levels on the first read of ``rows`` and
-    caches the rows there. A report built through its constructor stores
-    ``rows`` there itself, which shadows the cached property. Equality, hash
-    and repr read ``rows``, so a replayed report equals and hashes like the
-    eager report built from the same rows.
+    a report from :func:`ladder_report` holds its run's level records there,
+    builds its rows from them on the first read of ``rows`` and caches the
+    rows there. A report built through its constructor stores ``rows`` there
+    itself, which shadows the cached property. Equality, hash and repr read
+    ``rows``, so a report from records equals and hashes like the eager
+    report built from the same rows.
     """
 
     _fields = ("a_ordinate", "b_ordinate", "tolerance", "stop_reason", "rows")
@@ -137,17 +136,17 @@ class ConvergenceReport(Value):
 
     @cached_property
     def rows(self) -> tuple[IterationRow, ...]:
-        """The rows of a :func:`ladder_report` report, from its replayed levels."""
+        """The rows of a :func:`ladder_report` report, from its level records."""
         # Built from a list, not a generator: CPython's tuple(generator) grows
         # a small tuple by resizing, and the freed results then pile up in
         # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
         # CPython 3.11).
-        return tuple([level_row(m, *level) for m, level in enumerate(self._replay())])
+        return tuple([level_row(m, *level) for m, level in enumerate(self._levels)])
 
     def __len__(self):
         """Number of levels run, counted without building the rows."""
-        count = self.__dict__.get("_count")
-        return len(self.rows) if count is None else count
+        levels = self.__dict__.get("_levels")
+        return len(self.rows) if levels is None else len(levels)
 
     def to_dict(self) -> dict:
         return {
@@ -160,13 +159,10 @@ class ConvergenceReport(Value):
 
 
 def ladder_report(a_ordinate: float, b_ordinate: float, tolerance: float,
-                  stop_reason: str, count: int,
-                  replay: Callable[[], Sequence[tuple]]) -> ConvergenceReport:
-    """The report of a ladder run of ``count`` levels. ``replay()`` returns
-    the run's record (l_m, h_m, L_m, lo, hi) per level, m = 0, 1, ...; it is
-    called once, when the rows are first read."""
+                  stop_reason: str, levels: Sequence[tuple]) -> ConvergenceReport:
+    """The report of a ladder run whose record (l_m, h_m, L_m, lo, hi) of
+    level m is ``levels[m]``; its rows are built when first read."""
     report = ConvergenceReport.__new__(ConvergenceReport)
     report.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
-                           tolerance=tolerance, stop_reason=stop_reason, _count=count,
-                           _replay=replay)
+                           tolerance=tolerance, stop_reason=stop_reason, _levels=levels)
     return report

@@ -216,6 +216,11 @@ class TestSinPredictorCertifier:
                 runs.clear()
                 sin(x, tol)
                 assert len(runs) <= 8, (x, tol, runs)
+        # sin x rounds to 1: the step that reaches y = 1 stops tol / 2 below it
+        for x, tol in ((1.5707963267948963, 1.38e-14), (1.57079632, 1e-14)):
+            runs.clear()
+            sin(x, tol)
+            assert len(runs) <= 4, (x, tol, runs)
 
 
 class TestOneRunPerCommand:
@@ -233,10 +238,23 @@ class TestOneRunPerCommand:
     def test_pi_runs_the_quarter_arc_once(self, monkeypatch, capsys):
         runs = self._count_runs(monkeypatch)
         assert run(["pi", "--tol", "1e-10"]) == 0
-        assert runs == [ARC_BRACKET, ARC_BRACKET]  # the run and its replay
+        assert runs == [ARC_BRACKET]  # its report's rows are the run's own levels
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, expected", [
+        (["arc", "--a", "0.9", "--b", "0.2"], [ARC_BRACKET]),
+        (["arcsin", "0.5"], [ARC_BRACKET]),
+        (["sector", "--a", "0.6", "--b", "0.0"], [SECTOR_BRACKET]),
+        (["ratio", "--a", "1.0", "--b", "0.0"], [ARC_BRACKET, SECTOR_BRACKET]),
+    ], ids=["arc", "arcsin", "sector", "ratio"])
+    def test_each_ladder_command_runs_once_per_report(self, argv, expected, fmt,
+                                                      monkeypatch, capsys):
+        runs = self._count_runs(monkeypatch)
+        assert run([*argv, "--tol", "1e-10", "--format", fmt]) == 0
+        assert runs == expected
 
     def test_the_bisection_limit_is_one_arc_closure_run(self, monkeypatch):
         runs = self._count_runs(monkeypatch)
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         scheme_limit(a, b, "bisection", 1e-9)
-        assert runs == [ARC_BRACKET]  # no replay: nothing reads its rows
+        assert runs == [ARC_BRACKET]

@@ -1,5 +1,5 @@
-"""The shared chord ladder: (l, h) recurrence, levels replayed and rows built
-on read, fan areas, level cap, argument checks."""
+"""The shared chord ladder: (l, h) recurrence, level records kept by each run
+and rows built from them on read, fan areas, level cap, argument checks."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -280,12 +280,12 @@ class TestNoRowsUnlessRead:
             arc_length(a, b, 1e-12)[1].rows
 
 
-class TestNoLevelsUnlessRead:
-    """A run records no level. With the recorder broken, every scalar entry
-    point still returns its value bit for bit, and a report replays its run
-    once, on the first read of its rows."""
+class TestRunsKeepTheirLevels:
+    """A run keeps its level records in its report. Reading the rows runs
+    no ladder and calls no recorder, and len counts the records without
+    building a row."""
 
-    def test_scalar_entry_points_record_no_level(self, monkeypatch):
+    def test_scalar_entry_points_call_no_recorder(self, monkeypatch):
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         calls = {
             "arc_length": lambda: arc_length(a, b, 1e-12),
@@ -298,10 +298,10 @@ class TestNoLevelsUnlessRead:
         }
 
         def value(call):
-            # repr writes every float exactly; a report is told by its length
+            # repr writes every float exactly; a report is told by its rows
             result = call()
             if isinstance(result, tuple):
-                return repr(result[0]), len(result[1])
+                return repr(result[0]), result[1].rows
             return repr(result)
 
         expected = {name: value(call) for name, call in calls.items()}
@@ -312,21 +312,24 @@ class TestNoLevelsUnlessRead:
         monkeypatch.setattr(arclength_module, "ladder_levels", no_levels)
         for name, call in calls.items():
             assert value(call) == expected[name], name
-        with pytest.raises(AssertionError, match="ladder was recorded"):
-            arc_length(a, b, 1e-12)[1].rows
 
     @pytest.mark.parametrize("fn", [arc_length, sector_area])
     @pytest.mark.parametrize("run_kind, levels", [("met", 3), ("capped", 2),
                                                   ("degenerate", 0)])
-    def test_rows_replay_the_run_once(self, fn, run_kind, levels, monkeypatch):
-        replays = []
-        recorder = arclength_module.ladder_levels
+    def test_rows_are_built_once_from_the_runs_records(self, fn, run_kind, levels,
+                                                       monkeypatch):
+        calls = []
 
-        def counted(*args):
-            replays.append(args)
-            return recorder(*args)
+        def counted(name, target):
+            def call(*args):
+                calls.append(name)
+                return target(*args)
+            return call
 
-        monkeypatch.setattr(arclength_module, "ladder_levels", counted)
+        for module, name in ((arclength_module, "_climb"),
+                             (arclength_module, "ladder_levels"),
+                             (report_module, "level_row")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         if run_kind == "capped":
             with pytest.raises(ConvergenceError) as info:
@@ -334,11 +337,12 @@ class TestNoLevelsUnlessRead:
             report = info.value.report
         else:
             report = fn(a, a if run_kind == "degenerate" else b, 1e-14)[1]
-        assert len(report) == levels and not replays
+        climbs = ["_climb"] * (levels > 0)
+        assert len(report) == levels and calls == climbs
         rows = report.rows
         assert report.rows is rows
         assert report.to_dict()["rows"] == [row.to_dict() for row in rows]
-        assert len(replays) == (levels > 0)
+        assert calls == climbs + ["level_row"] * levels
         assert len(report) == len(rows) == levels
 
 

@@ -1,6 +1,6 @@
 """One record per ladder level: (l_m, h_m, L_m, lo, hi) from
 arclength.ladder_levels is the source of the rows and of the sector
-sandwich; the bisection limit records none."""
+sandwich; the bisection limit calls no recorder."""
 
 import math
 
@@ -66,8 +66,8 @@ def test_sandwich_builds_at_most_one_row(ys, monkeypatch):
 
 
 class TestBisectionRecordsNoLevel:
-    """The bisection limit is arc_length's run, which records no level;
-    only reading its report's rows would replay them."""
+    """The bisection limit is arc_length's one run, which keeps its level
+    records in its report and never calls the checked recorder."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
