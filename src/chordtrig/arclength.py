@@ -35,14 +35,14 @@ the brackets; every ladder in the package runs on it. At each level it forms
 L_m and the arms of the bracket asked for: ``ARC_BRACKET`` the arc closure,
 ``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
 below, and ``FAN_BRACKET`` the paper's two fans as computed, which the
-sector sandwich, the fan-gap criterion and the bisection partition limit
-read. The loop records each level as (l_m, h_m, L_m, lo, hi), and these
-records are the one source of these values: :func:`enclose` returns the
-last one's bracket and a report that keeps them all (its
-:class:`~chordtrig.report.IterationRow` table is built from them when first
-read), :func:`length_sequence` builds its rows from those of
-:func:`ladder_levels`, the loop's checked recorder, and the sector
-sandwich reads its fans from the last one.
+sector sandwich and the fan-gap criterion read (the bisection partition
+limit is the arc closure's midpoint). The loop records each level as
+(l_m, h_m, L_m, lo, hi), and these records are the one source of these
+values: :func:`enclose` returns the last one's bracket and a report that
+keeps them all (its :class:`~chordtrig.report.IterationRow` table is built
+from them when first read), :func:`length_sequence` builds its rows from
+those of :func:`ladder_levels`, the loop's checked recorder, and the
+sector sandwich reads its fans from the last one.
 
 Rounding (the style of Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a relative
@@ -104,7 +104,9 @@ level has a tol below 2 pad + 2.5u hi, and one level later its floor has
 grown by more than 5u hi and passes tol. Every closure run thus ends, at
 tol or at the floor, by level 4. The fans of ``FAN_BRACKET`` reach zero
 width once h = 1 exactly (a chord below 2^-26, from level 27 on), so those
-runs end by level 27.
+runs end by level 27. So a run needs no level cap: level 62, the deepest a
+materialized partition could reach, is a backstop against a fault in this
+proof, and a run that reaches it raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -125,12 +127,11 @@ from .report import (ARC_BRACKET, FAN_BRACKET, SECTOR_BRACKET, STOP_CAP, STOP_FL
                      STOP_TOLERANCE, ConvergenceReport, Enclosure, IterationRow,
                      ladder_report, level_row)
 
-DEFAULT_MAX_ITER = 40
-
 # A level's record: (l_m, h_m, L_m, lo, hi).
 _Level = tuple[float, float, float, float, float]
 
-# 2^m beyond this could not index a materialized point list on any host.
+# 2^m beyond this could not index a materialized point list on any host;
+# every run's backstop too (module docstring).
 _MAX_LEVEL = 62
 
 # a_1 .. a_10 of Newton's series, a_k = (2k)! / (4^k (k!)^2 (2k + 1)), each
@@ -267,28 +268,26 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
     return levels
 
 
-def enclose(a: CirclePoint, b: CirclePoint, tol: float, max_iter: int,
-            bracket: str = ARC_BRACKET,
+def enclose(a: CirclePoint, b: CirclePoint, tol: float, bracket: str = ARC_BRACKET,
             strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
     ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows. The
     report keeps the run's level records and builds its rows from them when
     they are first read.
 
-    Raises ``ConvergenceError`` at the level cap and ``PrecisionFloorError``
-    (also a ``DomainError``) once a closure's widening alone is wider than
-    ``tol``; both carry the last bracket and the report."""
+    Raises ``PrecisionFloorError`` (also a ``DomainError``) once a closure's
+    widening alone is wider than ``tol``; a closure run meets ``tol`` or
+    this floor by level 4, a fan run meets ``tol`` by level 27 (module
+    docstring). The level-62 backstop raises ``ConvergenceError``. Both
+    errors carry the last bracket and the report."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    max_iter = as_integer(max_iter, "max_iter")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be non-negative, got {max_iter}")
     if a.y == b.y:
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, [])
     # width < tol exactly when width <= the float below tol
     limit = math.nextafter(tol, 0.0) if strict else tol
     levels: list[_Level] = []
-    stop, floor = _climb(a, b, limit, max_iter, bracket, levels)
+    stop, floor = _climb(a, b, limit, _MAX_LEVEL, bracket, levels)
     _, _, _, lo, hi = levels[-1]
     enc = Enclosure(lo, hi)
     report = ladder_report(a.y, b.y, tol, stop, levels)
@@ -317,14 +316,15 @@ def upper_bound(a: CirclePoint, b: CirclePoint) -> float:
     return ell / (h * h)
 
 
-def arc_length(a: CirclePoint, b: CirclePoint, tol: float,
-               max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
+def arc_length(a: CirclePoint, b: CirclePoint,
+               tol: float) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure of the arc length from ``a`` to ``b``.
 
     Runs the ladder until the widened arc closure (module docstring) is at
     most ``tol`` wide. A degenerate arc (a == b) is legal and yields [0, 0].
-    Raises ``ConvergenceError`` (carrying the last bracket and the report)
-    if the level cap is hit first, and ``PrecisionFloorError`` if ``tol`` is
-    below the binary64 floor of the arc.
+    Raises ``PrecisionFloorError`` if ``tol`` is below the binary64 floor of
+    the arc; one or the other ends the run by level 4 (module docstring).
+    The level-62 backstop, which that bound keeps out of reach, raises
+    ``ConvergenceError``, carrying the last bracket and the report.
     """
-    return enclose(a, b, tol, max_iter)
+    return enclose(a, b, tol)

@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-from .arclength import DEFAULT_MAX_ITER, arc_length
+from .arclength import arc_length
 from .errors import ConvergenceError, DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
 from .inverse import arcsin, pi_run, sin
@@ -75,22 +75,21 @@ def _endpoints(args):
 
 
 def _cmd_pi(args):
-    return _ladder_run(args, (), *pi_run(args.tol, args.max_iter))
+    return _ladder_run(args, (), *pi_run(args.tol))
 
 
 def _cmd_arc(args):
-    return _ladder_run(args, ("a", "b"),
-                       *arc_length(*_endpoints(args), args.tol, args.max_iter))
+    return _ladder_run(args, ("a", "b"), *arc_length(*_endpoints(args), args.tol))
 
 
 def _cmd_arcsin(args):
-    return _ladder_run(args, ("y",), *arcsin(args.y, args.tol, args.max_iter))
+    return _ladder_run(args, ("y",), *arcsin(args.y, args.tol))
 
 
 def _cmd_sin(args):
-    value = sin(args.x, args.tol, args.max_iter)
+    value = sin(args.x, args.tol)
     try:
-        enc, rep = arcsin(value, args.tol, args.max_iter)
+        enc, rep = arcsin(value, args.tol)
     except PrecisionFloorError as err:  # x^3 <= tol / 2 needs no arcsin to meet tol
         enc, rep = err.enclosure, err.report
     payload = _payload(args, ("x",), value=value, residual=enc.mid - args.x,
@@ -99,13 +98,11 @@ def _cmd_sin(args):
 
 
 def _cmd_sector(args):
-    return _ladder_run(args, ("a", "b"),
-                       *sector_area(*_endpoints(args), args.tol, args.max_iter))
+    return _ladder_run(args, ("a", "b"), *sector_area(*_endpoints(args), args.tol))
 
 
 def _cmd_ratio(args):
-    arc_enc, arc_rep, sec_enc, sec_rep = ratio_runs(*_endpoints(args), args.tol,
-                                                    args.max_iter)
+    arc_enc, arc_rep, sec_enc, sec_rep = ratio_runs(*_endpoints(args), args.tol)
     ratio = arc_enc.mid / sec_enc.mid
     payload = _payload(args, ("a", "b"), value=ratio, arc=_run_fields(arc_enc, arc_rep),
                        sector=_run_fields(sec_enc, sec_rep))
@@ -129,7 +126,7 @@ def _cmd_additivity(args):
     from .partitions import additivity_check
 
     check = additivity_check(point_from_ordinate(args.a), point_from_ordinate(args.m),
-                             point_from_ordinate(args.b), args.tol, args.max_iter)
+                             point_from_ordinate(args.b), args.tol)
     payload = _payload(args, ("a", "m", "b"),
                        arc={"whole": check.arc_whole, "parts": check.arc_parts,
                             "delta": check.arc_whole - check.arc_parts},
@@ -146,8 +143,6 @@ def _ordinate(flag, help_text):
 
 # A command's arguments besides --tol and --format, which every command takes,
 # as (name, add_argument keywords); each command lists only the flags it reads.
-_MAX_ITER = ("--max-iter", {"type": int, "default": DEFAULT_MAX_ITER,
-                            "help": "bisection level cap (default %(default)s)"})
 _SEED = ("--seed", {"type": int, "default": 0,
                     "help": "seed for random partition schemes (default 0)"})
 _A = _ordinate("--a", "first endpoint ordinate")
@@ -155,16 +150,16 @@ _B = _ordinate("--b", "second endpoint ordinate")
 
 # command -> (help, arguments, handler returning the JSON payload and CSV lines)
 _COMMANDS = {
-    "pi": ("enclosure of pi", [_MAX_ITER], _cmd_pi),
-    "arc": ("certified arc length", [_MAX_ITER, _A, _B], _cmd_arc),
-    "arcsin": ("enclosure of arcsin(y)", [_MAX_ITER, ("y", {"type": float})], _cmd_arcsin),
-    "sin": ("ordinate with arc length x", [_MAX_ITER, ("x", {"type": float})], _cmd_sin),
-    "sector": ("certified sector area", [_MAX_ITER, _A, _B], _cmd_sector),
-    "ratio": ("arc length over sector area", [_MAX_ITER, _A, _B], _cmd_ratio),
+    "pi": ("enclosure of pi", [], _cmd_pi),
+    "arc": ("certified arc length", [_A, _B], _cmd_arc),
+    "arcsin": ("enclosure of arcsin(y)", [("y", {"type": float})], _cmd_arcsin),
+    "sin": ("ordinate with arc length x", [("x", {"type": float})], _cmd_sin),
+    "sector": ("certified sector area", [_A, _B], _cmd_sector),
+    "ratio": ("arc length over sector area", [_A, _B], _cmd_ratio),
     "partition-compare": ("limits of the three partition schemes", [_SEED, _A, _B],
                           _cmd_partition_compare),
     "additivity": ("whole arc vs split arc",
-                   [_MAX_ITER, _A, _ordinate("--m", "split point ordinate"), _B],
+                   [_A, _ordinate("--m", "split point ordinate"), _B],
                    _cmd_additivity),
 }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value, set_field
-from .arclength import DEFAULT_MAX_ITER, arc_length
+from .arclength import arc_length
 from .errors import DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
 from .report import ConvergenceReport, Enclosure
@@ -35,21 +35,19 @@ class TangentIntersection(Value):
         set_field(self, "v", v)
 
 
-def arcsin(y: float, tol: float,
-           max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
+def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure of arcsin(y) for y in [0, 1]."""
-    return arc_length(point_from_ordinate(y), _Q, tol, max_iter)
+    return arc_length(point_from_ordinate(y), _Q, tol)
 
 
-def pi_run(tol: float,
-           max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
+def pi_run(tol: float) -> tuple[Enclosure, ConvergenceReport]:
     """The run behind :func:`pi_constant`: its enclosure of pi and the
     report of the quarter-arc run it doubles."""
-    quarter, report = arcsin(1.0, tol, max_iter)
+    quarter, report = arcsin(1.0, tol)
     return Enclosure(2.0 * quarter.lo, 2.0 * quarter.hi), report
 
 
-def pi_constant(tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Enclosure:
+def pi_constant(tol: float) -> Enclosure:
     """Certified enclosure of pi: the quarter-arc bracket with both arms doubled.
 
     Arc lengths are additive and the two quarter arcs of the upper
@@ -57,10 +55,10 @@ def pi_constant(tol: float, max_iter: int = DEFAULT_MAX_ITER) -> Enclosure:
     quarter length. Width is at most 2 * tol. A ``tol`` below the quarter
     arc's binary64 floor raises ``PrecisionFloorError``.
     """
-    return pi_run(tol, max_iter)[0]
+    return pi_run(tol)[0]
 
 
-def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def sin(x: float, tol: float) -> float:
     """The ordinate y whose arc length to (1, 0) is ``x``, to within ``tol``.
 
     Each iterate y gets one arcsin run at ``tol``, and its arms alone
@@ -83,7 +81,7 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     pi / 2, w the quarter arc's bracket width, has 1 - sin x <= w^2 / 2.
     """
     try:
-        top, _ = arcsin(1.0, tol, max_iter)
+        top, _ = arcsin(1.0, tol)
     except PrecisionFloorError as err:  # its bracket still bounds pi / 2
         top = err.enclosure
     if not 0.0 <= x <= top.hi:
@@ -99,7 +97,7 @@ def sin(x: float, tol: float, max_iter: int = DEFAULT_MAX_ITER) -> float:
     y_lo, y_hi, slow = 0.0, 1.0, 0
     try:
         while y_hi - y_lo > tol:
-            enc, half = arcsin(y, tol, max_iter)[0], 0.5 * (y_hi - y_lo)
+            enc, half = arcsin(y, tol)[0], 0.5 * (y_hi - y_lo)
             if enc.lo < x < enc.hi:
                 return y
             y_lo, y_hi = (y, y_hi) if enc.hi <= x else (y_lo, y)

@@ -73,7 +73,7 @@ import random
 from typing import NamedTuple
 
 from ._value import Value, set_field
-from .arclength import DEFAULT_MAX_ITER, SERIES, arc_length, bisection_step, upper_bound
+from .arclength import SERIES, arc_length, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      PrecisionFloorError, as_integer)
 from .geometry import CirclePoint, chord_length, compare_by_ordinate, point_from_ordinate
@@ -351,7 +351,7 @@ class AdditivityCheck(NamedTuple):
 
 
 def additivity_check(a: CirclePoint, m_pt: CirclePoint, b: CirclePoint,
-                     tol: float, max_iter: int = DEFAULT_MAX_ITER) -> AdditivityCheck:
+                     tol: float) -> AdditivityCheck:
     """Compare |arc ab| with |arc am| + |arc mb| (and the sector-area form).
 
     ``m_pt`` must lie between the endpoints in ordinate order; it may equal
@@ -362,10 +362,8 @@ def additivity_check(a: CirclePoint, m_pt: CirclePoint, b: CirclePoint,
     if not a.y >= m_pt.y >= b.y:
         raise DomainError(
             "split point must lie between the arc endpoints in ordinate order")
-    arc_whole = arc_length(a, b, tol, max_iter)[0].mid
-    arc_parts = (arc_length(a, m_pt, tol, max_iter)[0].mid
-                 + arc_length(m_pt, b, tol, max_iter)[0].mid)
-    sector_whole = sector_area(a, b, tol, max_iter)[0].mid
-    sector_parts = (sector_area(a, m_pt, tol, max_iter)[0].mid
-                    + sector_area(m_pt, b, tol, max_iter)[0].mid)
+    arc_whole = arc_length(a, b, tol)[0].mid
+    arc_parts = arc_length(a, m_pt, tol)[0].mid + arc_length(m_pt, b, tol)[0].mid
+    sector_whole = sector_area(a, b, tol)[0].mid
+    sector_parts = sector_area(a, m_pt, tol)[0].mid + sector_area(m_pt, b, tol)[0].mid
     return AdditivityCheck(arc_whole, arc_parts, sector_whole, sector_parts)

@@ -16,7 +16,7 @@ bound. The arc length equals twice the sector area, checked by
 from __future__ import annotations
 
 from ._value import Value, set_field
-from .arclength import DEFAULT_MAX_ITER, arc_length, enclose, ladder_levels
+from .arclength import arc_length, enclose, ladder_levels
 from .errors import DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
 from .report import FAN_BRACKET, SECTOR_BRACKET, ConvergenceReport, Enclosure
@@ -53,27 +53,28 @@ def outer_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
     return sector_sandwich(a, b, m).outer_area
 
 
-def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float,
-                   max_iter: int = DEFAULT_MAX_ITER) -> int:
+def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float) -> int:
     """Smallest level m with outer_area - inner_area < ``epsilon``: the
-    sector run with a strict threshold."""
+    sector run with a strict threshold. It is at most 27, where the fans
+    meet (:mod:`chordtrig.arclength`); the level-62 backstop raises
+    ``ConvergenceError``."""
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if a.y == b.y:
         raise DegenerateArcError("gap criterion of a degenerate arc")
-    _, report = enclose(a, b, epsilon, max_iter, FAN_BRACKET, strict=True)
+    _, report = enclose(a, b, epsilon, FAN_BRACKET, strict=True)
     return len(report) - 1
 
 
-def sector_area(a: CirclePoint, b: CirclePoint, tol: float,
-                max_iter: int = DEFAULT_MAX_ITER) -> tuple[Enclosure, ConvergenceReport]:
+def sector_area(a: CirclePoint, b: CirclePoint,
+                tol: float) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure of the sector area: the widened fan closure
-    (:mod:`chordtrig.arclength`), raising as :func:`arc_length` does."""
-    return enclose(a, b, tol, max_iter, SECTOR_BRACKET)
+    (:mod:`chordtrig.arclength`), which meets ``tol`` or its floor by
+    level 4, raising as :func:`arc_length` does."""
+    return enclose(a, b, tol, SECTOR_BRACKET)
 
 
-def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float,
-               max_iter: int = DEFAULT_MAX_ITER):
+def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
     """Both runs behind the arc/sector ratio, at the shared scaled tolerance."""
     if a.y == b.y:
         raise DegenerateArcError("arc/sector ratio of a degenerate arc")
@@ -85,13 +86,12 @@ def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float,
         raise DomainError(
             f"arc too short for the ratio in binary64: chord {chord!r} times "
             f"tol {tol!r} underflows to zero")
-    arc_enc, arc_rep = arc_length(a, b, scaled, max_iter)
-    sec_enc, sec_rep = sector_area(a, b, scaled, max_iter)
+    arc_enc, arc_rep = arc_length(a, b, scaled)
+    sec_enc, sec_rep = sector_area(a, b, scaled)
     return arc_enc, arc_rep, sec_enc, sec_rep
 
 
-def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float,
-                 max_iter: int = DEFAULT_MAX_ITER) -> float:
+def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     """Ratio of the arc-length midpoint to the sector-area midpoint.
 
     The two runs share a bracket tolerance proportional to the chord: the
@@ -99,5 +99,5 @@ def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float,
     inner tolerance would not meet the 10 * tol contract on short arcs.
     Result contract: within 10 * tol of 2.
     """
-    arc_enc, _, sec_enc, _ = ratio_runs(a, b, tol, max_iter)
+    arc_enc, _, sec_enc, _ = ratio_runs(a, b, tol)
     return arc_enc.mid / sec_enc.mid

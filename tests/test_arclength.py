@@ -15,6 +15,7 @@ from chordtrig import (
     point_from_ordinate,
     upper_bound,
 )
+from chordtrig import arclength as arclength_module
 
 from conftest import EPS, random_arc_ordinates
 from oracles import exact_arc, half_chord_ladder, holds, ivt_midpoint_ordinate
@@ -198,12 +199,18 @@ class TestArcLength:
         with pytest.raises(DomainError):
             arc_length(TOP, Q, -1e-9)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        """The level-62 backstop, lowered to level 1, stops a run that has
+        not met tol; its error carries the last bracket and the report."""
+        monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 1)
         with pytest.raises(ConvergenceError) as err:
-            arc_length(TOP, Q, 1e-12, max_iter=1)
-        assert err.value.enclosure is not None
-        assert err.value.enclosure.lo <= math.pi / 2.0 <= err.value.enclosure.hi
-        assert err.value.report.stop_reason == "iteration_cap"
+            arc_length(TOP, Q, 1e-12)
+        enc, report = err.value.enclosure, err.value.report
+        assert enc.lo <= math.pi / 2.0 <= enc.hi
+        assert report.stop_reason == "iteration_cap"
+        assert [row.m for row in report.rows] == [0, 1]
+        assert (enc.lo, enc.hi) == (report.rows[-1].enclosure_lo,
+                                    report.rows[-1].enclosure_hi)
 
     def test_polygonal_dominates_single_chord(self, rng):
         # the first inequality of the chain, on non-uniform partitions

@@ -1,8 +1,8 @@
 """Certified brackets from the closed ladder: every bracket that arc_length,
 sector_area, arcsin and pi_constant return holds the exact value (mpmath at
 40 digits), or the call raises PrecisionFloorError, at every tolerance;
-floors are reached without climbing to the cap and named in the error; sin
-keeps its contract in a few arcsin runs."""
+floors are reached without climbing to the backstop and named in the error;
+no run needs a level cap; sin keeps its contract in a few arcsin runs."""
 
 import json
 import math
@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chordtrig import (
     arc_length,
     arcsin,
+    gap_iterations,
     pi_constant,
     point_from_ordinate,
     scheme_limit,
@@ -46,6 +47,7 @@ arcs = st.one_of(
     st.sampled_from(SPECIAL_ARCS),
 )
 tolerances = st.floats(-17.0, -8.0).map(lambda e: 10.0 ** e)
+epsilons = st.one_of(st.floats(-323.0, 0.0).map(lambda e: 10.0 ** e), st.just(TINY))
 
 
 def _bracket(call):
@@ -95,6 +97,23 @@ class TestSoundness:
                                    (SECTOR_BRACKET, exact_sector(*arc))):
                 for level in arclength.ladder_levels(a, b, 62, bracket):
                     assert holds(level[3], level[4], truth)
+
+
+class TestLevelBounds:
+    """The bounds that leave the ladder runs without a level cap (module
+    docstring of chordtrig.arclength): a closure run ends by level 4, which
+    TestSoundness.test_arc_and_sector_hold_the_exact_value pins as at most
+    5 levels run, and a fan run by level 27, pinned here."""
+
+    @given(arc=arcs, epsilon=epsilons)
+    @example(arc=(1.0, 0.0), epsilon=TINY)
+    def test_the_fan_gap_closes_by_level_27(self, arc, epsilon):
+        a, b = (point_from_ordinate(y) for y in arc)
+        assert gap_iterations(a, b, epsilon) <= 27
+
+    def test_the_quarter_arc_reaches_level_27(self):
+        quarter = point_from_ordinate(1.0), point_from_ordinate(0.0)
+        assert gap_iterations(*quarter, TINY) == 27
 
 
 class TestFloor:

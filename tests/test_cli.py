@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from chordtrig import Enclosure, arc_length, pi_constant, point_from_ordinate
+from chordtrig import arclength as arclength_module
 from chordtrig import cli
 from chordtrig.cli import run
 from chordtrig.report import CSV_COLUMNS
@@ -151,12 +152,26 @@ class TestExitCodes:
         assert out == ""
         assert "domain error" in err
 
-    def test_non_convergence(self, capsys):
+    def test_non_convergence(self, capsys, monkeypatch):
+        monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 1)
         code, out, err = invoke(capsys, "arc", "--a", "1.0", "--b", "0.0",
-                                "--tol", "1e-13", "--max-iter", "1")
+                                "--tol", "1e-13")
         assert code == 2
         assert "did not converge" in err
         assert "last bracket" in err
+
+    # each ladder command with arguments whose first run needs more than level 0
+    @pytest.mark.parametrize("argv", [
+        ["pi"], ["arc", "--a", "0.9", "--b", "0.2"], ["arcsin", "0.9"], ["sin", "0.5"],
+        ["sector", "--a", "0.9", "--b", "0.2"], ["ratio", "--a", "0.9", "--b", "0.2"],
+        ["additivity", "--a", "0.9", "--m", "0.5", "--b", "0.2"]],
+        ids=lambda argv: argv[0])
+    def test_the_backstop_exits_2_on_every_ladder_command(self, capsys, monkeypatch,
+                                                         argv):
+        monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 0)
+        code, out, err = invoke(capsys, *argv, "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert "did not converge" in err and "last bracket" in err
 
     def test_usage_errors(self, capsys):
         code, _, err = invoke(capsys, "arc", "--a", "1.0")  # missing --b
@@ -217,13 +232,14 @@ class TestCommandFlags:
                                 "--max-iter", "3")
         assert (code, out) == (64, "") and "unrecognized arguments: --max-iter 3" in err
 
-    def test_dead_flag_error_shows_the_command_usage(self, capsys):
-        code, out, err = invoke(capsys, "pi", "--seed", "1")
-        assert (code, out) == (64, "") and err.startswith("usage: chordtrig pi ")
-        assert "chordtrig pi: error: unrecognized arguments: --seed 1" in err
-        code, _, err = invoke(capsys, "partition-compare", "--a", "0.9", "--b", "0.1",
-                              "--max-iter", "3")
-        assert code == 64 and err.startswith("usage: chordtrig partition-compare ")
+    # no command takes a level cap: every ladder run ends by level 4 (arclength)
+    @pytest.mark.parametrize("command, flag", [
+        ("pi", "--seed 1"),
+        *((command, "--max-iter 3") for command in sorted(COMMAND_ARGS))])
+    def test_dead_flag_error_shows_the_command_usage(self, capsys, command, flag):
+        code, out, err = invoke(capsys, command, *COMMAND_ARGS[command], *flag.split())
+        assert (code, out) == (64, "") and err.startswith(f"usage: chordtrig {command} ")
+        assert f"chordtrig {command}: error: unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize("argv", [["--tol", "1e-6", "pi"], ["--seed", "1", "pi"]])
     def test_flag_before_the_command_is_reported_as_such(self, capsys, argv):

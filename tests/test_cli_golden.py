@@ -2,8 +2,9 @@
 
 ``data/cli_golden.json`` holds, for a fixed argv set (``pi``, ``arc``,
 ``arcsin``, ``sin``, ``sector``, ``ratio`` and ``additivity`` in JSON and
-CSV at two tolerances, plus two capped runs), the exit code and the exact
-stdout that the CLI printed before its ladder code was consolidated.
+CSV at two tolerances, plus two argv with the retired ``--max-iter`` flag,
+which exit 64 with no stdout), the exit code and the exact stdout that the
+CLI printed before its ladder code was consolidated.
 ``partition-compare`` has a golden file of its own,
 ``data/partition_golden.json`` (``test_partition_golden.py``). Do not
 regenerate the file to make this test pass; a difference means the CLI

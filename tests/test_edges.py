@@ -1,15 +1,18 @@
 """Edge cases: arguments near the binary64 floor, the endpoint flags' help
-text, integer ladder levels and level caps, and the single partition builder
-and report path."""
+text, integer ladder levels, the one level backstop that replaced the level
+cap, and the single partition builder and report path."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from chordtrig import (
+    ConvergenceError,
     ConvergenceReport,
     DomainError,
+    additivity_check,
     arc_length,
     arcsin,
     gap_iterations,
@@ -24,6 +27,7 @@ from chordtrig import (
     sin,
     verify_ratio,
 )
+from chordtrig import arclength as arclength_module
 from chordtrig.cli import run
 
 TOP = point_from_ordinate(1.0)
@@ -91,41 +95,53 @@ class TestIntegerLevels:
         assert entry_point(TOP, Q, np.int64(3)) == entry_point(TOP, Q, 3)
 
 
-class TestIntegerMaxIter:
-    """The level cap of every ladder run is an integer other than a bool;
-    anything else is a domain error before any level runs."""
+class TestOneBackstop:
+    """No entry point takes a level cap. Each one's runs end by the proven
+    level (4 for closure runs, 27 for fan runs; arclength module docstring),
+    far below the level-62 backstop ``arclength._MAX_LEVEL``, which stops
+    any run that reaches it with ``ConvergenceError``."""
 
+    # name -> (call at a tol, the deepest level its runs may reach)
     entry_points = {
-        "arc_length": lambda cap: arc_length(TOP, Q, 1e-9, cap),
-        "sector_area": lambda cap: sector_area(TOP, Q, 1e-9, cap),
-        "degenerate_arc": lambda cap: sector_area(Q, Q, 1e-9, cap),
-        "gap_iterations": lambda cap: gap_iterations(TOP, Q, 1e-9, cap),
-        "arcsin": lambda cap: arcsin(0.4, 1e-9, cap),
-        "pi_constant": lambda cap: pi_constant(1e-9, cap),
-        "sin": lambda cap: sin(0.5, 1e-9, cap),
-        "verify_ratio": lambda cap: verify_ratio(TOP, Q, 1e-9, cap),
+        "arc_length": (lambda tol, **kw: arc_length(TOP, Q, tol, **kw), 4),
+        "sector_area": (lambda tol, **kw: sector_area(TOP, Q, tol, **kw), 4),
+        "degenerate_arc": (lambda tol, **kw: sector_area(Q, Q, tol, **kw), 0),
+        "gap_iterations": (lambda tol, **kw: gap_iterations(TOP, Q, tol, **kw), 27),
+        "arcsin": (lambda tol, **kw: arcsin(0.9, tol, **kw), 4),
+        "pi_constant": (lambda tol, **kw: pi_constant(tol, **kw), 4),
+        "sin": (lambda tol, **kw: sin(0.5, tol, **kw), 4),
+        "verify_ratio": (lambda tol, **kw: verify_ratio(TOP, Q, tol, **kw), 4),
+        "additivity_check": (
+            lambda tol, **kw: additivity_check(TOP, point_from_ordinate(0.5), Q, tol,
+                                               **kw), 4),
     }
 
-    @pytest.mark.parametrize("cap", [None, 2.5, 40.0, True, False, "40"])
     @pytest.mark.parametrize("name", entry_points)
-    def test_non_integer_cap_is_a_domain_error(self, name, cap):
-        with pytest.raises(DomainError, match="max_iter must be an integer"):
-            self.entry_points[name](cap)
+    def test_max_iter_is_not_a_parameter(self, name):
+        with pytest.raises(TypeError, match="max_iter"):
+            self.entry_points[name][0](1e-9, max_iter=40)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("name", entry_points)
+    def test_runs_end_by_the_proven_level(self, name, tol):
+        call, deepest = self.entry_points[name]
+        with mock.patch.object(arclength_module, "_MAX_LEVEL", deepest):
+            bounded = call(tol)
+        assert bounded == call(tol)
 
     @pytest.mark.parametrize("name", entry_points)
-    def test_numpy_integers_are_integers(self, name):
-        call = self.entry_points[name]
-        assert call(np.int64(40)) == call(40)
-
-    def test_largest_numpy_cap_runs_to_tol(self):
-        """A cap at the top of int64 is taken as a Python int: stepping past
-        it cannot wrap around and empty the run."""
-        assert (arc_length(TOP, Q, 1e-9, np.int64(2**63 - 1))
-                == arc_length(TOP, Q, 1e-9, 2**63 - 1) == arc_length(TOP, Q, 1e-9))
-
-    def test_negative_cap_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="max_iter must be non-negative, got -1"):
-            arc_length(TOP, Q, 1e-9, np.int64(-1))
+    def test_the_backstop_stops_every_entry_point(self, name):
+        call, deepest = self.entry_points[name]
+        with mock.patch.object(arclength_module, "_MAX_LEVEL", 0):
+            if deepest == 0:  # a degenerate arc runs no level
+                enc, report = call(1e-12)
+                assert (enc.lo, enc.hi, len(report)) == (0.0, 0.0, 0)
+                return
+            with pytest.raises(ConvergenceError) as info:
+                call(1e-12)
+        assert info.value.report.stop_reason == "iteration_cap"
+        assert len(info.value.report) == 1
+        assert info.value.enclosure.lo < info.value.enclosure.hi
 
 
 class TestOneBuilder:

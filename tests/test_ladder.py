@@ -113,15 +113,10 @@ class TestLevelCap:
 
 
 class TestGapIterations:
-    def test_negative_max_iter_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            gap_iterations(TOP, Q, 0.3, max_iter=-1)
-        with pytest.raises(DomainError):
-            gap_iterations(TOP, Q, 0.6, max_iter=-1)
-
-    def test_cap_error_carries_the_sector_run(self):
+    def test_cap_error_carries_the_sector_run(self, monkeypatch):
+        monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 3)
         with pytest.raises(ConvergenceError) as info:
-            gap_iterations(TOP, Q, 1e-9, max_iter=3)
+            gap_iterations(TOP, Q, 1e-9)
         rows = info.value.report.rows
         assert [row.m for row in rows] == [0, 1, 2, 3]
         assert info.value.enclosure.lo == rows[-1].inner_area
@@ -194,12 +189,15 @@ class TestLazyRows:
             assert again == rep
             assert again.to_dict() == rep.to_dict()
             if len(rep.rows) > 1:
-                with pytest.raises(ConvergenceError) as info:
-                    fn(a, b, tol, max_iter=len(rep.rows) - 2)
+                # hypothesis rejects the function-scoped monkeypatch fixture
+                with mock.patch.object(arclength_module, "_MAX_LEVEL", len(rep.rows) - 2):
+                    with pytest.raises(ConvergenceError) as info:
+                        fn(a, b, tol)
+                    capped_again = _ladder_run(fn, a, b, tol)[1]
                 capped = info.value.report
                 _check_rows(info.value.enclosure, capped, a, b, bracket)
                 assert capped.rows == rep.rows[:-1]
-                assert capped == _ladder_run(fn, a, b, tol, len(rep.rows) - 2)[1]
+                assert capped == capped_again
 
     @given(arcs, tols)
     def test_gap_run_builds_the_sequence_rows_on_read(self, ys, tol):
@@ -332,8 +330,9 @@ class TestRunsKeepTheirLevels:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         if run_kind == "capped":
+            monkeypatch.setattr(arclength_module, "_MAX_LEVEL", levels - 1)
             with pytest.raises(ConvergenceError) as info:
-                fn(a, b, 1e-14, max_iter=levels - 1)
+                fn(a, b, 1e-14)
             report = info.value.report
         else:
             report = fn(a, a if run_kind == "degenerate" else b, 1e-14)[1]
@@ -380,7 +379,7 @@ class TestGapIterationsBuildsNoRows:
         with monkeypatch.context() as patched:
             patched.setattr(report_module, "IterationRow", no_rows)
             assert gap_iterations(a, b, epsilon) == expected
-        _, report = sector_module.enclose(a, b, epsilon, 40, report_module.FAN_BRACKET,
+        _, report = sector_module.enclose(a, b, epsilon, report_module.FAN_BRACKET,
                                           strict=True)
         assert expected == report.rows[-1].m == len(report) - 1
 

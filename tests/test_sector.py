@@ -17,6 +17,7 @@ from chordtrig import (
     upper_bound,
     verify_ratio,
 )
+from chordtrig import arclength as arclength_module
 
 from conftest import EPS, random_arc_ordinates
 from oracles import exact_sector, holds
@@ -135,9 +136,12 @@ class TestSectorArea:
             enc, _ = sector_area(point_from_ordinate(ya), point_from_ordinate(yb), 1e-10)
             assert holds(enc.lo, enc.hi, exact_sector(ya, yb))
 
-    def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError):
-            sector_area(TOP, Q, 1e-12, max_iter=1)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 1)
+        with pytest.raises(ConvergenceError) as err:
+            sector_area(TOP, Q, 1e-12)
+        assert err.value.report.stop_reason == "iteration_cap"
+        assert len(err.value.report) == 2
 
     def test_strict_monotonicity_in_arc(self, rng):
         # the sector from (1, 0) grows with the ordinate, by at least the
