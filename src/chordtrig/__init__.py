@@ -14,12 +14,9 @@ from .arclength import (
 )
 from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
 from .geometry import (
-    Chord,
     CirclePoint,
-    TriangleAtOrigin,
     chord_length,
     compare_by_ordinate,
-    height_at_origin,
     height_for_chord,
     point_from_ordinate,
 )
@@ -59,7 +56,6 @@ def __getattr__(name):
 __all__ = [
     "AdditivityCheck",
     "CapacityError",
-    "Chord",
     "CirclePoint",
     "ConvergenceError",
     "ConvergenceReport",
@@ -71,7 +67,6 @@ __all__ = [
     "SCHEMES",
     "SectorSandwich",
     "TangentIntersection",
-    "TriangleAtOrigin",
     "additivity_check",
     "arc_length",
     "arcsin",
@@ -82,7 +77,6 @@ __all__ = [
     "compare_by_ordinate",
     "continuity_modulus",
     "gap_iterations",
-    "height_at_origin",
     "height_for_chord",
     "inner_polygon_area",
     "length_sequence",

@@ -32,17 +32,17 @@ w = 1); before that the two fans [A_m, A_m / h_m^2] bracket the sector.
 
 One flat loop, :func:`_climb`, holds the only copy of the recurrence and of
 the brackets; every ladder in the package runs on it. At each level it forms
-L_m and the arms of the bracket asked for: ``ARC_BRACKET`` the arc closure,
-``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
-below, and ``FAN_BRACKET`` the paper's two fans as computed, which the
-sector sandwich and the fan-gap criterion read (the bisection partition
-limit is the arc closure's midpoint). The loop records each level as
-(l_m, h_m, L_m, lo, hi), and these records are the one source of these
-values: :func:`enclose` returns the last one's bracket and a report that
-keeps them all (its :class:`~chordtrig.report.IterationRow` table is built
-from them when first read), :func:`length_sequence` builds its rows from
-those of :func:`ladder_levels`, the loop's checked recorder, and the
-sector sandwich reads its fans from the last one.
+L_m and the arms of one of two brackets: ``ARC_BRACKET`` the arc closure
+or ``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
+below (the bisection partition limit is the arc closure's midpoint). The
+loop records each level as (l_m, h_m, L_m, lo, hi), and these records are
+the one source of these values: :func:`enclose` returns the last one's
+bracket and a report that keeps them all (its
+:class:`~chordtrig.report.IterationRow` table is built from them when first
+read), :func:`length_sequence` builds its rows from those of
+:func:`ladder_levels`, the loop's checked recorder, and the paper's two
+fans, :func:`~chordtrig.report.fan_areas` of (L_m, h_m), are a view of the
+records: the sector sandwich and the fan-gap criterion read them there.
 
 Rounding (the style of Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a relative
@@ -102,11 +102,11 @@ at most u/2 of its arm (q <= sin^2(pi/16) = 0.0381), and from level 3 on
 the fan closure's (z <= 0.0381): a run still open at such a
 level has a tol below 2 pad + 2.5u hi, and one level later its floor has
 grown by more than 5u hi and passes tol. Every closure run thus ends, at
-tol or at the floor, by level 4. The fans of ``FAN_BRACKET`` reach zero
-width once h = 1 exactly (a chord below 2^-26, from level 27 on), so those
-runs end by level 27. So a run needs no level cap: level 62, the deepest a
-materialized partition could reach, is a backstop against a fault in this
-proof, and a run that reaches it raises ``ConvergenceError``.
+tol or at the floor, by level 4. The paper's fans reach zero width once
+h = 1 exactly (a chord below 2^-26, from level 27 on). So a run needs no
+level cap: level 62, the deepest a materialized partition could reach, is
+a backstop against a fault in this proof, and a run that reaches it raises
+``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ from .geometry import (
     height_for_chord,
     point_from_ordinate,
 )
-from .report import (ARC_BRACKET, FAN_BRACKET, SECTOR_BRACKET, STOP_CAP, STOP_FLOOR,
-                     STOP_TOLERANCE, ConvergenceReport, Enclosure, IterationRow,
-                     ladder_report, level_row)
+from .report import (ARC_BRACKET, SECTOR_BRACKET, STOP_CAP, STOP_FLOOR, STOP_TOLERANCE,
+                     ConvergenceReport, Enclosure, IterationRow, ladder_report,
+                     level_row)
 
 # A level's record: (l_m, h_m, L_m, lo, hi).
 _Level = tuple[float, float, float, float, float]
@@ -193,7 +193,6 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
     above a positive ``tol``, or level ``last`` (>= 0) is reached; append
     each level's record (l_m, h_m, L_m, lo, hi) to ``levels`` and return the
     report's stop reason and the last level's floor (0 without a closure)."""
-    fans = bracket == FAN_BRACKET
     sector = bracket == SECTOR_BRACKET
     units = _FAN_UNITS if sector else _ARC_UNITS
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = SERIES
@@ -201,7 +200,7 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
     ell = chord_length(a, b)
     scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit
     err = 10.0   # e_m, the chord's rounding bound in units of u
-    r = floor = h = 0.0
+    floor = h = 0.0
     for m in range(last + 1):
         if m:  # the step to level m
             ell = ell / sqrt(2.0 * (1.0 + h))
@@ -211,33 +210,27 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
         c = 1.0 - q
         h = sqrt(c)  # height_for_chord(ell), written out
         total = scale * ell
-        if fans:
-            # report.fan_areas written out: a call here makes the sector run a
-            # third slower. TestLazyRows (_check_rows) pins the two bit-equal.
-            half = 0.5 * total
-            lo, hi = half * h, half / h
+        r = q / c
+        if sector:
+            w = ell * h
+            base, z = 0.5 * total * h, w * w
         else:
-            r = q / c
-            if sector:
-                w = ell * h
-                base, z = 0.5 * total * h, w * w
-            else:
-                base, z = total, q
-            if sector and z > 0.5:
-                # The series needs z <= 1/2. Until then the sector has the
-                # fans, whose pad can fall at the next level: no floor test.
-                lo, hi, closed = base, 0.5 * total / h, False
-            else:
-                p = 1.0 + z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (
-                    a5 + z * (a6 + z * (a7 + z * (a8 + z * a9))))))))
-                lo, hi, closed = base * p, base * (p + a10 * z ** 10 / (1.0 - z)), True
-            pad = (err + 0.5 * r * err + units) * _U * hi + scale * _TINY
-            err += 0.25 * r * err + 2.875 + 0.125 * r  # e_(m+1), for the next step
-            lo -= pad
-            hi += pad
-            if lo < 0.0:  # lengths and areas are not negative
-                lo = 0.0
-            floor = pad + pad if closed else 0.0
+            base, z = total, q
+        if sector and z > 0.5:
+            # The series needs z <= 1/2. Until then the sector has the
+            # fans, whose pad can fall at the next level: no floor test.
+            lo, hi, closed = base, 0.5 * total / h, False
+        else:
+            p = 1.0 + z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (
+                a5 + z * (a6 + z * (a7 + z * (a8 + z * a9))))))))
+            lo, hi, closed = base * p, base * (p + a10 * z ** 10 / (1.0 - z)), True
+        pad = (err + 0.5 * r * err + units) * _U * hi + scale * _TINY
+        err += 0.25 * r * err + 2.875 + 0.125 * r  # e_(m+1), for the next step
+        lo -= pad
+        hi += pad
+        if lo < 0.0:  # lengths and areas are not negative
+            lo = 0.0
+        floor = pad + pad if closed else 0.0
         levels.append((ell, h, total, lo, hi))
         if hi - lo <= tol:
             return STOP_TOLERANCE, floor
@@ -250,8 +243,8 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
                   bracket: str = ARC_BRACKET) -> list[_Level]:
     """The records (l_m, h_m, L_m, lo, hi) of levels 0 .. ``m`` on the arc
     ``ab``, with the arms of ``bracket``: the widened arc closure for
-    ``ARC_BRACKET``, the widened fan closure for ``SECTOR_BRACKET``, the
-    two fans as computed for ``FAN_BRACKET`` (module docstring).
+    ``ARC_BRACKET``, the widened fan closure for ``SECTOR_BRACKET`` (module
+    docstring).
 
     Raises ``DegenerateArcError`` for a == b, ``DomainError`` for a level
     that is not a non-negative integer, and ``CapacityError`` above level
@@ -268,26 +261,25 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
     return levels
 
 
-def enclose(a: CirclePoint, b: CirclePoint, tol: float, bracket: str = ARC_BRACKET,
-            strict: bool = False) -> tuple[Enclosure, ConvergenceReport]:
-    """Run the ladder until its ``bracket`` is at most ``tol`` wide (below
-    ``tol`` if ``strict``); a degenerate arc yields [0, 0] and no rows. The
-    report keeps the run's level records and builds its rows from them when
-    they are first read.
+def enclose(a: CirclePoint, b: CirclePoint, tol: float,
+            bracket: str = ARC_BRACKET) -> tuple[Enclosure, ConvergenceReport]:
+    """Run the ladder until its ``bracket``, the arc closure
+    (``ARC_BRACKET``) or the fan closure (``SECTOR_BRACKET``), is at most
+    ``tol`` wide; a degenerate arc yields [0, 0] and no rows. The report
+    keeps the run's level records and builds its rows from them when they
+    are first read.
 
     Raises ``PrecisionFloorError`` (also a ``DomainError``) once a closure's
-    widening alone is wider than ``tol``; a closure run meets ``tol`` or
-    this floor by level 4, a fan run meets ``tol`` by level 27 (module
-    docstring). The level-62 backstop raises ``ConvergenceError``. Both
-    errors carry the last bracket and the report."""
+    widening alone is wider than ``tol``; a run meets ``tol`` or this floor
+    by level 4 (module docstring). The level-62 backstop raises
+    ``ConvergenceError``. Both errors carry the last bracket and the
+    report."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     if a.y == b.y:
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, [])
-    # width < tol exactly when width <= the float below tol
-    limit = math.nextafter(tol, 0.0) if strict else tol
     levels: list[_Level] = []
-    stop, floor = _climb(a, b, limit, _MAX_LEVEL, bracket, levels)
+    stop, floor = _climb(a, b, tol, _MAX_LEVEL, bracket, levels)
     _, _, _, lo, hi = levels[-1]
     enc = Enclosure(lo, hi)
     report = ladder_report(a.y, b.y, tol, stop, levels)

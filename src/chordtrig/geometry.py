@@ -1,4 +1,4 @@
-"""Points, chords and origin triangles on the closed unit quarter circle.
+"""Points, chord lengths and chord heights on the closed unit quarter circle.
 
 A point is stored by its ordinate alone; the abscissa is always recomputed
 from the circle equation, so constructed points sit on the circle by
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value, set_field
-from .errors import DegenerateArcError, DomainError
+from .errors import DomainError
 
 
 class CirclePoint(Value):
@@ -70,17 +70,6 @@ def height_for_chord(length: float) -> float:
     return math.sqrt(1.0 - half * half)
 
 
-def height_at_origin(p: CirclePoint, q: CirclePoint) -> float:
-    """Distance from the origin O to the line of the chord ``pq``.
-
-    Raises ``DegenerateArcError`` when the two points coincide (a degenerate
-    chord has no well-defined supporting line).
-    """
-    if p.y == q.y:
-        raise DegenerateArcError("degenerate chord: the two points coincide")
-    return height_for_chord(chord_length(p, q))
-
-
 def compare_by_ordinate(p: CirclePoint, q: CirclePoint) -> int:
     """Total order by ordinate: -1 if p below q, 0 if equal, +1 if above."""
     if p.y < q.y:
@@ -88,45 +77,3 @@ def compare_by_ordinate(p: CirclePoint, q: CirclePoint) -> int:
     if p.y > q.y:
         return 1
     return 0
-
-
-class Chord(Value):
-    """A chord in canonical orientation: ``hi`` has the larger ordinate.
-
-    Invariants: hi.y >= lo.y and 0 <= length <= sqrt(2).
-    """
-
-    __slots__ = _fields = ("hi", "lo", "length")
-
-    def __init__(self, hi: CirclePoint, lo: CirclePoint, length: float):
-        set_field(self, "hi", hi)
-        set_field(self, "lo", lo)
-        set_field(self, "length", length)
-
-    @classmethod
-    def between(cls, p: CirclePoint, q: CirclePoint) -> "Chord":
-        """Build the chord through ``p`` and ``q``, normalizing orientation."""
-        if compare_by_ordinate(p, q) < 0:
-            p, q = q, p
-        return cls(hi=p, lo=q, length=chord_length(p, q))
-
-
-class TriangleAtOrigin(Value):
-    """The triangle spanned by the origin and a chord of the circle.
-
-    ``height`` is the altitude from the origin onto the chord; it satisfies
-    height^2 + (base.length / 2)^2 = 1.
-    """
-
-    __slots__ = _fields = ("base", "height")
-
-    def __init__(self, base: Chord, height: float):
-        set_field(self, "base", base)
-        set_field(self, "height", height)
-
-    @classmethod
-    def for_points(cls, p: CirclePoint, q: CirclePoint) -> "TriangleAtOrigin":
-        if p.y == q.y:
-            raise DegenerateArcError("degenerate chord: the two points coincide")
-        base = Chord.between(p, q)
-        return cls(base=base, height=height_for_chord(base.length))

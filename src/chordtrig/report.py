@@ -18,8 +18,7 @@ Every ladder bracket is certified. The arc and sector runs close the
 ladder with Newton's series and widen both arms by the rounding bound that
 :mod:`chordtrig.arclength` proves, so each holds the true value; a
 tolerance below that widening stops the run with ``STOP_FLOOR`` and raises
-``PrecisionFloorError``. The paper's fans (``FAN_BRACKET``) are reported
-as computed: they are the sandwich of the paper, not enclosures.
+``PrecisionFloorError``.
 """
 
 from __future__ import annotations
@@ -34,11 +33,9 @@ STOP_CAP = "iteration_cap"
 STOP_FLOOR = "precision_floor"
 
 # Brackets a ladder can run on (arclength.ladder_levels): the widened closures
-# of the arc length and of the sector area, and the paper's two fans
-# [L_m h_m / 2, L_m / (2 h_m)] as computed.
+# of the arc length and of the sector area.
 ARC_BRACKET = "arc"
 SECTOR_BRACKET = "sector"
-FAN_BRACKET = "fans"
 
 # Fixed CSV column order for iteration tables (kept stable for downstream
 # plotting; do not reorder).

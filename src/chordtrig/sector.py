@@ -5,21 +5,26 @@ At level m the inscribed fan over the bisection points has area
 tangent-line fan has area 2^m * l_m / (2 h_m): each outer triangle is the
 inner one scaled by 1/h_m along the radius, so its area is l/(2h) without
 ever intersecting tangent lines vertex by vertex. Both fans follow from the
-same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`);
-:func:`sector_sandwich` reads them from the last level's record, and the
-sector sits between them. The certified run, :func:`sector_area`, closes
-the inner fan with Newton's series instead, widened by a proven rounding
-bound. The arc length equals twice the sector area, checked by
-:func:`verify_ratio`.
+same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`):
+:func:`sector_sandwich` forms them from (L_m, h_m) of the last level's
+record, :func:`gap_iterations` from each level's, and the sector sits
+between them. The certified run, :func:`sector_area`, closes the inner fan
+with Newton's series instead, widened by a proven rounding bound. The arc
+length equals twice the sector area, checked by :func:`verify_ratio`.
 """
 
 from __future__ import annotations
 
 from ._value import Value, set_field
 from .arclength import arc_length, enclose, ladder_levels
-from .errors import DegenerateArcError, DomainError
+from .errors import ConvergenceError, DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
-from .report import FAN_BRACKET, SECTOR_BRACKET, ConvergenceReport, Enclosure
+from .report import (SECTOR_BRACKET, STOP_CAP, ConvergenceReport, Enclosure, fan_areas,
+                     ladder_report)
+
+# The fans meet here on every arc: h_m = 1 exactly once the chord is below
+# 2^-26, which it is from level 27 on (arclength module docstring).
+_FANS_MEET = 27
 
 
 class SectorSandwich(Value):
@@ -35,11 +40,12 @@ class SectorSandwich(Value):
 
 
 def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:
-    """The level-``m`` fan areas for the arc ``ab``: the arms of the last
-    ``FAN_BRACKET`` record of :func:`~chordtrig.arclength.ladder_levels`,
-    which checks the arguments (levels above 62 raise ``CapacityError``)."""
-    levels = ladder_levels(a, b, m, FAN_BRACKET)
-    _, _, _, inner, outer = levels[-1]
+    """The level-``m`` fan areas for the arc ``ab``, formed from (L_m, h_m)
+    of the last record of :func:`~chordtrig.arclength.ladder_levels`, which
+    checks the arguments (levels above 62 raise ``CapacityError``)."""
+    levels = ladder_levels(a, b, m)
+    _, h, total, _, _ = levels[-1]
+    inner, outer = fan_areas(total, h)
     return SectorSandwich(len(levels) - 1, inner, outer, outer - inner)
 
 
@@ -54,16 +60,24 @@ def outer_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
 
 
 def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float) -> int:
-    """Smallest level m with outer_area - inner_area < ``epsilon``: the
-    sector run with a strict threshold. It is at most 27, where the fans
-    meet (:mod:`chordtrig.arclength`); the level-62 backstop raises
-    ``ConvergenceError``."""
+    """Smallest level m with outer_area - inner_area < ``epsilon``, read
+    from the fans of the arc records of levels 0 .. 27, where the fans meet
+    (:mod:`chordtrig.arclength`). Should no level meet ``epsilon`` (a fault
+    in that proof), it raises ``ConvergenceError``, carrying level 27's
+    fans and the report of the records."""
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if a.y == b.y:
         raise DegenerateArcError("gap criterion of a degenerate arc")
-    _, report = enclose(a, b, epsilon, FAN_BRACKET, strict=True)
-    return len(report) - 1
+    levels = ladder_levels(a, b, _FANS_MEET)
+    for m, (_, h, total, _, _) in enumerate(levels):
+        inner, outer = fan_areas(total, h)
+        if outer - inner < epsilon:
+            return m
+    raise ConvergenceError(
+        f"fan gap {outer - inner!r} has not fallen below epsilon {epsilon!r} "
+        f"by level {m}", enclosure=Enclosure(inner, outer),
+        report=ladder_report(a.y, b.y, epsilon, STOP_CAP, levels))
 
 
 def sector_area(a: CirclePoint, b: CirclePoint,

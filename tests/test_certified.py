@@ -27,7 +27,7 @@ from chordtrig import arclength, inverse
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
 from chordtrig.geometry import chord_length
-from chordtrig.report import ARC_BRACKET, FAN_BRACKET, SECTOR_BRACKET
+from chordtrig.report import ARC_BRACKET, SECTOR_BRACKET
 
 from oracles import exact_arc, exact_sector, holds
 
@@ -103,7 +103,7 @@ class TestLevelBounds:
     """The bounds that leave the ladder runs without a level cap (module
     docstring of chordtrig.arclength): a closure run ends by level 4, which
     TestSoundness.test_arc_and_sector_hold_the_exact_value pins as at most
-    5 levels run, and a fan run by level 27, pinned here."""
+    5 levels run, and the fans meet by level 27, pinned here."""
 
     @given(arc=arcs, epsilon=epsilons)
     @example(arc=(1.0, 0.0), epsilon=TINY)
@@ -131,8 +131,8 @@ class TestFloor:
         # The floor never falls, so the first closed bracket decides: arcs
         # close at level 0, sectors once w^2 = (l_m h_m)^2 <= 1/2.
         a, b = (point_from_ordinate(y) for y in arc)
-        fans = arclength.ladder_levels(a, b, 4, FAN_BRACKET)
-        first = next(m for m, (ell, h, *_) in enumerate(fans) if (ell * h) ** 2 <= 0.5)
+        levels = arclength.ladder_levels(a, b, 4)
+        first = next(m for m, (ell, h, *_) in enumerate(levels) if (ell * h) ** 2 <= 0.5)
         for call, level in ((arc_length, 0), (sector_area, first)):
             with pytest.raises(PrecisionFloorError) as info:
                 call(a, b, tol)

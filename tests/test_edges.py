@@ -28,6 +28,7 @@ from chordtrig import (
     verify_ratio,
 )
 from chordtrig import arclength as arclength_module
+from chordtrig import sector as sector_module
 from chordtrig.cli import run
 
 TOP = point_from_ordinate(1.0)
@@ -97,9 +98,11 @@ class TestIntegerLevels:
 
 class TestOneBackstop:
     """No entry point takes a level cap. Each one's runs end by the proven
-    level (4 for closure runs, 27 for fan runs; arclength module docstring),
-    far below the level-62 backstop ``arclength._MAX_LEVEL``, which stops
-    any run that reaches it with ``ConvergenceError``."""
+    level (4 for closure runs, 27 where the fans meet; arclength module
+    docstring), far below the level-62 backstop ``arclength._MAX_LEVEL``,
+    which stops any run that reaches it with ``ConvergenceError``. The fan
+    gap criterion reads the records up to level 27 (``sector._FANS_MEET``)
+    and raises the same way past them."""
 
     # name -> (call at a tol, the deepest level its runs may reach)
     entry_points = {
@@ -132,7 +135,10 @@ class TestOneBackstop:
     @pytest.mark.parametrize("name", entry_points)
     def test_the_backstop_stops_every_entry_point(self, name):
         call, deepest = self.entry_points[name]
-        with mock.patch.object(arclength_module, "_MAX_LEVEL", 0):
+        # the fan gap criterion is bounded by the level where the fans meet
+        backstop = ((sector_module, "_FANS_MEET") if name == "gap_iterations"
+                    else (arclength_module, "_MAX_LEVEL"))
+        with mock.patch.object(*backstop, 0):
             if deepest == 0:  # a degenerate arc runs no level
                 enc, report = call(1e-12)
                 assert (enc.lo, enc.hi, len(report)) == (0.0, 0.0, 0)

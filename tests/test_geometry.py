@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chordtrig import (
-    Chord,
-    DegenerateArcError,
     DomainError,
-    TriangleAtOrigin,
     chord_length,
     compare_by_ordinate,
-    height_at_origin,
     height_for_chord,
     point_from_ordinate,
 )
@@ -94,11 +90,12 @@ class TestChordLength:
 
 class TestHeight:
     def test_quarter_chord(self):
-        h = height_at_origin(point_from_ordinate(0.0), point_from_ordinate(1.0))
+        h = height_for_chord(chord_length(point_from_ordinate(0.0), point_from_ordinate(1.0)))
         assert h == pytest.approx(math.sqrt(2.0) / 2.0, abs=4 * EPS)
 
     def test_short_chord_limit(self):
-        h = height_at_origin(point_from_ordinate(0.5), point_from_ordinate(0.5 + 1e-9))
+        h = height_for_chord(chord_length(point_from_ordinate(0.5),
+                                          point_from_ordinate(0.5 + 1e-9)))
         assert h == pytest.approx(1.0, abs=1e-12)
 
     def test_first_bisection_height(self):
@@ -107,11 +104,6 @@ class TestHeight:
         c = math.sqrt(2.0 - math.sqrt(2.0))
         assert height_for_chord(c) == pytest.approx(expected, abs=4 * EPS)
         assert expected == pytest.approx(0.92387953, abs=1e-8)
-
-    def test_degenerate_chord_rejected(self):
-        p = point_from_ordinate(0.25)
-        with pytest.raises(DegenerateArcError):
-            height_at_origin(p, p)
 
     def test_monotone_in_chord(self, rng):
         for _ in range(300):
@@ -129,28 +121,3 @@ class TestOrdering:
         assert compare_by_ordinate(point_from_ordinate(0.6),
                                    point_from_ordinate(0.8)) == -1
 
-
-class TestChordAndTriangleTypes:
-    def test_chord_normalizes_orientation(self):
-        p, q = point_from_ordinate(0.2), point_from_ordinate(0.9)
-        chord = Chord.between(p, q)
-        assert chord.hi.y >= chord.lo.y
-        assert chord.hi.y == 0.9
-        assert 0.0 <= chord.length <= math.sqrt(2.0) * (1.0 + 4 * EPS)
-
-    def test_triangle_relation(self, rng):
-        for _ in range(200):
-            ya, yb = rng.uniform(0.0, 1.0, 2)
-            if ya == yb:
-                continue
-            tri = TriangleAtOrigin.for_points(point_from_ordinate(float(ya)),
-                                              point_from_ordinate(float(yb)))
-            half = tri.base.length / 2.0
-            assert abs(tri.height ** 2 + half ** 2 - 1.0) <= 8 * EPS
-            if tri.base.length < 2.0:
-                assert tri.height > 0.0
-
-    def test_triangle_rejects_degenerate(self):
-        p = point_from_ordinate(0.4)
-        with pytest.raises(DegenerateArcError):
-            TriangleAtOrigin.for_points(p, p)

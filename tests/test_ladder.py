@@ -35,8 +35,7 @@ from chordtrig import sector as sector_module
 from chordtrig.arclength import ladder_levels
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
-from chordtrig.report import (ARC_BRACKET, CSV_COLUMNS, FAN_BRACKET, SECTOR_BRACKET,
-                              fan_areas)
+from chordtrig.report import ARC_BRACKET, CSV_COLUMNS, SECTOR_BRACKET, fan_areas
 
 from oracles import exact_arc, exact_sector, holds
 
@@ -114,7 +113,7 @@ class TestLevelCap:
 
 class TestGapIterations:
     def test_cap_error_carries_the_sector_run(self, monkeypatch):
-        monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 3)
+        monkeypatch.setattr(sector_module, "_FANS_MEET", 3)
         with pytest.raises(ConvergenceError) as info:
             gap_iterations(TOP, Q, 1e-9)
         rows = info.value.report.rows
@@ -151,9 +150,8 @@ def _ladder_run(fn, *args, **kwargs):
 
 def _check_rows(enc, rep, a, b, bracket=ARC_BRACKET):
     """The report's rows are length_sequence's, field for field (with the
-    ``bracket`` records' arms in the enclosure columns, the fans themselves
-    for ``FAN_BRACKET``); reading them again gives the same tuple; the
-    enclosure is the last row's bracket."""
+    ``bracket`` records' arms in the enclosure columns); reading them again
+    gives the same tuple; the enclosure is the last row's bracket."""
     rows = rep.rows
     assert rows is rep.rows
     assert isinstance(rows, tuple) and rows
@@ -163,10 +161,7 @@ def _check_rows(enc, rep, a, b, bracket=ARC_BRACKET):
     for row, ref, level in zip(rows, seq, levels):
         for name in CSV_COLUMNS[:6]:
             assert getattr(row, name) == getattr(ref, name)
-        if bracket == FAN_BRACKET:
-            assert (row.enclosure_lo, row.enclosure_hi) == (ref.inner_area,
-                                                            ref.outer_area)
-        elif bracket == SECTOR_BRACKET:
+        if bracket == SECTOR_BRACKET:
             assert (row.enclosure_lo, row.enclosure_hi) == level[3:]
         else:
             assert row == ref
@@ -198,35 +193,6 @@ class TestLazyRows:
                 _check_rows(info.value.enclosure, capped, a, b, bracket)
                 assert capped.rows == rep.rows[:-1]
                 assert capped == capped_again
-
-    @given(arcs, tols)
-    def test_gap_run_builds_the_sequence_rows_on_read(self, ys, tol):
-        a, b = (point_from_ordinate(y) for y in sorted(ys, reverse=True))
-        runs = []
-        enclose = sector_module.enclose
-
-        def record(*args, **kwargs):
-            try:
-                runs.append(enclose(*args, **kwargs))
-            except ConvergenceError as err:
-                runs.append((err.enclosure, err.report))
-                raise
-            return runs[-1]
-
-        def level():
-            try:
-                return gap_iterations(a, b, tol)
-            except ConvergenceError:
-                return None
-
-        with mock.patch.object(sector_module, "enclose", record):
-            levels = [level(), level()]
-        (enc, rep), (_, rep_again) = runs
-        _check_rows(enc, rep, a, b, FAN_BRACKET)
-        assert rep == rep_again and rep.to_dict() == rep_again.to_dict()
-        if rep.stop_reason == "tolerance_met":
-            assert levels == [rep.rows[-1].m] * 2
-            assert enc.width < tol
 
     def test_positional_constructor_is_an_eager_report(self):
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.2)
@@ -292,7 +258,6 @@ class TestRunsKeepTheirLevels:
             "pi_constant": lambda: pi_constant(1e-12),
             "sin": lambda: sin(0.5, 1e-10),
             "verify_ratio": lambda: verify_ratio(a, b, 1e-10),
-            "gap_iterations": lambda: gap_iterations(a, b, 1e-12),
         }
 
         def value(call):
@@ -368,8 +333,9 @@ class TestGapIterationsBuildsNoRows:
     @pytest.mark.parametrize("ys, epsilon", [((1.0, 0.0), 1e-10), ((0.9, 0.1), 1e-6),
                                              ((0.3, 0.29), 1e-14)])
     def test_level_count_without_rows(self, ys, epsilon, monkeypatch):
-        """gap_iterations returns the level count of its run without building
-        one IterationRow, and the count is the last row's m."""
+        """gap_iterations returns its level without building one
+        IterationRow, and the level is the first of length_sequence's rows
+        whose fan gap is below epsilon."""
         a, b = (point_from_ordinate(y) for y in ys)
         expected = gap_iterations(a, b, epsilon)
 
@@ -379,9 +345,9 @@ class TestGapIterationsBuildsNoRows:
         with monkeypatch.context() as patched:
             patched.setattr(report_module, "IterationRow", no_rows)
             assert gap_iterations(a, b, epsilon) == expected
-        _, report = sector_module.enclose(a, b, epsilon, report_module.FAN_BRACKET,
-                                          strict=True)
-        assert expected == report.rows[-1].m == len(report) - 1
+        rows = length_sequence(a, b, 27)
+        assert expected == next(row.m for row in rows
+                                if row.outer_area - row.inner_area < epsilon)
 
     def test_len_of_a_report_built_from_rows(self):
         _, report = arc_length(TOP, Q, 1e-8)

@@ -17,24 +17,26 @@ from chordtrig import (
 from chordtrig import arclength, partitions
 from chordtrig import report as report_module
 from chordtrig.arclength import ladder_levels
-from chordtrig.report import ARC_BRACKET, FAN_BRACKET
+from chordtrig.report import fan_areas
 
 ARCS = [(1.0, 0.0), (0.95, 0.05), (0.3, math.nextafter(0.3, 0.0)), (1e-300, 0.0)]
 
 
 @pytest.mark.parametrize("ys", ARCS)
-@pytest.mark.parametrize("bracket", [ARC_BRACKET, FAN_BRACKET])
-def test_records_carry_the_rows_total_length(ys, bracket):
+@pytest.mark.parametrize("view", ["arc", "fans"])
+def test_records_carry_the_rows_total_length(ys, view):
+    # "arc": the records' arms are the rows' enclosure columns; "fans": the
+    # fans formed from a record's (L_m, h_m) are the rows' fan columns
     a, b = (point_from_ordinate(y) for y in ys)
-    records = ladder_levels(a, b, 62, bracket)
+    records = ladder_levels(a, b, 62)
     rows = length_sequence(a, b, 62)
     assert len(records) == len(rows) == 63
     for record, row in zip(records, rows):
         ell, h, total, lo, hi = record
         assert (ell, h) == (row.segment_length, row.height)
         assert total.hex() == row.total_length.hex()
-        if bracket == FAN_BRACKET:
-            assert (lo, hi) == (row.inner_area, row.outer_area)
+        if view == "fans":
+            assert fan_areas(total, h) == (row.inner_area, row.outer_area)
         else:
             assert (lo, hi) == (row.enclosure_lo, row.enclosure_hi)
 

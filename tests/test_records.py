@@ -1,14 +1,15 @@
-"""The nine frozen record types behave as frozen dataclasses did: equality
+"""The seven frozen record types behave as frozen dataclasses did: equality
 within one class only, hash and repr from the fields, keyword construction,
-pattern matching, pickling, and FrozenInstanceError on set and del."""
+pattern matching, pickling, copying, and FrozenInstanceError on set and
+del."""
 
+import copy
 import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from chordtrig import (
-    Chord,
     CirclePoint,
     ConvergenceReport,
     Enclosure,
@@ -16,25 +17,18 @@ from chordtrig import (
     Partition,
     SectorSandwich,
     TangentIntersection,
-    TriangleAtOrigin,
     arc_length,
     point_from_ordinate,
 )
 
 TOP = CirclePoint(y=1.0, x=0.0)
 RIGHT = CirclePoint(y=0.0, x=1.0)
-CHORD = Chord(hi=TOP, lo=RIGHT, length=1.5)
 ROW = IterationRow(m=0, segment_length=1.5, height=0.5, total_length=1.5, inner_area=0.375,
                    outer_area=1.5, enclosure_lo=1.5, enclosure_hi=3.0)
 
 # (type, keyword arguments in field order, exact repr)
 RECORDS = [
     (CirclePoint, dict(y=0.5, x=0.75), "CirclePoint(y=0.5, x=0.75)"),
-    (Chord, dict(hi=TOP, lo=RIGHT, length=1.5),
-     "Chord(hi=CirclePoint(y=1.0, x=0.0), lo=CirclePoint(y=0.0, x=1.0), length=1.5)"),
-    (TriangleAtOrigin, dict(base=CHORD, height=0.5),
-     "TriangleAtOrigin(base=Chord(hi=CirclePoint(y=1.0, x=0.0), "
-     "lo=CirclePoint(y=0.0, x=1.0), length=1.5), height=0.5)"),
     (Enclosure, dict(lo=1.0, hi=2.0), "Enclosure(lo=1.0, hi=2.0)"),
     (IterationRow, dict(m=0, segment_length=1.5, height=0.5, total_length=1.5,
                         inner_area=0.375, outer_area=1.5, enclosure_lo=1.5,
@@ -110,6 +104,14 @@ def test_pickle_round_trip(cls, kwargs, text):
     record = cls(**kwargs)
     again = pickle.loads(pickle.dumps(record))
     assert type(again) is cls and again == record and repr(again) == text
+
+
+@by_type
+def test_copy_and_deepcopy_give_an_equal_record(cls, kwargs, text):
+    record = cls(**kwargs)
+    for again in (copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is cls and again == record and repr(again) == text
+        assert hash(again) == hash(record)
 
 
 def test_report_rows_default_to_empty():

@@ -1,11 +1,13 @@
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from chordtrig import (
     ConvergenceError,
     DegenerateArcError,
     DomainError,
+    SectorSandwich,
     arc_length,
     gap_iterations,
     inner_polygon_area,
@@ -18,12 +20,26 @@ from chordtrig import (
     verify_ratio,
 )
 from chordtrig import arclength as arclength_module
+from chordtrig.arclength import ladder_levels
+from chordtrig.report import fan_areas
 
 from conftest import EPS, random_arc_ordinates
 from oracles import exact_sector, holds
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
+TINY = 5e-324
+
+# the quarter arc, one-ulp arcs and arcs at 1e-300 and 5e-324 besides drawn ones
+gap_arcs = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda ys: ys[0] != ys[1]),
+    st.floats(0.0, 1.0, exclude_min=True).map(lambda y: (y, math.nextafter(y, 0.0))),
+    st.sampled_from([(1.0, 0.0), (1.0, math.nextafter(1.0, 0.0)), (1e-300, 0.0),
+                     (TINY, 0.0), (2 * TINY, TINY)]),
+)
+# down to the smallest subnormal
+gap_epsilons = st.one_of(st.floats(-323.0, 0.3).map(lambda e: 10.0 ** e), st.just(TINY),
+                         st.floats(TINY, 2.0))
 
 
 class TestFanAreas:
@@ -55,6 +71,19 @@ class TestFanAreas:
                 closed = 0.5 * rec.total_length * rec.height * (1.0 / rec.height ** 2 - 1.0)
                 assert sw.gap == pytest.approx(closed, abs=8 * EPS)
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 10, 27, 40, 62])
+    def test_sandwich_is_the_fans_of_the_last_arc_record(self, rng, m):
+        arcs = [(1.0, 0.0), (1.0, math.nextafter(1.0, 0.0)), (1e-300, 0.0), (TINY, 0.0),
+                *random_arc_ordinates(rng, 10)]
+        for ya, yb in arcs:
+            a, b = point_from_ordinate(ya), point_from_ordinate(yb)
+            _, h, total, _, _ = ladder_levels(a, b, m)[-1]
+            inner, outer = fan_areas(total, h)
+            sw = sector_sandwich(a, b, m)
+            assert sw == SectorSandwich(m, inner, outer, outer - inner)
+            assert (inner_polygon_area(a, b, m), outer_polygon_area(a, b, m)) == (inner,
+                                                                                  outer)
+
     def test_degenerate_rejected(self):
         p = point_from_ordinate(0.7)
         with pytest.raises(DegenerateArcError):
@@ -78,6 +107,22 @@ class TestGapIterations:
         # forces one more level
         gap0 = sector_sandwich(TOP, Q, 0).gap
         assert gap_iterations(TOP, Q, gap0) == 1
+
+    @given(gap_arcs, gap_epsilons, st.integers(0, 27))
+    @example((1.0, 0.0), TINY, 0)
+    @example((TINY, 0.0), TINY, 0)
+    @example((1.0, 0.0), 0.5, 3)
+    def test_is_the_first_row_whose_fan_gap_is_below_epsilon(self, ys, epsilon, level):
+        # At the drawn epsilon and at the fan gap of a drawn level, where the
+        # threshold's strictness decides: the gap must fall strictly below
+        # epsilon, and some level up to 27 has it fall.
+        a, b = (point_from_ordinate(y) for y in ys)
+        gaps = [row.outer_area - row.inner_area for row in length_sequence(a, b, 27)]
+        for eps in (epsilon, gaps[level]):
+            if eps > 0.0:
+                first = next((m for m, gap in enumerate(gaps) if gap < eps), None)
+                assert first is not None
+                assert gap_iterations(a, b, eps) == first
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
@@ -146,7 +191,7 @@ class TestSectorArea:
     def test_strict_monotonicity_in_arc(self, rng):
         # the sector from (1, 0) grows with the ordinate, by at least the
         # inscribed triangle of the increment arc
-        from chordtrig import chord_length, height_at_origin
+        from chordtrig import chord_length, height_for_chord
 
         tol = 1e-10
         for _ in range(40):
@@ -156,7 +201,7 @@ class TestSectorArea:
             big, _ = sector_area(point_from_ordinate(float(ya)), Q, tol)
             small, _ = sector_area(point_from_ordinate(float(yb)), Q, tol)
             pa, pb = point_from_ordinate(float(ya)), point_from_ordinate(float(yb))
-            triangle = 0.5 * chord_length(pa, pb) * height_at_origin(pa, pb)
+            triangle = 0.5 * chord_length(pa, pb) * height_for_chord(chord_length(pa, pb))
             assert big.mid - small.mid >= triangle - 2.0 * tol
 
 
