@@ -39,7 +39,8 @@ loop records each level as (l_m, h_m, L_m, lo, hi), and these records are
 the one source of these values: :func:`enclose` returns the last one's
 bracket and a report that keeps them all (its
 :class:`~chordtrig.report.IterationRow` table is built from them when first
-read), :func:`length_sequence` builds its rows from those of
+read), :func:`_arms`, the run under it, hands the bare arms to ``sin``'s
+certifier loop, :func:`length_sequence` builds its rows from those of
 :func:`ladder_levels`, the loop's checked recorder, and the paper's two
 fans, :func:`~chordtrig.report.fan_areas` of (L_m, h_m), are a view of the
 records: the sector sandwich and the fan-gap criterion read them there.
@@ -261,6 +262,26 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
     return levels
 
 
+def _arms(a: CirclePoint, b: CirclePoint, tol: float,
+          bracket: str = ARC_BRACKET) -> tuple[float, float, list[_Level]]:
+    """The run behind :func:`enclose` on the arc ``ab`` (a != b, tol > 0):
+    the last level's arms and the level records, with no record built
+    around them. It raises as :func:`enclose` does, and only then builds
+    the bracket and the report its error carries."""
+    levels: list[_Level] = []
+    stop, floor = _climb(a, b, tol, _MAX_LEVEL, bracket, levels)
+    _, _, _, lo, hi = levels[-1]
+    if stop != STOP_TOLERANCE:
+        below = stop == STOP_FLOOR
+        raise (PrecisionFloorError if below else ConvergenceError)(
+            f"tol {tol!r} is below the binary64 floor {floor:.3g} of this arc" if below
+            else f"bracket width {hi - lo!r} has not reached tol {tol!r} "
+                 f"by level {len(levels) - 1}",
+            enclosure=Enclosure(lo, hi),
+            report=ladder_report(a.y, b.y, tol, stop, levels))
+    return lo, hi, levels
+
+
 def enclose(a: CirclePoint, b: CirclePoint, tol: float,
             bracket: str = ARC_BRACKET) -> tuple[Enclosure, ConvergenceReport]:
     """Run the ladder until its ``bracket``, the arc closure
@@ -278,19 +299,8 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float,
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     if a.y == b.y:
         return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, [])
-    levels: list[_Level] = []
-    stop, floor = _climb(a, b, tol, _MAX_LEVEL, bracket, levels)
-    _, _, _, lo, hi = levels[-1]
-    enc = Enclosure(lo, hi)
-    report = ladder_report(a.y, b.y, tol, stop, levels)
-    if stop != STOP_TOLERANCE:
-        below = stop == STOP_FLOOR
-        raise (PrecisionFloorError if below else ConvergenceError)(
-            f"tol {tol!r} is below the binary64 floor {floor:.3g} of this arc" if below
-            else f"bracket width {hi - lo!r} has not reached tol {tol!r} "
-                 f"by level {len(levels) - 1}",
-            enclosure=enc, report=report)
-    return enc, report
+    lo, hi, levels = _arms(a, b, tol, bracket)
+    return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 
 def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[IterationRow]:

@@ -41,7 +41,8 @@ def point_from_ordinate(y: float) -> CirclePoint:
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"ordinate must lie in [0, 1], got {y!r}")
     y = float(y)
-    return CirclePoint(y=y, x=math.sqrt((1.0 - y) * (1.0 + y)))
+    # by position: keywords cost about 0.2 us more per point
+    return CirclePoint(y, math.sqrt((1.0 - y) * (1.0 + y)))
 
 
 def chord_length(p: CirclePoint, q: CirclePoint) -> float:

@@ -12,12 +12,17 @@ from __future__ import annotations
 import math
 
 from ._value import Value, set_field
-from .arclength import arc_length
+from .arclength import _arms, arc_length, ladder_levels
 from .errors import DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
 from .report import ConvergenceReport, Enclosure
 
 _Q = point_from_ordinate(0.0)
+
+# The quarter arc's widened lower arm at level 0, 2.07e-5 below pi / 2: a
+# bound on pi / 2 that the ladder itself produces. sin runs the quarter arc
+# only for an x above it.
+_HALF_PI_LO = ladder_levels(point_from_ordinate(1.0), _Q, 0)[0][3]
 
 
 class TangentIntersection(Value):
@@ -79,30 +84,39 @@ def sin(x: float, tol: float) -> float:
     y <= x <= y / sqrt(1 - y^2), so x (1 - x^2) <= sin x <= x: x itself is
     returned once x^3 <= tol / 2, and 0 once x <= tol. And x within w of
     pi / 2, w the quarter arc's bracket width, has 1 - sin x <= w^2 / 2.
+    The quarter arc, which only this exit and the domain check read, runs
+    only for x outside [0, ``_HALF_PI_LO``]: up to that level-0 lower arm x
+    is in the domain and short of the bracket's midpoint. A ``tol`` that is
+    not positive raises ``DomainError`` first.
     """
-    try:
-        top, _ = arcsin(1.0, tol)
-    except PrecisionFloorError as err:  # its bracket still bounds pi / 2
-        top = err.enclosure
-    if not 0.0 <= x <= top.hi:
-        raise DomainError(
-            f"argument must lie in [0, {top.hi!r}] (a quarter turn), got {x!r}")
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    top = None
+    if not 0.0 <= x <= _HALF_PI_LO:
+        try:
+            top, _ = arcsin(1.0, tol)
+        except PrecisionFloorError as err:  # its bracket still bounds pi / 2
+            top = err.enclosure
+        if not 0.0 <= x <= top.hi:
+            raise DomainError(
+                f"argument must lie in [0, {top.hi!r}] (a quarter turn), got {x!r}")
     if x <= tol:
         return 0.0
     if x * x * x <= 0.5 * tol:
         return x
-    if x >= top.mid and 0.5 * top.width * top.width <= tol:
+    if top is not None and x >= top.mid and 0.5 * top.width * top.width <= tol:
         return 1.0
     y = x * (1.0 - x * x / 6.0 * (1.0 - x * x / 20.0 * (1.0 - x * x / 42.0)))
     y_lo, y_hi, slow = 0.0, 1.0, 0
     try:
         while y_hi - y_lo > tol:
-            enc, half = arcsin(y, tol)[0], 0.5 * (y_hi - y_lo)
-            if enc.lo < x < enc.hi:
+            lo, hi, _ = _arms(point_from_ordinate(y), _Q, tol)
+            half = 0.5 * (y_hi - y_lo)
+            if lo < x < hi:
                 return y
-            y_lo, y_hi = (y, y_hi) if enc.hi <= x else (y_lo, y)
+            y_lo, y_hi = (y, y_hi) if hi <= x else (y_lo, y)
             slow = slow + 1 if y_hi - y_lo > half else 0
-            d = x - enc.mid
+            d = x - 0.5 * (lo + hi)
             step = d * (math.sqrt((1.0 - y) * (1.0 + y)) * (1.0 - d * d / 6.0)
                         - y * d / 2.0 * (1.0 - d * d / 12.0))
             y += step if abs(step) >= 0.5 * tol else math.copysign(0.5 * tol, d)

@@ -10,7 +10,9 @@ arc's run too (with no levels). The report keeps the run's level records
 (l_m, h_m, L_m, lo, hi), so ``len`` needs no rows, and ``rows``, a
 :func:`functools.cached_property`, builds the :class:`IterationRow` table
 from those records through :func:`level_row` on first read and keeps it. A
-report that is never read (``sin``'s inner ``arcsin`` runs) builds no row.
+report that is never read (``sin``'s quarter-arc run) builds no row, and
+``sin``'s certifier runs build no report at all: they take the bare arms of
+the run behind :func:`~chordtrig.arclength.enclose`.
 The positional constructor builds an eager report from rows a caller
 already has.
 

@@ -242,6 +242,50 @@ class TestSinPredictorCertifier:
             assert len(runs) <= 4, (x, tol, runs)
 
 
+class TestSinRunsOnlyWhatItReads:
+    """The quarter arc runs only for x above its level-0 lower arm."""
+
+    def _count_runs(self, monkeypatch):
+        runs = []
+        climb = arclength._climb
+
+        def counted(*args, **kwargs):
+            runs.append(args[0].y)  # the upper ordinate of each ladder run
+            return climb(*args, **kwargs)
+
+        monkeypatch.setattr(arclength, "_climb", counted)
+        return runs
+
+    def test_the_bound_is_below_half_pi(self):
+        assert inverse._HALF_PI_LO < math.pi / 2
+
+    def test_no_quarter_arc_run_below_the_bound(self, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        sin(0.5, 1e-10)
+        assert runs and 1.0 not in runs
+
+    def test_one_quarter_arc_run_above_the_bound(self, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        sin(HALF_PI - 1e-6, 1e-12)
+        assert runs.count(1.0) == 1
+
+    def test_at_most_eight_ladder_runs_per_call(self, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        grid = ([HALF_PI * (i + 0.5) / 34 for i in range(34)]
+                + [HALF_PI - 10.0 ** -k for k in range(1, 9)]
+                + [10.0 ** -k for k in range(1, 9)])
+        for tol in (1e-8, 1e-10, 1e-12):
+            for x in grid:
+                runs.clear()
+                sin(x, tol)
+                assert len(runs) <= 8, (x, tol, runs)
+        # sin x rounds to 1: the quarter arc and at most three certifier runs
+        for x, tol in ((1.5707963267948963, 1.38e-14), (1.57079632, 1e-14)):
+            runs.clear()
+            sin(x, tol)
+            assert len(runs) <= 4 and runs.count(1.0) == 1, (x, tol, runs)
+
+
 class TestOneRunPerCommand:
     def _count_runs(self, monkeypatch):
         runs = []

@@ -162,7 +162,7 @@ class TestExitCodes:
 
     # each ladder command with arguments whose first run needs more than level 0
     @pytest.mark.parametrize("argv", [
-        ["pi"], ["arc", "--a", "0.9", "--b", "0.2"], ["arcsin", "0.9"], ["sin", "0.5"],
+        ["pi"], ["arc", "--a", "0.9", "--b", "0.2"], ["arcsin", "0.9"], ["sin", "1.2"],
         ["sector", "--a", "0.9", "--b", "0.2"], ["ratio", "--a", "0.9", "--b", "0.2"],
         ["additivity", "--a", "0.9", "--m", "0.5", "--b", "0.2"]],
         ids=lambda argv: argv[0])

@@ -89,6 +89,11 @@ class TestSin:
         with pytest.raises(DomainError):
             sin(0.5, 0.0)
 
+    @pytest.mark.parametrize("x, tol", [(0.0, 0.0), (1e-9, -1.0), (0.5, float("nan"))])
+    def test_a_tol_that_is_not_positive_raises_before_any_exit(self, x, tol):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            sin(x, tol)
+
     def test_round_trips(self, rng):
         tol = 1e-10
         for y in rng.uniform(0.0, 1.0, 15):
