@@ -19,11 +19,12 @@ class Value:
 
     A subclass sets ``__slots__ = _fields`` (or leaves out ``__slots__`` to
     keep an instance dict) and stores every field in its ``__init__`` with
-    :data:`set_field`. As for a frozen dataclass: two records are equal when
-    they are of the same class and their fields are equal, the hash, repr
-    (``Name(field=value, ...)``), ``__match_args__`` and pickling follow the
-    fields, and setting or deleting an attribute raises
-    ``dataclasses.FrozenInstanceError``.
+    :data:`set_field`, or, in a record built once per ladder run, with its
+    slot's own ``__set__``, which is faster. As for a frozen dataclass: two
+    records are equal when they are of the same class and their fields are
+    equal, the hash, repr (``Name(field=value, ...)``), ``__match_args__``
+    and pickling follow the fields, and setting or deleting an attribute
+    raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ()

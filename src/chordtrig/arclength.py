@@ -39,8 +39,8 @@ loop records each level as (l_m, h_m, L_m, lo, hi), and these records are
 the one source of these values: :func:`enclose` returns the last one's
 bracket and a report that keeps them all (its
 :class:`~chordtrig.report.IterationRow` table is built from them when first
-read), :func:`_arms`, the run under it, hands the bare arms to ``sin``'s
-certifier loop, :func:`length_sequence` builds its rows from those of
+read), :func:`arms`, the run under it, hands the bare arms to the callers
+that return no report, :func:`length_sequence` builds its rows from those of
 :func:`ladder_levels`, the loop's checked recorder, and the paper's two
 fans, :func:`~chordtrig.report.fan_areas` of (L_m, h_m), are a view of the
 records: the sector sandwich and the fan-gap criterion read them there.
@@ -262,13 +262,18 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
     return levels
 
 
-def _arms(a: CirclePoint, b: CirclePoint, tol: float,
-          bracket: str = ARC_BRACKET) -> tuple[float, float, list[_Level]]:
-    """The run behind :func:`enclose` on the arc ``ab`` (a != b, tol > 0):
-    the last level's arms and the level records, with no record built
-    around them. It raises as :func:`enclose` does, and only then builds
-    the bracket and the report its error carries."""
+def arms(a: CirclePoint, b: CirclePoint, tol: float,
+         bracket: str = ARC_BRACKET) -> tuple[float, float, list[_Level]]:
+    """The run behind :func:`enclose` on the arc ``ab``: the last level's
+    arms and the level records, with no record built around them; a
+    degenerate arc gives 0, 0 and no levels. It checks and raises as
+    :func:`enclose` does, and only on a floor or backstop stop builds the
+    bracket and the report its error carries."""
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
     levels: list[_Level] = []
+    if a.y == b.y:
+        return 0.0, 0.0, levels
     stop, floor = _climb(a, b, tol, _MAX_LEVEL, bracket, levels)
     _, _, _, lo, hi = levels[-1]
     if stop != STOP_TOLERANCE:
@@ -295,11 +300,7 @@ def enclose(a: CirclePoint, b: CirclePoint, tol: float,
     by level 4 (module docstring). The level-62 backstop raises
     ``ConvergenceError``. Both errors carry the last bracket and the
     report."""
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if a.y == b.y:
-        return Enclosure(0.0, 0.0), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, [])
-    lo, hi, levels = _arms(a, b, tol, bracket)
+    lo, hi, levels = arms(a, b, tol, bracket)
     return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 

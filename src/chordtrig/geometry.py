@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value, set_field
+from ._value import Value
 from .errors import DomainError
 
 
@@ -28,8 +28,13 @@ class CirclePoint(Value):
     __slots__ = _fields = ("y", "x")
 
     def __init__(self, y: float, x: float):
-        set_field(self, "y", y)
-        set_field(self, "x", x)
+        _set_y(self, y)
+        _set_x(self, x)
+
+
+# The slots' own setters: a point is built per ladder run, and these store
+# a field faster than set_field.
+_set_y, _set_x = CirclePoint.y.__set__, CirclePoint.x.__set__
 
 
 def point_from_ordinate(y: float) -> CirclePoint:

@@ -12,17 +12,18 @@ from __future__ import annotations
 import math
 
 from ._value import Value, set_field
-from .arclength import _arms, arc_length, ladder_levels
+from .arclength import arc_length, arms, ladder_levels
 from .errors import DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
 from .report import ConvergenceReport, Enclosure
 
 _Q = point_from_ordinate(0.0)
+_TOP = point_from_ordinate(1.0)
 
 # The quarter arc's widened lower arm at level 0, 2.07e-5 below pi / 2: a
 # bound on pi / 2 that the ladder itself produces. sin runs the quarter arc
 # only for an x above it.
-_HALF_PI_LO = ladder_levels(point_from_ordinate(1.0), _Q, 0)[0][3]
+_HALF_PI_LO = ladder_levels(_TOP, _Q, 0)[0][3]
 
 
 class TangentIntersection(Value):
@@ -46,9 +47,9 @@ def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:
 
 
 def pi_run(tol: float) -> tuple[Enclosure, ConvergenceReport]:
-    """The run behind :func:`pi_constant`: its enclosure of pi and the
-    report of the quarter-arc run it doubles."""
-    quarter, report = arcsin(1.0, tol)
+    """:func:`pi_constant`'s enclosure of pi and the report of the
+    quarter-arc run it doubles."""
+    quarter, report = arc_length(_TOP, _Q, tol)
     return Enclosure(2.0 * quarter.lo, 2.0 * quarter.hi), report
 
 
@@ -58,9 +59,11 @@ def pi_constant(tol: float) -> Enclosure:
     Arc lengths are additive and the two quarter arcs of the upper
     semicircle are mirror images, so the semicircle length is twice the
     quarter length. Width is at most 2 * tol. A ``tol`` below the quarter
-    arc's binary64 floor raises ``PrecisionFloorError``.
+    arc's binary64 floor raises ``PrecisionFloorError``. It doubles the
+    bare arms of :func:`pi_run`'s run, so it builds no report.
     """
-    return pi_run(tol)[0]
+    lo, hi, _ = arms(_TOP, _Q, tol)
+    return Enclosure(2.0 * lo, 2.0 * hi)
 
 
 def sin(x: float, tol: float) -> float:
@@ -91,26 +94,28 @@ def sin(x: float, tol: float) -> float:
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    top = None
+    top_hi = None
     if not 0.0 <= x <= _HALF_PI_LO:
         try:
-            top, _ = arcsin(1.0, tol)
+            top_lo, top_hi, _ = arms(_TOP, _Q, tol)
         except PrecisionFloorError as err:  # its bracket still bounds pi / 2
-            top = err.enclosure
-        if not 0.0 <= x <= top.hi:
+            top_lo, top_hi = err.enclosure.lo, err.enclosure.hi
+        if not 0.0 <= x <= top_hi:
             raise DomainError(
-                f"argument must lie in [0, {top.hi!r}] (a quarter turn), got {x!r}")
+                f"argument must lie in [0, {top_hi!r}] (a quarter turn), got {x!r}")
     if x <= tol:
         return 0.0
     if x * x * x <= 0.5 * tol:
         return x
-    if top is not None and x >= top.mid and 0.5 * top.width * top.width <= tol:
-        return 1.0
+    if top_hi is not None and x >= 0.5 * (top_lo + top_hi):
+        width = top_hi - top_lo
+        if 0.5 * width * width <= tol:
+            return 1.0
     y = x * (1.0 - x * x / 6.0 * (1.0 - x * x / 20.0 * (1.0 - x * x / 42.0)))
     y_lo, y_hi, slow = 0.0, 1.0, 0
     try:
         while y_hi - y_lo > tol:
-            lo, hi, _ = _arms(point_from_ordinate(y), _Q, tol)
+            lo, hi, _ = arms(point_from_ordinate(y), _Q, tol)
             half = 0.5 * (y_hi - y_lo)
             if lo < x < hi:
                 return y

@@ -73,11 +73,11 @@ import random
 from typing import NamedTuple
 
 from ._value import Value, set_field
-from .arclength import SERIES, arc_length, bisection_step, upper_bound
+from .arclength import SERIES, arms, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      PrecisionFloorError, as_integer)
 from .geometry import CirclePoint, chord_length, compare_by_ordinate, point_from_ordinate
-from .sector import sector_area
+from .report import ARC_BRACKET, SECTOR_BRACKET
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
 
@@ -300,6 +300,13 @@ def _polyline_stats(ys: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _mid(a: CirclePoint, b: CirclePoint, tol: float, bracket: str) -> float:
+    """The midpoint of the ladder run's ``bracket`` on the arc ``ab``, read
+    from its bare arms (:func:`~chordtrig.arclength.arms`): no report."""
+    lo, hi, _ = arms(a, b, tol, bracket)
+    return 0.5 * (lo + hi)
+
+
 def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
                  seed: int | None = None) -> float:
     """Polygonal-length limit of the named partition family on the arc ``ab``.
@@ -323,7 +330,7 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     _check_scheme(scheme, seed)
     if scheme == "bisection":
-        return arc_length(hi, lo, tol)[0].mid
+        return _mid(hi, lo, tol, ARC_BRACKET)
     size = 1
     while size + 1 <= _MAX_PARTITION_POINTS:
         ys = _ordinates(scheme, hi.y, lo.y, size, seed)
@@ -362,8 +369,8 @@ def additivity_check(a: CirclePoint, m_pt: CirclePoint, b: CirclePoint,
     if not a.y >= m_pt.y >= b.y:
         raise DomainError(
             "split point must lie between the arc endpoints in ordinate order")
-    arc_whole = arc_length(a, b, tol)[0].mid
-    arc_parts = arc_length(a, m_pt, tol)[0].mid + arc_length(m_pt, b, tol)[0].mid
-    sector_whole = sector_area(a, b, tol)[0].mid
-    sector_parts = sector_area(a, m_pt, tol)[0].mid + sector_area(m_pt, b, tol)[0].mid
+    arc_whole = _mid(a, b, tol, ARC_BRACKET)
+    arc_parts = _mid(a, m_pt, tol, ARC_BRACKET) + _mid(m_pt, b, tol, ARC_BRACKET)
+    sector_whole = _mid(a, b, tol, SECTOR_BRACKET)
+    sector_parts = _mid(a, m_pt, tol, SECTOR_BRACKET) + _mid(m_pt, b, tol, SECTOR_BRACKET)
     return AdditivityCheck(arc_whole, arc_parts, sector_whole, sector_parts)

@@ -10,8 +10,10 @@ arc's run too (with no levels). The report keeps the run's level records
 (l_m, h_m, L_m, lo, hi), so ``len`` needs no rows, and ``rows``, a
 :func:`functools.cached_property`, builds the :class:`IterationRow` table
 from those records through :func:`level_row` on first read and keeps it. A
-report that is never read (``sin``'s quarter-arc run) builds no row, and
-``sin``'s certifier runs build no report at all: they take the bare arms of
+report that is never read builds no row. Callers that return no report
+build none: ``pi_constant``, ``verify_ratio``, ``scheme_limit``'s bisection
+scheme, ``additivity_check`` and ``sin`` (its quarter-arc run and its
+certifier runs) read the bare arms of :func:`~chordtrig.arclength.arms`,
 the run behind :func:`~chordtrig.arclength.enclose`.
 The positional constructor builds an eager report from rows a caller
 already has.
@@ -61,8 +63,8 @@ class Enclosure(Value):
     def __init__(self, lo: float, hi: float):
         if not lo <= hi:
             raise ValueError(f"enclosure arms out of order: [{lo!r}, {hi!r}]")
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     @property
     def width(self) -> float:
@@ -74,6 +76,11 @@ class Enclosure(Value):
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "mid": self.mid, "width": self.width}
+
+
+# The slots' own setters, as for CirclePoint: every run that returns a
+# bracket builds one.
+_set_lo, _set_hi = Enclosure.lo.__set__, Enclosure.hi.__set__
 
 
 class IterationRow(Value):
@@ -112,6 +119,10 @@ def level_row(m: int, segment_length: float, height: float, total_length: float,
     """The row of ladder level ``m`` from its record (l_m, h_m, L_m, lo, hi)."""
     inner, outer = fan_areas(total_length, height)
     return IterationRow(m, segment_length, height, total_length, inner, outer, lo, hi)
+
+
+# object.__new__ itself, not looked up through the class on every report.
+_new = object.__new__
 
 
 class ConvergenceReport(Value):
@@ -161,7 +172,7 @@ def ladder_report(a_ordinate: float, b_ordinate: float, tolerance: float,
                   stop_reason: str, levels: Sequence[tuple]) -> ConvergenceReport:
     """The report of a ladder run whose record (l_m, h_m, L_m, lo, hi) of
     level m is ``levels[m]``; its rows are built when first read."""
-    report = ConvergenceReport.__new__(ConvergenceReport)
+    report = _new(ConvergenceReport)
     report.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
                            tolerance=tolerance, stop_reason=stop_reason, _levels=levels)
     return report

@@ -16,7 +16,7 @@ length equals twice the sector area, checked by :func:`verify_ratio`.
 from __future__ import annotations
 
 from ._value import Value, set_field
-from .arclength import arc_length, enclose, ladder_levels
+from .arclength import arc_length, arms, enclose, ladder_levels
 from .errors import ConvergenceError, DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
 from .report import (SECTOR_BRACKET, STOP_CAP, ConvergenceReport, Enclosure, fan_areas,
@@ -88,8 +88,8 @@ def sector_area(a: CirclePoint, b: CirclePoint,
     return enclose(a, b, tol, SECTOR_BRACKET)
 
 
-def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
-    """Both runs behind the arc/sector ratio, at the shared scaled tolerance."""
+def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:
+    """The bracket tolerance both ratio runs share, 3 * tol * chord."""
     if a.y == b.y:
         raise DegenerateArcError("arc/sector ratio of a degenerate arc")
     if not tol > 0.0:
@@ -100,6 +100,12 @@ def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
         raise DomainError(
             f"arc too short for the ratio in binary64: chord {chord!r} times "
             f"tol {tol!r} underflows to zero")
+    return scaled
+
+
+def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
+    """Both runs behind the arc/sector ratio, at the shared scaled tolerance."""
+    scaled = _ratio_tol(a, b, tol)
     arc_enc, arc_rep = arc_length(a, b, scaled)
     sec_enc, sec_rep = sector_area(a, b, scaled)
     return arc_enc, arc_rep, sec_enc, sec_rep
@@ -111,7 +117,10 @@ def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     The two runs share a bracket tolerance proportional to the chord: the
     ratio's error scales like (bracket width) / (arc length), so an absolute
     inner tolerance would not meet the 10 * tol contract on short arcs.
-    Result contract: within 10 * tol of 2.
+    Result contract: within 10 * tol of 2. It reads the bare arms of
+    :func:`ratio_runs`' two runs, so it builds no report.
     """
-    arc_enc, _, sec_enc, _ = ratio_runs(a, b, tol)
-    return arc_enc.mid / sec_enc.mid
+    scaled = _ratio_tol(a, b, tol)
+    arc_lo, arc_hi, _ = arms(a, b, scaled)
+    sec_lo, sec_hi, _ = arms(a, b, scaled, SECTOR_BRACKET)
+    return 0.5 * (arc_lo + arc_hi) / (0.5 * (sec_lo + sec_hi))

@@ -217,12 +217,14 @@ class TestSinPredictorCertifier:
                         continue
                     assert abs(mpmath.mpf(y) - truth) <= tol, (x, tol)
 
-    def test_at_most_eight_arcsin_runs_per_call(self, monkeypatch):
-        runs = []
+    def test_makes_no_arcsin_call(self, monkeypatch):
+        """Every run of sin, the quarter arc's too, reads bare arms; its run
+        bound is counted at _climb (TestSinRunsOnlyWhatItReads)."""
+        calls = []
         arcsin_run = inverse.arcsin
 
         def counted(*args):
-            runs.append(args[0])
+            calls.append(args[0])
             return arcsin_run(*args)
 
         monkeypatch.setattr(inverse, "arcsin", counted)
@@ -230,16 +232,12 @@ class TestSinPredictorCertifier:
                 + [HALF_PI - 10.0 ** -k for k in range(1, 9)]
                 + [10.0 ** -k for k in range(1, 9)])
         assert len(grid) == 50
-        for tol in (1e-8, 1e-10, 1e-12):
-            for x in grid:
-                runs.clear()
-                sin(x, tol)
-                assert len(runs) <= 8, (x, tol, runs)
-        # sin x rounds to 1: the step that reaches y = 1 stops tol / 2 below it
-        for x, tol in ((1.5707963267948963, 1.38e-14), (1.57079632, 1e-14)):
-            runs.clear()
+        cases = [(x, tol) for tol in (1e-8, 1e-10, 1e-12) for x in grid]
+        # sin x rounds to 1: the quarter arc runs
+        cases += [(1.5707963267948963, 1.38e-14), (1.57079632, 1e-14)]
+        for x, tol in cases:
             sin(x, tol)
-            assert len(runs) <= 4, (x, tol, runs)
+        assert calls == []
 
 
 class TestSinRunsOnlyWhatItReads:

@@ -1,5 +1,6 @@
 """The shared chord ladder: (l, h) recurrence, level records kept by each run
-and rows built from them on read, fan areas, level cap, argument checks."""
+and rows built from them on read, bare arms for the callers that return no
+report, fan areas, level cap, argument checks."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -13,7 +14,9 @@ from chordtrig import (
     ConvergenceError,
     ConvergenceReport,
     DomainError,
+    Enclosure,
     IterationRow,
+    additivity_check,
     arc_length,
     arcsin,
     gap_iterations,
@@ -35,12 +38,17 @@ from chordtrig import sector as sector_module
 from chordtrig.arclength import ladder_levels
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
-from chordtrig.report import ARC_BRACKET, CSV_COLUMNS, SECTOR_BRACKET, fan_areas
+from chordtrig.inverse import pi_run
+from chordtrig.report import ARC_BRACKET, CSV_COLUMNS, SECTOR_BRACKET, STOP_FLOOR, fan_areas
+from chordtrig.sector import ratio_runs
 
+from conftest import random_arc_ordinates
 from oracles import exact_arc, exact_sector, holds
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
+HALF_PI = 0.5 * math.pi
+BARE_TOLS = [10.0 ** -e for e in range(6, 17)]
 
 
 class TestRows:
@@ -242,6 +250,90 @@ class TestNoRowsUnlessRead:
             assert call() == expected[name], name
         with pytest.raises(AssertionError, match="IterationRow was built"):
             arc_length(a, b, 1e-12)[1].rows
+
+
+class TestNoReportUnlessReturned:
+    """With the report builder broken, every caller that returns no report
+    still returns its value: it reads the bare arms of the run. Only an
+    error still carries the run's bracket and report."""
+
+    def test_report_free_callers_build_no_report(self, monkeypatch):
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
+        calls = {
+            "pi_constant": lambda: pi_constant(1e-12),
+            "verify_ratio": lambda: verify_ratio(a, b, 1e-10),
+            "scheme_limit": lambda: scheme_limit(a, b, "bisection", 1e-9),
+            "sin": lambda: sin(HALF_PI - 1e-6, 1e-12),  # runs the quarter arc
+            "additivity_check": lambda: additivity_check(a, point_from_ordinate(0.5), b,
+                                                         1e-10),
+        }
+        expected = {name: repr(call()) for name, call in calls.items()}
+
+        def no_report(*args):
+            raise AssertionError("a report was built")
+
+        monkeypatch.setattr(arclength_module, "ladder_report", no_report)
+        for name, call in calls.items():
+            assert repr(call()) == expected[name], name
+        with pytest.raises(AssertionError, match="report was built"):
+            arc_length(a, b, 1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda: pi_constant(1e-16),
+        lambda: verify_ratio(point_from_ordinate(0.9), point_from_ordinate(0.1), 1e-16),
+    ], ids=["pi_constant", "verify_ratio"])
+    def test_errors_still_carry_the_bracket_and_the_report(self, call):
+        with pytest.raises(PrecisionFloorError, match="binary64 floor") as info:
+            call()
+        err = info.value
+        assert isinstance(err.enclosure, Enclosure)
+        assert isinstance(err.report, ConvergenceReport)
+        assert err.report.stop_reason == STOP_FLOOR and len(err.report) > 0
+        assert (err.enclosure.lo, err.enclosure.hi) == (
+            err.report.rows[-1].enclosure_lo, err.report.rows[-1].enclosure_hi)
+
+
+def _outcome(call):
+    """A call's value as its repr, or its error: type, message, bracket
+    and report."""
+    try:
+        return repr(call())
+    except (DomainError, ConvergenceError) as err:
+        return (type(err), str(err), repr(getattr(err, "enclosure", None)),
+                getattr(err, "report", None))
+
+
+def _bare_path_arcs(rng):
+    """(y_hi, y_lo) pairs: uniform, near the top and short, from ``rng``."""
+    uniform = random_arc_ordinates(rng, 6)
+    near_top = [(1.0 - 10.0 ** -rng.uniform(9.0, 16.0), 1.0 - 10.0 ** -rng.uniform(1.0, 8.0))
+                for _ in range(4)] + [(1.0, 1.0 - 10.0 ** -rng.uniform(1.0, 16.0))]
+    short = []
+    for _ in range(6):
+        y = float(rng.uniform(0.0, 1.0))
+        short.append((y, y - y * 10.0 ** -rng.uniform(4.0, 15.0)))
+    short.append((1e-320, 0.0))  # its scaled tol underflows
+    return uniform + near_top + short
+
+
+class TestBarePathsAreTheReportPaths:
+    """The callers that read bare arms return what the report paths give,
+    bit for bit, and raise the same errors with the same bracket and report."""
+
+    @pytest.mark.parametrize("tol", BARE_TOLS)
+    def test_pi_constant_is_pi_runs_enclosure(self, tol):
+        assert _outcome(lambda: pi_constant(tol)) == _outcome(lambda: pi_run(tol)[0])
+
+    @pytest.mark.parametrize("tol", BARE_TOLS)
+    def test_verify_ratio_is_the_ratio_of_ratio_runs(self, tol, rng):
+        def from_runs():
+            arc, _, sec, _ = ratio_runs(a, b, tol)
+            return arc.mid / sec.mid
+
+        for ys in _bare_path_arcs(rng):
+            a, b = (point_from_ordinate(y) for y in ys)
+            assert ys[0] > ys[1]
+            assert _outcome(lambda: verify_ratio(a, b, tol)) == _outcome(from_runs), ys
 
 
 class TestRunsKeepTheirLevels:

@@ -347,7 +347,7 @@ class TestSeedCheckedFirst:
         def fail(*args):
             raise AssertionError("a partition was evaluated before the seed check")
 
-        monkeypatch.setattr(partitions, "arc_length", fail)
+        monkeypatch.setattr(partitions, "arms", fail)
         monkeypatch.setattr(partitions, "_polyline_stats", fail)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
