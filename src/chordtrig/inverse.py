@@ -74,14 +74,18 @@ def sin(x: float, tol: float) -> float:
     end y_lo of an interval that holds sin x, a lower arm at least x its
     high end y_hi, and arms around x return y, as |y - sin x| <=
     |arcsin(y) - x| <= ``tol`` (sin is 1-Lipschitz). An interval at most
-    ``tol`` wide returns its midpoint. The next y turns (sqrt(1 - y^2), y)
-    by x minus the arms' midpoint (cos and sin as short polynomials), from
-    sin's degree-7 Taylor polynomial; a step below ``tol`` / 2 is lengthened
-    to that, so the next arms fall across sin x, and a step that reaches
-    y_hi = 1 stops ``tol`` / 2 below it. A step that leaves the interval, or
-    follows two runs that did not halve it, bisects it, so at least every
-    third run bisects or halves it and the loop ends. A ``tol`` below
-    arcsin's binary64 floor at an iterate raises ``PrecisionFloorError``.
+    ``tol`` wide returns its midpoint. The first y is sin's Taylor
+    polynomial of degree 21, whose truncation error on [0, pi / 2] is below
+    (pi / 2)^23 / 23! ~ 1.25e-18: it lies within a few ulps of sin x, so the
+    first run's arms usually fall around x and return it. It only places
+    that run; the arms alone certify. The next y turns (sqrt(1 - y^2), y)
+    by x minus the arms' midpoint (cos and sin as short polynomials); a
+    step below ``tol`` / 2 is lengthened to that, so the next arms fall
+    across sin x. Every y, the first included, that reaches y_hi = 1 stops
+    ``tol`` / 2 below it, and one that leaves the interval, or follows two
+    runs that did not halve it, bisects it, so at least every third run
+    bisects or halves it and the loop ends. A ``tol`` below arcsin's
+    binary64 floor at an iterate raises ``PrecisionFloorError``.
 
     Two ends need no arcsin. The chord, the arc and the tangent give
     y <= x <= y / sqrt(1 - y^2), so x (1 - x^2) <= sin x <= x: x itself is
@@ -111,10 +115,17 @@ def sin(x: float, tol: float) -> float:
         width = top_hi - top_lo
         if 0.5 * width * width <= tol:
             return 1.0
-    y = x * (1.0 - x * x / 6.0 * (1.0 - x * x / 20.0 * (1.0 - x * x / 42.0)))
+    xx = x * x
+    y = x * (1.0 - xx / 6.0 * (1.0 - xx / 20.0 * (1.0 - xx / 42.0 * (1.0 - xx / 72.0 * (
+        1.0 - xx / 110.0 * (1.0 - xx / 156.0 * (1.0 - xx / 210.0 * (1.0 - xx / 272.0 * (
+            1.0 - xx / 342.0 * (1.0 - xx / 420.0))))))))))
     y_lo, y_hi, slow = 0.0, 1.0, 0
     try:
         while y_hi - y_lo > tol:
+            if y >= y_hi == 1.0:  # y reaches 1: stay inside the interval
+                y = 1.0 - 0.5 * tol
+            if slow == 2 or not y_lo < y < y_hi:
+                y, slow = 0.5 * (y_lo + y_hi), 0
             lo, hi, _ = arms(point_from_ordinate(y), _Q, tol)
             half = 0.5 * (y_hi - y_lo)
             if lo < x < hi:
@@ -125,10 +136,6 @@ def sin(x: float, tol: float) -> float:
             step = d * (math.sqrt((1.0 - y) * (1.0 + y)) * (1.0 - d * d / 6.0)
                         - y * d / 2.0 * (1.0 - d * d / 12.0))
             y += step if abs(step) >= 0.5 * tol else math.copysign(0.5 * tol, d)
-            if y >= y_hi == 1.0:  # sin x rounds to 1: stay inside the interval
-                y = 1.0 - 0.5 * tol
-            if slow == 2 or not y_lo < y < y_hi:
-                y, slow = 0.5 * (y_lo + y_hi), 0
     except PrecisionFloorError as err:
         raise PrecisionFloorError(
             f"tol {tol!r} is below the binary64 floor of sin at {x!r}",

@@ -239,6 +239,15 @@ class TestSinPredictorCertifier:
             sin(x, tol)
         assert calls == []
 
+    @pytest.mark.parametrize("x, tol", [
+        (1.570796326752638, 1e-8), (1.5707963262954565, 1e-8),
+        (1.570796325680184, 1e-8), (1.5707963267391674, 1e-12)])
+    def test_a_first_guess_that_rounds_above_one_stays_inside(self, x, tol):
+        """The degree-21 guess rounds to 1.0000000000000002 here, past the
+        ordinate interval; the loop's own rules bring it back below 1."""
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(sin(x, tol)) - mpmath.sin(mpmath.mpf(x))) <= tol
+
 
 class TestSinRunsOnlyWhatItReads:
     """The quarter arc runs only for x above its level-0 lower arm."""
@@ -282,6 +291,16 @@ class TestSinRunsOnlyWhatItReads:
             runs.clear()
             sin(x, tol)
             assert len(runs) <= 4 and runs.count(1.0) == 1, (x, tol, runs)
+
+    def test_one_certifier_run_off_the_top(self, monkeypatch):
+        """Below x = 1.456 the first guess is a few ulps from sin x, so the
+        arms of its one run already fall around x."""
+        runs = self._count_runs(monkeypatch)
+        for tol in (1e-8, 1e-10, 1e-12, 1e-14):
+            for x in (HALF_PI * (i + 0.5) / 34 for i in range(32)):
+                runs.clear()
+                sin(x, tol)
+                assert len(runs) == 1, (x, tol, runs)
 
 
 class TestOneRunPerCommand:

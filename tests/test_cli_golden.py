@@ -4,7 +4,9 @@
 ``arcsin``, ``sin``, ``sector``, ``ratio`` and ``additivity`` in JSON and
 CSV at two tolerances, plus two argv with the retired ``--max-iter`` flag,
 which exit 64 with no stdout), the exit code and the exact stdout that the
-CLI printed before its ladder code was consolidated.
+CLI printed before its ladder code was consolidated; the four ``sin`` argv
+come from the ``sin`` whose first ordinate is its degree-21 Taylor
+polynomial.
 ``partition-compare`` has a golden file of its own,
 ``data/partition_golden.json`` (``test_partition_golden.py``). Do not
 regenerate the file to make this test pass; a difference means the CLI

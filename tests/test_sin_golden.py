@@ -8,9 +8,9 @@ arc's level-0 lower arm ``inverse._HALF_PI_LO`` and one ulp either side;
 x from 1e-12 to 1e-2 away from pi / 2 and from 0; the tols 0, -1, nan, inf,
 5e-324, 1e-16, 1e-8 and 2 against x inside and outside [0, pi / 2], nan
 among them; and arguments at or past the domain's ends. It was recorded
-from the quarter-arc-first ``sin`` that ran ``arcsin(1.0, tol)`` on every
-call, so it pins that skipping the run changes no result. Do not regenerate
-the file to make this test pass; a difference means ``sin`` changed.
+from the ``sin`` whose first ordinate is sin's degree-21 Taylor
+polynomial. Do not regenerate the file to make this test pass; a difference
+means ``sin`` changed.
 """
 
 import json
