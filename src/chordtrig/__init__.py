@@ -16,7 +16,6 @@ from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainE
 from .geometry import (
     CirclePoint,
     chord_length,
-    compare_by_ordinate,
     height_for_chord,
     point_from_ordinate,
 )
@@ -32,8 +31,6 @@ from .report import ConvergenceReport, Enclosure, IterationRow
 from .sector import (
     SectorSandwich,
     gap_iterations,
-    inner_polygon_area,
-    outer_polygon_area,
     sector_area,
     sector_sandwich,
     verify_ratio,
@@ -70,23 +67,17 @@ __all__ = [
     "additivity_check",
     "arc_length",
     "arcsin",
-    "bisection_partition",
     "bisection_step",
     "chord_length",
     "circle_midpoint",
-    "compare_by_ordinate",
     "continuity_modulus",
     "gap_iterations",
     "height_for_chord",
-    "inner_polygon_area",
     "length_sequence",
     "make_partition",
-    "ordinate_uniform_partition",
-    "outer_polygon_area",
     "pi_constant",
     "point_from_ordinate",
     "polygonal_length",
-    "random_partition",
     "refine_union",
     "refinement_gap_bound",
     "scheme_limit",

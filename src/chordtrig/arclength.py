@@ -36,14 +36,16 @@ L_m and the arms of one of two brackets: ``ARC_BRACKET`` the arc closure
 or ``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
 below (the bisection partition limit is the arc closure's midpoint). The
 loop records each level as (l_m, h_m, L_m, lo, hi), and these records are
-the one source of these values: :func:`enclose` returns the last one's
-bracket and a report that keeps them all (its
-:class:`~chordtrig.report.IterationRow` table is built from them when first
-read), :func:`arms`, the run under it, hands the bare arms to the callers
-that return no report, :func:`length_sequence` builds its rows from those of
-:func:`ladder_levels`, the loop's checked recorder, and the paper's two
-fans, :func:`~chordtrig.report.fan_areas` of (L_m, h_m), are a view of the
-records: the sector sandwich and the fan-gap criterion read them there.
+the one source of these values: :func:`arms`, the checked run, hands the
+last one's arms to every caller; :func:`arc_length` and
+:func:`~chordtrig.sector.sector_area` return them as a bracket with a report
+that keeps all the records (its :class:`~chordtrig.report.IterationRow`
+table is built from them when first read), and the callers that return no
+report read the bare arms. :func:`length_sequence` builds its rows from
+those of :func:`ladder_levels`, the loop's checked recorder of the arc
+closure, and the paper's two fans, :func:`~chordtrig.report.fan_areas` of
+(L_m, h_m), are a view of the arc records: the sector sandwich and the
+fan-gap criterion read them there.
 
 Rounding (the style of Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 3). With u = 2^-53, each operation errs by a relative
@@ -120,7 +122,6 @@ from .errors import (CapacityError, ConvergenceError, DegenerateArcError, Domain
 from .geometry import (
     CirclePoint,
     chord_length,
-    compare_by_ordinate,
     height_for_chord,
     point_from_ordinate,
 )
@@ -177,7 +178,7 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     if len(points) < 2:
         raise DomainError("a bisection state needs at least two points")
     for prev, cur in zip(points, points[1:]):
-        if compare_by_ordinate(prev, cur) <= 0:
+        if not prev.y > cur.y:  # refuses a NaN ordinate too
             raise DomainError(
                 "input points must be ordered by strictly decreasing ordinate")
     out: list[CirclePoint] = [points[0]]
@@ -240,12 +241,9 @@ def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
     return STOP_CAP, floor
 
 
-def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
-                  bracket: str = ARC_BRACKET) -> list[_Level]:
+def ladder_levels(a: CirclePoint, b: CirclePoint, m: int) -> list[_Level]:
     """The records (l_m, h_m, L_m, lo, hi) of levels 0 .. ``m`` on the arc
-    ``ab``, with the arms of ``bracket``: the widened arc closure for
-    ``ARC_BRACKET``, the widened fan closure for ``SECTOR_BRACKET`` (module
-    docstring).
+    ``ab``, with the arms of the widened arc closure (module docstring).
 
     Raises ``DegenerateArcError`` for a == b, ``DomainError`` for a level
     that is not a non-negative integer, and ``CapacityError`` above level
@@ -258,17 +256,23 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int,
     if m > _MAX_LEVEL:
         raise CapacityError(f"level {m} would need 2^{m} segments, beyond index capacity")
     levels: list[_Level] = []
-    _climb(a, b, -1.0, m, bracket, levels)
+    _climb(a, b, -1.0, m, ARC_BRACKET, levels)
     return levels
 
 
 def arms(a: CirclePoint, b: CirclePoint, tol: float,
          bracket: str = ARC_BRACKET) -> tuple[float, float, list[_Level]]:
-    """The run behind :func:`enclose` on the arc ``ab``: the last level's
-    arms and the level records, with no record built around them; a
-    degenerate arc gives 0, 0 and no levels. It checks and raises as
-    :func:`enclose` does, and only on a floor or backstop stop builds the
-    bracket and the report its error carries."""
+    """Run the ladder on the arc ``ab`` until its ``bracket``, the arc
+    closure (``ARC_BRACKET``) or the fan closure (``SECTOR_BRACKET``), is at
+    most ``tol`` wide, and return the last level's arms and the level
+    records, with no record built around them; a degenerate arc gives 0, 0
+    and no levels.
+
+    Raises ``PrecisionFloorError`` (also a ``DomainError``) once a closure's
+    widening alone is wider than ``tol``; a run meets ``tol`` or this floor
+    by level 4 (module docstring). The level-62 backstop raises
+    ``ConvergenceError``. Only then are a bracket and a report built: both
+    errors carry the last bracket and the report."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     levels: list[_Level] = []
@@ -285,23 +289,6 @@ def arms(a: CirclePoint, b: CirclePoint, tol: float,
             enclosure=Enclosure(lo, hi),
             report=ladder_report(a.y, b.y, tol, stop, levels))
     return lo, hi, levels
-
-
-def enclose(a: CirclePoint, b: CirclePoint, tol: float,
-            bracket: str = ARC_BRACKET) -> tuple[Enclosure, ConvergenceReport]:
-    """Run the ladder until its ``bracket``, the arc closure
-    (``ARC_BRACKET``) or the fan closure (``SECTOR_BRACKET``), is at most
-    ``tol`` wide; a degenerate arc yields [0, 0] and no rows. The report
-    keeps the run's level records and builds its rows from them when they
-    are first read.
-
-    Raises ``PrecisionFloorError`` (also a ``DomainError``) once a closure's
-    widening alone is wider than ``tol``; a run meets ``tol`` or this floor
-    by level 4 (module docstring). The level-62 backstop raises
-    ``ConvergenceError``. Both errors carry the last bracket and the
-    report."""
-    lo, hi, levels = arms(a, b, tol, bracket)
-    return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 
 def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[IterationRow]:
@@ -330,4 +317,5 @@ def arc_length(a: CirclePoint, b: CirclePoint,
     The level-62 backstop, which that bound keeps out of reach, raises
     ``ConvergenceError``, carrying the last bracket and the report.
     """
-    return enclose(a, b, tol)
+    lo, hi, levels = arms(a, b, tol)
+    return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)

@@ -29,7 +29,10 @@ class CapacityError(DomainError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iteration cap was reached before the requested tolerance.
+    """A run reached its last level or size before its tolerance: the
+    ladder's level-62 backstop or ``gap_iterations``' level 27 (both out of
+    reach unless the proof in :mod:`chordtrig.arclength` has a fault), or
+    the size limit of a partition grid in ``scheme_limit``.
 
     Carries the last bracket (``enclosure``) and, where available, the full
     iteration report so callers can inspect how far the run got.

@@ -74,12 +74,3 @@ def height_for_chord(length: float) -> float:
     """
     half = 0.5 * length
     return math.sqrt(1.0 - half * half)
-
-
-def compare_by_ordinate(p: CirclePoint, q: CirclePoint) -> int:
-    """Total order by ordinate: -1 if p below q, 0 if equal, +1 if above."""
-    if p.y < q.y:
-        return -1
-    if p.y > q.y:
-        return 1
-    return 0

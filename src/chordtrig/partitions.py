@@ -55,14 +55,15 @@ met by some size whenever tol is at or above it, and :func:`scheme_limit`
 raises once tol is below it: just above 2 pad, the widths can stay above
 tol up to the size cap.
 
-Three partition families are provided: the chord-bisection levels, grids
-uniform in the ordinate, and seeded uniform random draws. The two grid
-families share one rule for ordinates that collide in floating point: an
-ordinate that does not fall below the last one kept is dropped, so both
-refine any arc, however short. The limit runs evaluate exactly the
-ordinate lists the builders turn into points (no point objects), with the
-chord formula of :func:`chordtrig.geometry.chord_length`, so a grid's sum
-of chords is :func:`polygonal_length` of its partition bit for bit.
+Three partition families are provided, all built by :func:`make_partition`:
+the chord-bisection levels, grids uniform in the ordinate, and seeded
+uniform random draws. The two grid families share one rule for ordinates
+that collide in floating point: an ordinate that does not fall below the
+last one kept is dropped, so both refine any arc, however short. The limit
+runs evaluate exactly the ordinate lists that :func:`make_partition` turns
+into points (no point objects), with the chord formula of
+:func:`chordtrig.geometry.chord_length`, so a grid's sum of chords is
+:func:`polygonal_length` of its partition bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from ._value import Value, set_field
 from .arclength import SERIES, arms, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      PrecisionFloorError, as_integer)
-from .geometry import CirclePoint, chord_length, compare_by_ordinate, point_from_ordinate
+from .geometry import CirclePoint, chord_length, point_from_ordinate
 from .report import ARC_BRACKET, SECTOR_BRACKET
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
@@ -107,7 +108,7 @@ class Partition(Value):
             raise DomainError("a partition needs at least two points")
         norm = 0.0
         for prev, cur in zip(pts, pts[1:]):
-            if compare_by_ordinate(prev, cur) <= 0:
+            if not prev.y > cur.y:  # refuses a NaN ordinate too
                 raise DomainError(
                     "partition ordinates must be strictly decreasing")
             norm = max(norm, chord_length(prev, cur))
@@ -167,33 +168,6 @@ def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, Cir
     return (a, b) if a.y > b.y else (b, a)
 
 
-def bisection_partition(a: CirclePoint, b: CirclePoint, m: int) -> Partition:
-    """Level-``m`` bisection partition: 2^m + 1 points."""
-    return make_partition(a, b, "bisection", m)
-
-
-def ordinate_uniform_partition(a: CirclePoint, b: CirclePoint, n: int) -> Partition:
-    """Partition with ``n`` segments, uniform in the ordinate.
-
-    Spacing is uniform in y, not in arc; chords near y = 1 shrink only like
-    the square root of the ordinate step, so the norm still tends to zero as
-    n grows, just more slowly there. A step below float resolution repeats
-    ordinates; the repeats (zero-length chords) are dropped, so a very short
-    arc can get fewer than n + 1 points.
-    """
-    return make_partition(a, b, "ordinate_uniform", n)
-
-
-def random_partition(a: CirclePoint, b: CirclePoint, n: int, seed: int) -> Partition:
-    """Partition from ``n - 1`` uniform interior ordinate draws (seeded).
-
-    Draws are sorted and repeated ordinates dropped, by the rule of
-    :func:`ordinate_uniform_partition`, so the result can have fewer than
-    n + 1 points but always strictly decreasing ordinates.
-    """
-    return make_partition(a, b, "random", n, seed)
-
-
 def _check_scheme(scheme: str, seed: int | None) -> None:
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -212,6 +186,19 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     other two schemes; ``random`` additionally requires a seed. Seed and
     size must be integers (bools are not). The scheme and seed are checked
     first, then the arc, then the size.
+
+    - ``bisection``: level ``size``, 2^size + 1 points.
+    - ``ordinate_uniform``: ``size`` segments, uniform in y, not in arc;
+      chords near y = 1 shrink only like the square root of the ordinate
+      step, so the norm still tends to zero as ``size`` grows, just more
+      slowly there.
+    - ``random``: ``size - 1`` seeded uniform interior ordinate draws,
+      sorted.
+
+    In both grid schemes a repeated ordinate (a step below float
+    resolution, or a repeated draw) would make a zero-length chord and is
+    dropped, so a very short arc can get fewer than ``size + 1`` points;
+    the ordinates always strictly decrease.
     """
     _check_scheme(scheme, seed)
     hi, lo = _ordered_endpoints(a, b)
@@ -317,10 +304,9 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
 
     Bisection is :func:`~chordtrig.arclength.arc_length`'s ladder, and the
     value its midpoint. The grid schemes double their segment count from 1,
-    evaluating exactly the ordinate lists that
-    :func:`ordinate_uniform_partition` and :func:`random_partition` build,
-    up to 2^20 + 1 points; a run that has not met ``tol`` by then raises
-    ``ConvergenceError``. A ``tol`` below the binary64 floor of the arc
+    evaluating exactly the ordinate lists that :func:`make_partition` builds
+    for them, up to 2^20 + 1 points; a run that has not met ``tol`` by then
+    raises ``ConvergenceError``. A ``tol`` below the binary64 floor of the arc
     (module docstring; :func:`~chordtrig.arclength.arc_length`'s for
     bisection) raises ``PrecisionFloorError``, a ``ConvergenceError`` and a
     ``DomainError``, at once.

@@ -14,7 +14,7 @@ report that is never read builds no row. Callers that return no report
 build none: ``pi_constant``, ``verify_ratio``, ``scheme_limit``'s bisection
 scheme, ``additivity_check`` and ``sin`` (its quarter-arc run and its
 certifier runs) read the bare arms of :func:`~chordtrig.arclength.arms`,
-the run behind :func:`~chordtrig.arclength.enclose`.
+the checked run that ``arc_length`` and ``sector_area`` wrap in a report.
 The positional constructor builds an eager report from rows a caller
 already has.
 
@@ -36,7 +36,7 @@ STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
 STOP_FLOOR = "precision_floor"
 
-# Brackets a ladder can run on (arclength.ladder_levels): the widened closures
+# Brackets a ladder can run on (arclength.arms): the widened closures
 # of the arc length and of the sector area.
 ARC_BRACKET = "arc"
 SECTOR_BRACKET = "sector"

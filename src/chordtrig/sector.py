@@ -16,11 +16,11 @@ length equals twice the sector area, checked by :func:`verify_ratio`.
 from __future__ import annotations
 
 from ._value import Value, set_field
-from .arclength import arc_length, arms, enclose, ladder_levels
+from .arclength import arc_length, arms, ladder_levels
 from .errors import ConvergenceError, DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
-from .report import (SECTOR_BRACKET, STOP_CAP, ConvergenceReport, Enclosure, fan_areas,
-                     ladder_report)
+from .report import (SECTOR_BRACKET, STOP_CAP, STOP_TOLERANCE, ConvergenceReport,
+                     Enclosure, fan_areas, ladder_report)
 
 # The fans meet here on every arc: h_m = 1 exactly once the chord is below
 # 2^-26, which it is from level 27 on (arclength module docstring).
@@ -49,16 +49,6 @@ def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:
     return SectorSandwich(len(levels) - 1, inner, outer, outer - inner)
 
 
-def inner_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
-    """Area of the inscribed triangle fan at level ``m``."""
-    return sector_sandwich(a, b, m).inner_area
-
-
-def outer_polygon_area(a: CirclePoint, b: CirclePoint, m: int) -> float:
-    """Area of the circumscribed tangent fan at level ``m``."""
-    return sector_sandwich(a, b, m).outer_area
-
-
 def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float) -> int:
     """Smallest level m with outer_area - inner_area < ``epsilon``, read
     from the fans of the arc records of levels 0 .. 27, where the fans meet
@@ -85,7 +75,8 @@ def sector_area(a: CirclePoint, b: CirclePoint,
     """Certified enclosure of the sector area: the widened fan closure
     (:mod:`chordtrig.arclength`), which meets ``tol`` or its floor by
     level 4, raising as :func:`arc_length` does."""
-    return enclose(a, b, tol, SECTOR_BRACKET)
+    lo, hi, levels = arms(a, b, tol, SECTOR_BRACKET)
+    return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 
 def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:

@@ -4,6 +4,7 @@ import pytest
 
 from chordtrig import (
     CapacityError,
+    CirclePoint,
     ConvergenceError,
     DegenerateArcError,
     DomainError,
@@ -99,6 +100,13 @@ class TestBisectionStep:
             bisection_step([TOP, TOP])
         with pytest.raises(DomainError):
             bisection_step([TOP])
+
+    def test_nan_ordinate_rejected(self):
+        # neither side of a comparison with NaN is true, so an order test
+        # written as "prev.y <= cur.y" would let this point through
+        nan_point = CirclePoint(math.nan, 0.5)
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            bisection_step([TOP, nan_point, Q])
 
 
 class TestLengthSequence:

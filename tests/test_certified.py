@@ -95,7 +95,9 @@ class TestSoundness:
             a, b = (point_from_ordinate(y) for y in arc)
             for bracket, truth in ((ARC_BRACKET, exact_arc(*arc)),
                                    (SECTOR_BRACKET, exact_sector(*arc))):
-                for level in arclength.ladder_levels(a, b, 62, bracket):
+                levels = []
+                arclength._climb(a, b, -1.0, 62, bracket, levels)
+                for level in levels:
                     assert holds(level[3], level[4], truth)
 
 

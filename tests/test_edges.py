@@ -16,12 +16,10 @@ from chordtrig import (
     arc_length,
     arcsin,
     gap_iterations,
-    inner_polygon_area,
     length_sequence,
-    outer_polygon_area,
+    make_partition,
     pi_constant,
     point_from_ordinate,
-    random_partition,
     sector_area,
     sector_sandwich,
     sin,
@@ -82,8 +80,7 @@ def test_help_describes_both_endpoints(capsys, command):
 class TestIntegerLevels:
     """Ladder levels are integers other than bools, as partition sizes are."""
 
-    entry_points = [length_sequence, sector_sandwich, inner_polygon_area,
-                    outer_polygon_area]
+    entry_points = [length_sequence, sector_sandwich]
 
     @pytest.mark.parametrize("level", [2.5, 4.0, True, "3", None])
     @pytest.mark.parametrize("entry_point", entry_points)
@@ -155,15 +152,15 @@ class TestOneBackstop:
 
 
 class TestOneBuilder:
-    """random_partition checks its seed as make_partition does, first."""
+    """make_partition checks the random scheme's seed first."""
 
     def test_random_partition_without_seed_is_a_domain_error(self):
         with pytest.raises(DomainError, match="requires a seed"):
-            random_partition(TOP, Q, 8, seed=None)
+            make_partition(TOP, Q, "random", 8, seed=None)
 
     def test_seed_is_checked_before_the_arc(self):
         with pytest.raises(DomainError, match="seed must be non-negative"):
-            random_partition(Q, Q, 8, seed=-1)
+            make_partition(Q, Q, "random", 8, seed=-1)
 
 
 @pytest.mark.parametrize("run_ladder", [arc_length, sector_area])

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from chordtrig import (
     DomainError,
     chord_length,
-    compare_by_ordinate,
     height_for_chord,
     point_from_ordinate,
 )
@@ -109,15 +108,3 @@ class TestHeight:
         for _ in range(300):
             c1, c2 = np.sort(rng.uniform(1e-6, math.sqrt(2.0), 2))
             assert height_for_chord(float(c2)) <= height_for_chord(float(c1)) + 4 * EPS
-
-
-class TestOrdering:
-    def test_examples(self):
-        top = point_from_ordinate(1.0)
-        q = point_from_ordinate(0.0)
-        assert compare_by_ordinate(top, q) == 1
-        assert compare_by_ordinate(q, top) == -1
-        assert compare_by_ordinate(q, q) == 0
-        assert compare_by_ordinate(point_from_ordinate(0.6),
-                                   point_from_ordinate(0.8)) == -1
-

@@ -20,12 +20,10 @@ from chordtrig import (
     arc_length,
     arcsin,
     gap_iterations,
-    inner_polygon_area,
     length_sequence,
-    outer_polygon_area,
+    make_partition,
     pi_constant,
     point_from_ordinate,
-    random_partition,
     scheme_limit,
     sector_area,
     sector_sandwich,
@@ -35,7 +33,6 @@ from chordtrig import (
 from chordtrig import arclength as arclength_module
 from chordtrig import report as report_module
 from chordtrig import sector as sector_module
-from chordtrig.arclength import ladder_levels
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
 from chordtrig.inverse import pi_run
@@ -73,7 +70,7 @@ class TestRows:
         seq = length_sequence(a, b, len(arc_rep.rows) - 1)
         assert arc_rep.rows == tuple(seq)
         last = len(sec_rep.rows) - 1
-        closures = ladder_levels(a, b, last, SECTOR_BRACKET)
+        closures = _records(a, b, last, SECTOR_BRACKET)
         for sec_row, ref, level in zip(sec_rep.rows, length_sequence(a, b, last), closures):
             assert (sec_row.enclosure_lo, sec_row.enclosure_hi) == level[3:]
             assert holds(*level[3:], exact_sector(0.8, 0.3))
@@ -107,11 +104,10 @@ class TestFanOrder:
 
 class TestLevelCap:
     def test_sandwich_above_cap_raises(self):
-        for fn in (sector_sandwich, inner_polygon_area, outer_polygon_area):
-            with pytest.raises(CapacityError):
-                fn(TOP, Q, 1080)
-            with pytest.raises(CapacityError):
-                fn(TOP, Q, 63)
+        with pytest.raises(CapacityError):
+            sector_sandwich(TOP, Q, 1080)
+        with pytest.raises(CapacityError):
+            sector_sandwich(TOP, Q, 63)
 
     def test_sandwich_at_cap_is_positive(self):
         sw = sector_sandwich(TOP, Q, 62)
@@ -134,7 +130,7 @@ class TestNegativeSeed:
     def test_library_rejects_negative_seed(self):
         a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
         with pytest.raises(DomainError):
-            random_partition(a, b, 8, seed=-1)
+            make_partition(a, b, "random", 8, seed=-1)
         with pytest.raises(DomainError):
             scheme_limit(a, b, "random", 1e-4, seed=-1)
 
@@ -146,6 +142,14 @@ class TestNegativeSeed:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "domain error" in lines[0]
+
+
+def _records(a, b, m, bracket):
+    """The records of levels 0 .. ``m`` with the arms of ``bracket``, read
+    from the ladder loop itself (the checked recorder gives arc ones only)."""
+    levels = []
+    arclength_module._climb(a, b, -1.0, m, bracket, levels)
+    return levels
 
 
 def _ladder_run(fn, *args, **kwargs):
@@ -164,7 +168,7 @@ def _check_rows(enc, rep, a, b, bracket=ARC_BRACKET):
     assert rows is rep.rows
     assert isinstance(rows, tuple) and rows
     seq = length_sequence(a, b, len(rows) - 1)
-    levels = ladder_levels(a, b, len(rows) - 1, bracket)
+    levels = _records(a, b, len(rows) - 1, bracket)
     assert [row.m for row in rows] == list(range(len(rows)))
     for row, ref, level in zip(rows, seq, levels):
         for name in CSV_COLUMNS[:6]:

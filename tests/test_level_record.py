@@ -7,9 +7,7 @@ import math
 import pytest
 
 from chordtrig import (
-    inner_polygon_area,
     length_sequence,
-    outer_polygon_area,
     point_from_ordinate,
     scheme_limit,
     sector_sandwich,
@@ -55,16 +53,9 @@ def test_sandwich_builds_at_most_one_row(ys, monkeypatch):
     monkeypatch.setattr(report_module, "IterationRow", counted)
     sandwich = sector_sandwich(a, b, 62)
     assert len(built) <= 1
-    built.clear()
-    inner = inner_polygon_area(a, b, 62)
-    assert len(built) <= 1
-    built.clear()
-    outer = outer_polygon_area(a, b, 62)
-    assert len(built) <= 1
     assert (sandwich.m, sandwich.inner_area, sandwich.outer_area) == (62, last.inner_area,
                                                                       last.outer_area)
     assert sandwich.gap == last.outer_area - last.inner_area
-    assert (inner, outer) == (last.inner_area, last.outer_area)
 
 
 class TestBisectionRecordsNoLevel:

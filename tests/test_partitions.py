@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from chordtrig import (
     CapacityError,
+    CirclePoint,
     ConvergenceError,
     DegenerateArcError,
     DomainError,
@@ -15,13 +16,10 @@ from chordtrig import (
     SCHEMES,
     additivity_check,
     arc_length,
-    bisection_partition,
     chord_length,
     make_partition,
-    ordinate_uniform_partition,
     point_from_ordinate,
     polygonal_length,
-    random_partition,
     refine_union,
     refinement_gap_bound,
     scheme_limit,
@@ -58,6 +56,13 @@ class TestPartitionType:
             Partition.from_points([Q, TOP])
         with pytest.raises(DomainError):
             Partition.from_points([TOP, TOP])
+
+    def test_refuses_a_nan_ordinate(self):
+        # neither side of a comparison with NaN is true, so an order test
+        # written as "prev.y <= cur.y" would let this point through
+        nan_point = CirclePoint(math.nan, 0.5)
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            Partition.from_points([TOP, nan_point, Q])
 
     def test_norm_is_max_chord(self, rng):
         for ya, yb in random_arc_ordinates(rng, 20, min_sep=1e-3):
@@ -111,8 +116,8 @@ class TestRefineUnion:
         assert refine_union(fine, coarse).points == fine.points
 
     def test_level2_with_uniform5(self):
-        p = bisection_partition(TOP, Q, 2)
-        q = ordinate_uniform_partition(TOP, Q, 5)
+        p = make_partition(TOP, Q, "bisection", 2)
+        q = make_partition(TOP, Q, "ordinate_uniform", 5)
         union = refine_union(p, q)
         # the two ordinate sets share only the endpoints, so the union
         # carries all 5 + 6 - 2 = 9 distinct points
@@ -137,8 +142,8 @@ class TestRefineUnion:
         # interior ordinates of a 1e-13-wide arc sit ~1e-15 apart, inside an
         # absolute 1e-14 tolerance; the tolerance scales with the arc's span
         a, b = point_from_ordinate(0.5), point_from_ordinate(0.5 - 1e-13)
-        p = random_partition(a, b, 64, seed=1)
-        q = random_partition(a, b, 64, seed=2)
+        p = make_partition(a, b, "random", 64, seed=1)
+        q = make_partition(a, b, "random", 64, seed=2)
         union = refine_union(p, q)
         assert ({pt.y for pt in union.points}
                 == {pt.y for pt in p.points} | {pt.y for pt in q.points})
@@ -158,13 +163,13 @@ class TestRefinementGapBound:
 
     def test_example_refinement_within_bound(self):
         coarse = Partition.from_points([TOP, Q])
-        fine = bisection_partition(TOP, Q, 1)
+        fine = make_partition(TOP, Q, "bisection", 1)
         gap = abs(polygonal_length(fine) - polygonal_length(coarse))
         assert gap == pytest.approx(0.11652017, abs=1e-8)
         assert gap <= refinement_gap_bound(coarse)
 
     def test_bound_vanishes_with_norm(self):
-        bounds = [refinement_gap_bound(bisection_partition(TOP, Q, m))
+        bounds = [refinement_gap_bound(make_partition(TOP, Q, "bisection", m))
                   for m in range(10)]
         assert all(v < u for u, v in zip(bounds, bounds[1:]))
         assert bounds[-1] < 1e-4
@@ -215,15 +220,15 @@ class TestMakePartition:
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            bisection_partition(TOP, Q, -1)
+            make_partition(TOP, Q, "bisection", -1)
         with pytest.raises(DomainError):
-            ordinate_uniform_partition(TOP, Q, 0)
+            make_partition(TOP, Q, "ordinate_uniform", 0)
         with pytest.raises(CapacityError):
-            bisection_partition(TOP, Q, 40)
+            make_partition(TOP, Q, "bisection", 40)
         with pytest.raises(CapacityError):
-            ordinate_uniform_partition(TOP, Q, 1 << 21)
+            make_partition(TOP, Q, "ordinate_uniform", 1 << 21)
         with pytest.raises(DegenerateArcError):
-            bisection_partition(Q, Q, 2)
+            make_partition(Q, Q, "bisection", 2)
 
     def test_huge_bisection_level_is_a_capacity_error(self):
         # the level is compared with the cap before any 2^m is formed
@@ -422,7 +427,7 @@ class TestGridsDropOnlyRepeats:
 
     def test_random_partition_refines_an_arc_below_1e12(self):
         hi = point_from_ordinate(0.5)
-        p = random_partition(hi, point_from_ordinate(0.5 - 1e-13), 64, seed=1)
+        p = make_partition(hi, point_from_ordinate(0.5 - 1e-13), "random", 64, seed=1)
         assert len(p.points) > 2
 
 

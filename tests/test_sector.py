@@ -10,9 +10,7 @@ from chordtrig import (
     SectorSandwich,
     arc_length,
     gap_iterations,
-    inner_polygon_area,
     length_sequence,
-    outer_polygon_area,
     point_from_ordinate,
     sector_area,
     sector_sandwich,
@@ -44,12 +42,14 @@ gap_epsilons = st.one_of(st.floats(-323.0, 0.3).map(lambda e: 10.0 ** e), st.jus
 
 class TestFanAreas:
     def test_quarter_level_zero(self):
-        assert inner_polygon_area(TOP, Q, 0) == pytest.approx(0.5, abs=4 * EPS)
-        assert outer_polygon_area(TOP, Q, 0) == pytest.approx(1.0, abs=4 * EPS)
+        sw = sector_sandwich(TOP, Q, 0)
+        assert sw.inner_area == pytest.approx(0.5, abs=4 * EPS)
+        assert sw.outer_area == pytest.approx(1.0, abs=4 * EPS)
 
     def test_quarter_level_one(self):
-        assert inner_polygon_area(TOP, Q, 1) == pytest.approx(0.70710678, abs=1e-8)
-        assert outer_polygon_area(TOP, Q, 1) == pytest.approx(0.82842712, abs=1e-8)
+        sw = sector_sandwich(TOP, Q, 1)
+        assert sw.inner_area == pytest.approx(0.70710678, abs=1e-8)
+        assert sw.outer_area == pytest.approx(0.82842712, abs=1e-8)
 
     def test_outer_dominates_inner(self, rng):
         for ya, yb in random_arc_ordinates(rng, 40):
@@ -60,7 +60,7 @@ class TestFanAreas:
 
     def test_inner_converges_to_sector(self):
         enc, _ = sector_area(TOP, Q, 1e-12)
-        assert inner_polygon_area(TOP, Q, 30) == pytest.approx(enc.mid, abs=1e-9)
+        assert sector_sandwich(TOP, Q, 30).inner_area == pytest.approx(enc.mid, abs=1e-9)
 
     def test_gap_closed_form(self, rng):
         # outer - inner = L_m h_m (1/h_m^2 - 1) / 2, level by level
@@ -81,13 +81,11 @@ class TestFanAreas:
             inner, outer = fan_areas(total, h)
             sw = sector_sandwich(a, b, m)
             assert sw == SectorSandwich(m, inner, outer, outer - inner)
-            assert (inner_polygon_area(a, b, m), outer_polygon_area(a, b, m)) == (inner,
-                                                                                  outer)
 
     def test_degenerate_rejected(self):
         p = point_from_ordinate(0.7)
         with pytest.raises(DegenerateArcError):
-            inner_polygon_area(p, p, 2)
+            sector_sandwich(p, p, 2)
         with pytest.raises(DomainError):
             sector_sandwich(TOP, Q, -1)
 
@@ -241,6 +239,6 @@ def test_bound_chain_ties_modules(rng):
         a, b = point_from_ordinate(ya), point_from_ordinate(yb)
         cap = upper_bound(a, b)
         for rec in length_sequence(a, b, 15):
-            outer = outer_polygon_area(a, b, rec.m)
+            outer = sector_sandwich(a, b, rec.m).outer_area
             assert rec.total_length <= 2.0 * outer / rec.height + 8 * EPS
             assert 2.0 * outer <= cap + 8 * EPS

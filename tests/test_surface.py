@@ -1,15 +1,17 @@
 """The package surface: every name in ``chordtrig.__all__`` is listed once
-and resolves, and the retired names stay gone from the package and from
-the modules that held them."""
+and resolves, and the retired names stay gone from the package, from the
+modules that held them, from the README and from the docstrings."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import chordtrig
-from chordtrig import point_from_ordinate
-from chordtrig.arclength import enclose
-from chordtrig.report import ARC_BRACKET
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_name_in_all_is_listed_once_and_resolves():
@@ -24,6 +26,13 @@ RETIRED = [
     ("chordtrig.geometry", "TriangleAtOrigin"),
     ("chordtrig.geometry", "height_at_origin"),
     ("chordtrig.report", "FAN_BRACKET"),
+    ("chordtrig.partitions", "bisection_partition"),
+    ("chordtrig.partitions", "ordinate_uniform_partition"),
+    ("chordtrig.partitions", "random_partition"),
+    ("chordtrig.sector", "inner_polygon_area"),
+    ("chordtrig.sector", "outer_polygon_area"),
+    ("chordtrig.geometry", "compare_by_ordinate"),
+    ("chordtrig.arclength", "enclose"),
 ]
 
 
@@ -34,7 +43,22 @@ def test_retired_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-def test_enclose_takes_no_strict_flag():
-    a, b = point_from_ordinate(1.0), point_from_ordinate(0.0)
-    with pytest.raises(TypeError, match="strict"):
-        enclose(a, b, 1e-9, ARC_BRACKET, strict=True)
+def _docstrings():
+    """(where, text) of every module, class and function docstring in src/."""
+    for path in sorted((ROOT / "src" / "chordtrig").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                text = ast.get_docstring(node, clean=False)
+                if text:
+                    yield f"{path.name}:{getattr(node, 'lineno', 1)}", text
+
+
+@pytest.mark.parametrize("name", [name for _, name in RETIRED])
+def test_no_retired_name_is_referenced_in_the_readme_or_a_docstring(name):
+    # a code reference: the name in backticks, maybe behind a dotted path or
+    # a role's "~", or the name called
+    reference = re.compile(rf"`[^`\s]*\b{name}`|\b{name}\(")
+    texts = [("README.md", (ROOT / "README.md").read_text()), *_docstrings()]
+    assert [where for where, text in texts if reference.search(text)] == []
