@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value, set_field
+from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
 from .errors import DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
@@ -35,10 +35,6 @@ class TangentIntersection(Value):
     """
 
     __slots__ = _fields = ("u", "v")
-
-    def __init__(self, u: float, v: float):
-        set_field(self, "u", u)
-        set_field(self, "v", v)
 
 
 def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:

@@ -71,9 +71,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import NamedTuple
 
-from ._value import Value, set_field
+from ._value import Value
 from .arclength import SERIES, arms, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
                      PrecisionFloorError, as_integer)
@@ -96,10 +95,6 @@ class Partition(Value):
     """Ordered points of an arc (strictly decreasing ordinates) and the norm."""
 
     __slots__ = _fields = ("points", "norm")
-
-    def __init__(self, points: tuple[CirclePoint, ...], norm: float):
-        set_field(self, "points", points)
-        set_field(self, "norm", norm)
 
     @classmethod
     def from_points(cls, points) -> "Partition":
@@ -334,13 +329,10 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
         f"{scheme} ladder reached its size limit above tol {tol!r}")
 
 
-class AdditivityCheck(NamedTuple):
+class AdditivityCheck(Value):
     """Whole-arc versus split-arc values, for lengths and for sector areas."""
 
-    arc_whole: float
-    arc_parts: float
-    sector_whole: float
-    sector_parts: float
+    __slots__ = _fields = ("arc_whole", "arc_parts", "sector_whole", "sector_parts")
 
 
 def additivity_check(a: CirclePoint, m_pt: CirclePoint, b: CirclePoint,

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 
-from ._value import Value, set_field
+from ._value import Value
 
 STOP_TOLERANCE = "tolerance_met"
 STOP_CAP = "iteration_cap"
@@ -87,18 +87,6 @@ class IterationRow(Value):
     """One level of a bisection run: the 2^m-segment state and its bracket."""
 
     __slots__ = _fields = CSV_COLUMNS
-
-    def __init__(self, m: int, segment_length: float, height: float,
-                 total_length: float, inner_area: float, outer_area: float,
-                 enclosure_lo: float, enclosure_hi: float):
-        set_field(self, "m", m)
-        set_field(self, "segment_length", segment_length)
-        set_field(self, "height", height)
-        set_field(self, "total_length", total_length)
-        set_field(self, "inner_area", inner_area)
-        set_field(self, "outer_area", outer_area)
-        set_field(self, "enclosure_lo", enclosure_lo)
-        set_field(self, "enclosure_hi", enclosure_hi)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}

@@ -15,7 +15,7 @@ length equals twice the sector area, checked by :func:`verify_ratio`.
 
 from __future__ import annotations
 
-from ._value import Value, set_field
+from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
 from .errors import ConvergenceError, DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
@@ -31,12 +31,6 @@ class SectorSandwich(Value):
     """Inner/outer fan areas at one level and their gap."""
 
     __slots__ = _fields = ("m", "inner_area", "outer_area", "gap")
-
-    def __init__(self, m: int, inner_area: float, outer_area: float, gap: float):
-        set_field(self, "m", m)
-        set_field(self, "inner_area", inner_area)
-        set_field(self, "outer_area", outer_area)
-        set_field(self, "gap", gap)
 
 
 def sector_sandwich(a: CirclePoint, b: CirclePoint, m: int) -> SectorSandwich:

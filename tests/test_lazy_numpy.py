@@ -1,5 +1,5 @@
 """No entry point loads numpy, only partition work loads
-chordtrig.partitions, and nothing loads dataclasses.
+chordtrig.partitions, and nothing loads dataclasses or typing.
 
 Each case runs in a fresh interpreter, because this test process has
 numpy and dataclasses loaded already.
@@ -65,10 +65,10 @@ print(before, "numpy" in sys.modules, repr(value))
 """
 
 
-def _last_line(code, *args):
+def _last_line(code, *args, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
@@ -93,3 +93,10 @@ def test_no_entry_point_loads_dataclasses():
     code = (NON_PARTITION_CALLS + 'scalar_inspect = "inspect" in sys.modules\n'
             + PARTITION_WORK + 'print(scalar_inspect, "dataclasses" in sys.modules)')
     assert _last_line(code, str(GOLDEN)) == "False False"
+
+
+def test_no_entry_point_loads_typing():
+    """Run under -S: ``site`` itself can load typing (a .pth file that imports
+    it does), which would hide an import from this package."""
+    code = NON_PARTITION_CALLS + PARTITION_WORK + 'print("typing" in sys.modules)'
+    assert _last_line(code, str(GOLDEN), flags=("-S",)) == "False"

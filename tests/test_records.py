@@ -1,7 +1,8 @@
-"""The seven frozen record types behave as frozen dataclasses did: equality
+"""The eight frozen record types behave as frozen dataclasses did: equality
 within one class only, hash and repr from the fields, keyword construction,
 pattern matching, pickling, copying, and FrozenInstanceError on set and
-del."""
+del. The records built through ``Value``'s one constructor refuse what a
+dataclass's generated ``__init__`` refuses."""
 
 import copy
 import pickle
@@ -10,6 +11,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from chordtrig import (
+    AdditivityCheck,
     CirclePoint,
     ConvergenceReport,
     Enclosure,
@@ -46,10 +48,19 @@ RECORDS = [
      "SectorSandwich(m=3, inner_area=0.25, outer_area=0.5, gap=0.25)"),
     (Partition, dict(points=(TOP, RIGHT), norm=1.5),
      "Partition(points=(CirclePoint(y=1.0, x=0.0), CirclePoint(y=0.0, x=1.0)), norm=1.5)"),
+    (AdditivityCheck, dict(arc_whole=1.25, arc_parts=1.5, sector_whole=0.625, sector_parts=0.75),
+     "AdditivityCheck(arc_whole=1.25, arc_parts=1.5, sector_whole=0.625, sector_parts=0.75)"),
 ]
 
 by_type = pytest.mark.parametrize("cls, kwargs, text", RECORDS,
                                   ids=[cls.__name__ for cls, _, _ in RECORDS])
+
+# The records that keep their own __init__: the two built on every ladder run
+# store through their slots' setters, and the report keeps a dict and a default.
+OWN_INIT = {"CirclePoint", "Enclosure", "ConvergenceReport"}
+VALUE_BUILT = [record for record in RECORDS if record[0].__name__ not in OWN_INIT]
+by_value_built = pytest.mark.parametrize("cls, kwargs, text", VALUE_BUILT,
+                                         ids=[cls.__name__ for cls, _, _ in VALUE_BUILT])
 
 
 @by_type
@@ -128,3 +139,38 @@ def test_lazy_report_equals_hashes_and_pickles_like_an_eager_one():
     assert hash(lazy) == hash(eager) and lazy == eager and eager == lazy
     again = pickle.loads(pickle.dumps(arc_length(a, b, 1e-10)[1]))
     assert again == eager and repr(again) == repr(eager) and len(again) == len(eager)
+
+
+@by_value_built
+def test_constructor_refuses_a_missing_last_field(cls, kwargs, text):
+    values = list(kwargs.values())
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(**dict(list(kwargs.items())[:-1]))
+
+
+@by_value_built
+def test_constructor_refuses_one_value_too_many(cls, kwargs, text):
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), 0.0)
+
+
+@by_value_built
+def test_constructor_refuses_an_unknown_keyword(cls, kwargs, text):
+    with pytest.raises(TypeError):
+        cls(**kwargs, extra=0.0)
+
+
+@by_value_built
+def test_constructor_refuses_a_field_by_position_and_by_keyword(cls, kwargs, text):
+    with pytest.raises(TypeError):
+        cls(next(iter(kwargs.values())), **kwargs)
+
+
+@by_value_built
+def test_keywords_in_any_order_build_the_same_record(cls, kwargs, text):
+    items = list(kwargs.items())
+    for order in (items[::-1], items[1:] + items[:1]):
+        record = cls(**dict(order))
+        assert record == cls(**kwargs) and repr(record) == text
