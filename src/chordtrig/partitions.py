@@ -68,7 +68,6 @@ into points (no point objects), with the chord formula of
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 
@@ -80,10 +79,6 @@ from .geometry import CirclePoint, chord_length, point_from_ordinate
 from .report import ARC_BRACKET, SECTOR_BRACKET
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
-
-# Two ordinates within this fraction of the arc's ordinate span name the
-# same geometric point for union/refinement purposes.
-DEDUPE_TOL = 1e-14
 
 _MAX_PARTITION_LEVEL = 20
 _MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1
@@ -124,30 +119,15 @@ def polygonal_length(p: Partition) -> float:
 
 
 def refine_union(p: Partition, q: Partition) -> Partition:
-    """The common refinement: all points of ``p`` plus the interior points of
-    ``q`` that are not already present.
-
-    Presence is judged on ordinates within ``DEDUPE_TOL`` times the arc's
-    ordinate span, since the same geometric point can arrive through
-    different arithmetic; scaling by the span keeps distinct points of a
-    short arc apart. Every point of ``p`` is kept, so the result is a
-    refinement of ``p`` exactly and of ``q`` up to the dedupe tolerance.
+    """The exact union of two partitions of the same arc, a refinement of
+    both: every point of ``p`` and every point of ``q`` whose ordinate ``p``
+    lacks. Endpoint ordinates that differ at all mean different arcs.
     """
-    tol = DEDUPE_TOL * (p.arc_hi.y - p.arc_lo.y)
-    if (abs(p.arc_hi.y - q.arc_hi.y) > tol
-            or abs(p.arc_lo.y - q.arc_lo.y) > tol):
+    if p.arc_hi.y != q.arc_hi.y or p.arc_lo.y != q.arc_lo.y:
         raise DomainError("partitions cover different arcs")
-    kept_ys = sorted(pt.y for pt in p.points)  # ascending, for bisect
-    extras: list[CirclePoint] = []
-    for pt in q.points[1:-1]:
-        i = bisect.bisect_left(kept_ys, pt.y)
-        near_lo = i > 0 and pt.y - kept_ys[i - 1] <= tol
-        near_hi = i < len(kept_ys) and kept_ys[i] - pt.y <= tol
-        if not (near_lo or near_hi):
-            kept_ys.insert(i, pt.y)
-            extras.append(pt)
-    merged = sorted((*p.points, *extras), key=lambda pt: -pt.y)
-    return Partition.from_points(merged)
+    ys = {pt.y for pt in p.points}
+    extras = [pt for pt in q.points if pt.y not in ys]
+    return Partition.from_points(sorted((*p.points, *extras), key=lambda pt: -pt.y))
 
 
 def refinement_gap_bound(p: Partition) -> float:

@@ -13,6 +13,7 @@ from chordtrig import (
     chord_length,
     circle_midpoint,
     length_sequence,
+    make_partition,
     point_from_ordinate,
     upper_bound,
 )
@@ -58,6 +59,16 @@ class TestCircleMidpoint:
         p = point_from_ordinate(0.3)
         with pytest.raises(DegenerateArcError):
             circle_midpoint(p, p)
+
+    @pytest.mark.parametrize("y", [0.5, 0.9, 1e-300])
+    def test_one_ulp_arc_rejected(self, y):
+        # no ordinate lies strictly between the endpoints, so the computed
+        # midpoint would be an endpoint
+        a, b = point_from_ordinate(y), point_from_ordinate(math.nextafter(y, 0.0))
+        with pytest.raises(DegenerateArcError, match="too few representable ordinates"):
+            circle_midpoint(a, b)
+        with pytest.raises(DegenerateArcError, match="too few representable ordinates"):
+            make_partition(a, b, "bisection", 1)
 
 
 class TestBisectionStep:

@@ -152,6 +152,12 @@ class TestExitCodes:
         assert out == ""
         assert "domain error" in err
 
+    def test_ratio_zero_tolerance(self, capsys):
+        code, out, err = invoke(capsys, "ratio", "--a", "0.9", "--b", "0.1", "--tol", "0")
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be positive" in err
+
     def test_non_convergence(self, capsys, monkeypatch):
         monkeypatch.setattr(arclength_module, "_MAX_LEVEL", 1)
         code, out, err = invoke(capsys, "arc", "--a", "1.0", "--b", "0.0",

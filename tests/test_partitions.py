@@ -27,6 +27,7 @@ from chordtrig import (
 )
 from chordtrig import partitions
 from chordtrig.cli import run
+from chordtrig.errors import PrecisionFloorError
 
 from conftest import EPS, random_arc_ordinates
 from oracles import naive_polyline_length
@@ -37,6 +38,9 @@ Q = point_from_ordinate(0.0)
 # ordinates k / 4096: neighbours differ by at least 2^-12, so a refinement
 # lengthens the polyline by far more than its rounding error
 grid_ordinates = st.integers(0, 4096).map(lambda k: k / 4096.0)
+# grid ordinates and their one-ulp lower neighbours, strictly inside (0, 1)
+union_ordinates = st.integers(1, 4095).flatmap(
+    lambda k: st.sampled_from([k / 4096.0, math.nextafter(k / 4096.0, 0.0)]))
 
 
 def _random_partition_of(rng, ya, yb, max_interior=12):
@@ -132,15 +136,30 @@ class TestRefineUnion:
             assert union.norm <= min(p.norm, q.norm) + 1e-13
             assert set(pt.y for pt in p.points) <= set(pt.y for pt in union.points)
 
-    def test_near_duplicates_collapse(self):
+    def test_near_duplicates_both_stay(self):
+        # 5e-15 apart, within 1e-14 of the span: still two points
         p = Partition.from_points([TOP, point_from_ordinate(0.5), Q])
         q = Partition.from_points([TOP, point_from_ordinate(0.5 + 5e-15), Q])
         union = refine_union(p, q)
-        assert len(union.points) == 3
+        union_ys = {pt.y for pt in union.points}
+        assert len(union.points) == 4
+        assert {0.5, 0.5 + 5e-15} <= union_ys
+        assert {pt.y for pt in p.points} <= union_ys
+        assert {pt.y for pt in q.points} <= union_ys
+
+    @given(st.sets(union_ordinates, max_size=12), st.sets(union_ordinates, max_size=12))
+    @example({0.5}, {math.nextafter(0.5, 0.0)})
+    def test_is_the_exact_union(self, p_inner, q_inner):
+        p_ys = [1.0, *sorted(p_inner, reverse=True), 0.0]
+        q_ys = [1.0, *sorted(q_inner, reverse=True), 0.0]
+        p, q = (Partition.from_points(point_from_ordinate(y) for y in ys)
+                for ys in (p_ys, q_ys))
+        assert ([pt.y for pt in refine_union(p, q).points]
+                == sorted(set(p_ys) | set(q_ys), reverse=True))
 
     def test_short_arc_union_keeps_every_distinct_ordinate(self):
-        # interior ordinates of a 1e-13-wide arc sit ~1e-15 apart, inside an
-        # absolute 1e-14 tolerance; the tolerance scales with the arc's span
+        # interior ordinates of a 1e-13-wide arc sit ~1e-15 apart, so an
+        # absolute 1e-14 tolerance would merge them
         a, b = point_from_ordinate(0.5), point_from_ordinate(0.5 - 1e-13)
         p = make_partition(a, b, "random", 64, seed=1)
         q = make_partition(a, b, "random", 64, seed=2)
@@ -154,6 +173,10 @@ class TestRefineUnion:
         q = Partition.from_points([point_from_ordinate(0.9), Q])
         with pytest.raises(DomainError):
             refine_union(p, q)
+        # endpoints are compared exactly: the smallest subnormal is not 0
+        tiny = Partition.from_points([TOP, point_from_ordinate(5e-324)])
+        with pytest.raises(DomainError, match="different arcs"):
+            refine_union(tiny, p)
 
 
 class TestRefinementGapBound:
@@ -332,7 +355,7 @@ class TestSchemeLimitEdges:
             # one chord in every scheme, by chord_length's formula (math.hypot)
             assert value == pytest.approx(reference, rel=2 * EPS)
 
-    def test_tight_tol_stops_at_the_grid_cap(self, monkeypatch):
+    def test_tol_below_the_floor_stops_on_one_chord(self, monkeypatch):
         sizes = []
         stats = partitions._polyline_stats
 
@@ -341,9 +364,16 @@ class TestSchemeLimitEdges:
             return stats(ys)
 
         monkeypatch.setattr(partitions, "_polyline_stats", record)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(PrecisionFloorError):
             scheme_limit(TOP, Q, "ordinate_uniform", 1e-17)
-        assert sizes and max(sizes) <= (1 << 20) + 1
+        assert sizes == [2]
+
+    def test_stops_at_the_grid_cap(self, monkeypatch):
+        # sizes 1, 2 and 4 fit under a 5-point cap; none meets 1e-14
+        monkeypatch.setattr(partitions, "_MAX_PARTITION_POINTS", 5)
+        with pytest.raises(ConvergenceError, match="reached its size limit") as info:
+            scheme_limit(TOP, Q, "ordinate_uniform", 1e-14)
+        assert not isinstance(info.value, PrecisionFloorError)
 
 
 class TestSeedCheckedFirst:

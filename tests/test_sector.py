@@ -20,6 +20,7 @@ from chordtrig import (
 from chordtrig import arclength as arclength_module
 from chordtrig.arclength import ladder_levels
 from chordtrig.report import fan_areas
+from chordtrig.sector import ratio_runs
 
 from conftest import EPS, random_arc_ordinates
 from oracles import exact_sector, holds
@@ -128,6 +129,13 @@ class TestGapIterations:
         with pytest.raises(DomainError):
             gap_iterations(TOP, Q, -0.2)
 
+    def test_degenerate_rejected_after_epsilon(self):
+        a = point_from_ordinate(0.4)
+        with pytest.raises(DegenerateArcError, match="gap criterion of a degenerate arc"):
+            gap_iterations(a, a, 1e-3)
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            gap_iterations(a, a, 0.0)
+
     def test_displayed_inequality_implies_gap(self, rng):
         # whenever 1/(1 - (l_m/2)^2) < 1 + 2 eps h0^2 / l0 holds, the fan gap
         # at that level is below eps (the quantitative chain behind the
@@ -231,6 +239,17 @@ class TestVerifyRatio:
         p = point_from_ordinate(0.9)
         with pytest.raises(DegenerateArcError):
             verify_ratio(p, p, 1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_tolerance_must_be_positive(self, tol):
+        # checked before scaling: the message names the tol given, not a
+        # scaled one or an underflow
+        a, b = point_from_ordinate(0.9), point_from_ordinate(0.1)
+        message = f"tolerance must be positive, got {tol!r}$"
+        with pytest.raises(DomainError, match=message):
+            verify_ratio(a, b, tol)
+        with pytest.raises(DomainError, match=message):
+            ratio_runs(a, b, tol)
 
 
 def test_bound_chain_ties_modules(rng):

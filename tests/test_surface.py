@@ -33,6 +33,7 @@ RETIRED = [
     ("chordtrig.sector", "outer_polygon_area"),
     ("chordtrig.geometry", "compare_by_ordinate"),
     ("chordtrig.arclength", "enclose"),
+    ("chordtrig.partitions", "DEDUPE_TOL"),
 ]
 
 
