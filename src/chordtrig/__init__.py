@@ -5,89 +5,46 @@ alone and reported as certified [lo, hi] enclosures; a partition engine
 checks that the limit does not depend on the approximating partition scheme.
 """
 
-from .arclength import (
-    arc_length,
-    bisection_step,
-    circle_midpoint,
-    length_sequence,
-    upper_bound,
-)
-from .errors import CapacityError, ConvergenceError, DegenerateArcError, DomainError
-from .geometry import (
-    CirclePoint,
-    chord_length,
-    height_for_chord,
-    point_from_ordinate,
-)
-from .inverse import (
-    TangentIntersection,
-    arcsin,
-    continuity_modulus,
-    pi_constant,
-    sin,
-    tangent_intersection,
-)
-from .report import ConvergenceReport, Enclosure, IterationRow
-from .sector import (
-    SectorSandwich,
-    gap_iterations,
-    sector_area,
-    sector_sandwich,
-    verify_ratio,
-)
+import importlib
 
 __version__ = "0.1.0"
 
+# submodule -> the public names it defines
+_EXPORTS = {
+    "arclength": ("arc_length", "bisection_step", "circle_midpoint", "length_sequence",
+                  "upper_bound"),
+    "errors": ("CapacityError", "ConvergenceError", "DegenerateArcError", "DomainError"),
+    "geometry": ("CirclePoint", "chord_length", "height_for_chord", "point_from_ordinate"),
+    "inverse": ("TangentIntersection", "arcsin", "continuity_modulus", "pi_constant", "sin",
+                "tangent_intersection"),
+    "partitions": ("AdditivityCheck", "Partition", "SCHEMES", "additivity_check",
+                   "make_partition", "polygonal_length", "refine_union",
+                   "refinement_gap_bound", "scheme_limit"),
+    "report": ("ConvergenceReport", "Enclosure", "IterationRow"),
+    "sector": ("SectorSandwich", "gap_iterations", "sector_area", "sector_sandwich",
+               "verify_ratio"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
 
 def __getattr__(name):
-    # The names of chordtrig.partitions, the only ones in __all__ not bound
-    # above, load it on first use (PEP 562), so scalar work never imports it.
-    # Without cached bytecode (PYTHONDONTWRITEBYTECODE=1) each process compiles
-    # partitions.py, about 3 ms (CPython 3.11, x86-64): an eager import made
-    # the benchmark's set-up (import plus first call) a third slower.
-    if name not in __all__:
+    # Each public name loads its module on first use (PEP 562) and binds that
+    # module's names here, so later lookups are plain dict hits and a process
+    # loads only the layers it calls. Without cached bytecode
+    # (PYTHONDONTWRITEBYTECODE=1) each process compiles every module it
+    # imports: compiling inverse.py and sector.py, which partition work never
+    # calls, made its import and first call about 2 ms (a fifth) slower
+    # (CPython 3.11, x86-64).
+    home = _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import partitions
+    module = importlib.import_module(f"{__name__}.{home}")
+    for each in _EXPORTS[home]:
+        globals()[each] = getattr(module, each)
+    return globals()[name]
 
-    value = globals()[name] = getattr(partitions, name)
-    return value
 
-
-__all__ = [
-    "AdditivityCheck",
-    "CapacityError",
-    "CirclePoint",
-    "ConvergenceError",
-    "ConvergenceReport",
-    "DegenerateArcError",
-    "DomainError",
-    "Enclosure",
-    "IterationRow",
-    "Partition",
-    "SCHEMES",
-    "SectorSandwich",
-    "TangentIntersection",
-    "additivity_check",
-    "arc_length",
-    "arcsin",
-    "bisection_step",
-    "chord_length",
-    "circle_midpoint",
-    "continuity_modulus",
-    "gap_iterations",
-    "height_for_chord",
-    "length_sequence",
-    "make_partition",
-    "pi_constant",
-    "point_from_ordinate",
-    "polygonal_length",
-    "refine_union",
-    "refinement_gap_bound",
-    "scheme_limit",
-    "sector_area",
-    "sector_sandwich",
-    "sin",
-    "tangent_intersection",
-    "upper_bound",
-    "verify_ratio",
-]
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

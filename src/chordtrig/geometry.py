@@ -69,8 +69,11 @@ def height_for_chord(length: float) -> float:
     """Distance from the origin to a chord of the given length.
 
     Uses the right-triangle relation h^2 + (length/2)^2 = 1, valid because
-    both chord endpoints are at distance 1 from the origin. The caller must
-    pass 0 <= length <= sqrt(2).
+    both chord endpoints are at distance 1 from the origin. A chord of the
+    quarter circle is at most sqrt(2) long; a length that is NaN or outside
+    [0, 2], the chords of the whole unit circle, raises ``DomainError``.
     """
+    if not 0.0 <= length <= 2.0:
+        raise DomainError(f"chord length must lie in [0, 2], got {length!r}")
     half = 0.5 * length
     return math.sqrt(1.0 - half * half)

@@ -104,6 +104,15 @@ class TestHeight:
         assert height_for_chord(c) == pytest.approx(expected, abs=4 * EPS)
         assert expected == pytest.approx(0.92387953, abs=1e-8)
 
+    @pytest.mark.parametrize("bad", [3.0, float("inf"), -1.0, float("nan")])
+    def test_rejects_length_outside_the_circle(self, bad):
+        with pytest.raises(DomainError) as err:
+            height_for_chord(bad)
+        assert repr(bad) in str(err.value)
+
+    def test_diameter_has_height_zero(self):
+        assert height_for_chord(2.0) == 0.0
+
     def test_monotone_in_chord(self, rng):
         for _ in range(300):
             c1, c2 = np.sort(rng.uniform(1e-6, math.sqrt(2.0), 2))

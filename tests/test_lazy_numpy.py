@@ -1,5 +1,6 @@
 """No entry point loads numpy, only partition work loads
-chordtrig.partitions, and nothing loads dataclasses or typing.
+chordtrig.partitions, a family of public names loads only the modules it
+calls, and nothing loads dataclasses or typing.
 
 Each case runs in a fresh interpreter, because this test process has
 numpy and dataclasses loaded already.
@@ -64,6 +65,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(before, "numpy" in sys.modules, repr(value))
 """
 
+LOADED_MODULES = """
+import sys
+import chordtrig as ct
+{calls}
+print("loaded:", *sorted(name for name in sys.modules if name.startswith("chordtrig.")))
+"""
+
 
 def _last_line(code, *args, flags=()):
     env = dict(os.environ)
@@ -100,3 +108,31 @@ def test_no_entry_point_loads_typing():
     it does), which would hide an import from this package."""
     code = NON_PARTITION_CALLS + PARTITION_WORK + 'print("typing" in sys.modules)'
     assert _last_line(code, str(GOLDEN), flags=("-S",)) == "False"
+
+
+def _loaded_modules(calls):
+    """The chordtrig submodules a fresh interpreter holds after ``calls``."""
+    return set(_last_line(LOADED_MODULES.format(calls=calls)).split()[1:])
+
+
+def test_import_alone_loads_no_submodule():
+    assert _loaded_modules("") == set()
+
+
+def test_inverse_names_load_neither_sector_nor_partitions():
+    loaded = _loaded_modules("ct.sin(0.5, 1e-8)\nct.arcsin(0.5, 1e-10)\nct.pi_constant(1e-10)")
+    assert "chordtrig.inverse" in loaded
+    assert not loaded & {"chordtrig.sector", "chordtrig.partitions"}
+
+
+def test_partition_names_load_neither_inverse_nor_sector():
+    loaded = _loaded_modules(
+        "a, b = ct.point_from_ordinate(0.9), ct.point_from_ordinate(0.1)\n"
+        "ct.scheme_limit(a, b, 'random', 1e-9, seed=0)\n"
+        "ct.make_partition(a, b, 'random', 4, seed=0)")
+    assert "chordtrig.partitions" in loaded
+    assert not loaded & {"chordtrig.inverse", "chordtrig.sector"}
+
+
+def test_dir_lists_every_public_name_before_first_use():
+    assert _loaded_modules("assert set(ct.__all__) <= set(dir(ct))") == set()

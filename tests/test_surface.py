@@ -20,6 +20,32 @@ def test_every_name_in_all_is_listed_once_and_resolves():
         assert getattr(chordtrig, name) is not None, name
 
 
+def test_all_is_sorted_and_has_36_names():
+    assert chordtrig.__all__ == sorted(chordtrig.__all__)
+    assert len(chordtrig.__all__) == 36
+
+
+@pytest.mark.parametrize("name", chordtrig.__all__)
+def test_each_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"chordtrig.{chordtrig._HOME[name]}")
+    value = getattr(chordtrig, name)
+    assert value is getattr(home, name)
+    # defined there, not imported into it from another module
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'chordtrig' has no attribute 'no_such_name'"):
+        chordtrig.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from chordtrig import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == chordtrig.__all__
+    assert all(namespace[name] is getattr(chordtrig, name) for name in chordtrig.__all__)
+
+
 # (module that held the name, name)
 RETIRED = [
     ("chordtrig.geometry", "Chord"),
