@@ -17,19 +17,18 @@ set_field = object.__setattr__
 class Value:
     """Base of a frozen record whose fields are named, in order, by ``_fields``.
 
-    A subclass sets ``__slots__ = _fields`` (or leaves out ``__slots__`` to
-    keep an instance dict), and that is its whole declaration. The one
-    constructor takes the fields in order, by position or by keyword, stores
-    each with :data:`set_field`, and raises ``TypeError`` where a frozen
-    dataclass's would: a field missing, one value too many, an unknown
-    keyword, a field given twice. ``CirclePoint`` and ``Enclosure`` keep
-    their own ``__init__``: every ladder run builds them, and their slots'
-    own setters are faster (``Enclosure`` also checks its arm order). So
-    does ``ConvergenceReport``, for its instance dict and ``rows=()``
-    default. As for a frozen dataclass: two records are equal when they are
-    of the same class and their fields are equal, the hash, repr
-    (``Name(field=value, ...)``), ``__match_args__`` and pickling follow the
-    fields, and setting or deleting an attribute raises
+    A subclass sets ``__slots__ = _fields``, and that is its whole
+    declaration. The one constructor takes the fields in order, by position
+    or by keyword, stores each with :data:`set_field`, and raises
+    ``TypeError`` where a frozen dataclass's would: a field missing, one
+    value too many, an unknown keyword, a field given twice. ``CirclePoint``,
+    ``Enclosure`` and ``ConvergenceReport`` keep their own ``__init__``:
+    every ladder run builds them, and their slots' own setters are faster
+    (``Enclosure`` also checks its arm order, and the report keeps its
+    levels as a tuple). As for a frozen dataclass: two records are equal
+    when they are of the same class and their fields are equal, the hash,
+    repr (``Name(field=value, ...)``), ``__match_args__`` and pickling
+    follow the fields, and setting or deleting an attribute raises
     ``dataclasses.FrozenInstanceError``.
     """
 

@@ -40,7 +40,7 @@ the one source of these values: :func:`arms`, the checked run, hands the
 last one's arms to every caller; :func:`arc_length` and
 :func:`~chordtrig.sector.sector_area` return them as a bracket with a report
 that keeps all the records (its :class:`~chordtrig.report.IterationRow`
-table is built from them when first read), and the callers that return no
+table is built from them on each read), and the callers that return no
 report read the bare arms. :func:`length_sequence` builds its rows from
 those of :func:`ladder_levels`, the loop's checked recorder of the arc
 closure, and the paper's two fans, :func:`~chordtrig.report.fan_areas` of
@@ -126,8 +126,7 @@ from .geometry import (
     point_from_ordinate,
 )
 from .report import (ARC_BRACKET, SECTOR_BRACKET, STOP_CAP, STOP_FLOOR, STOP_TOLERANCE,
-                     ConvergenceReport, Enclosure, IterationRow, ladder_report,
-                     level_row)
+                     ConvergenceReport, Enclosure, IterationRow, level_row)
 
 # A level's record: (l_m, h_m, L_m, lo, hi).
 _Level = tuple[float, float, float, float, float]
@@ -287,7 +286,7 @@ def arms(a: CirclePoint, b: CirclePoint, tol: float,
             else f"bracket width {hi - lo!r} has not reached tol {tol!r} "
                  f"by level {len(levels) - 1}",
             enclosure=Enclosure(lo, hi),
-            report=ladder_report(a.y, b.y, tol, stop, levels))
+            report=ConvergenceReport(a.y, b.y, tol, stop, levels))
     return lo, hi, levels
 
 
@@ -318,4 +317,4 @@ def arc_length(a: CirclePoint, b: CirclePoint,
     ``ConvergenceError``, carrying the last bracket and the report.
     """
     lo, hi, levels = arms(a, b, tol)
-    return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)
+    return Enclosure(lo, hi), ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, levels)

@@ -3,20 +3,16 @@
 An :class:`Enclosure` is an interval [lo, hi] that the producing routine has
 argued (not merely observed) to contain the true value. A
 :class:`ConvergenceReport` is the serializable trace of one bisection run:
-one row per level m, ordered, with the bracket arms that run was tightening.
-
-Every run builds its report through :func:`ladder_report`, a degenerate
-arc's run too (with no levels). The report keeps the run's level records
-(l_m, h_m, L_m, lo, hi), so ``len`` needs no rows, and ``rows``, a
-:func:`functools.cached_property`, builds the :class:`IterationRow` table
-from those records through :func:`level_row` on first read and keeps it. A
-report that is never read builds no row. Callers that return no report
-build none: ``pi_constant``, ``verify_ratio``, ``scheme_limit``'s bisection
-scheme, ``additivity_check`` and ``sin`` (its quarter-arc run and its
-certifier runs) read the bare arms of :func:`~chordtrig.arclength.arms`,
-the checked run that ``arc_length`` and ``sector_area`` wrap in a report.
-The positional constructor builds an eager report from rows a caller
-already has.
+its endpoints, tolerance and stop reason, and the run's level records
+(l_m, h_m, L_m, lo, hi), one per level m in order (a degenerate arc's run
+has none). ``len`` counts the records, and ``rows`` builds the
+:class:`IterationRow` table from them through :func:`level_row` on each
+read, so a report that is never read builds no row. Callers that return no
+report build none: ``pi_constant``, ``verify_ratio``, ``scheme_limit``'s
+bisection scheme, ``additivity_check`` and ``sin`` (its quarter-arc run and
+its certifier runs) read the bare arms of
+:func:`~chordtrig.arclength.arms`, the checked run that ``arc_length`` and
+``sector_area`` wrap in a report.
 
 Every ladder bracket is certified. The arc and sector runs close the
 ladder with Newton's series and widen both arms by the rounding bound that
@@ -28,7 +24,6 @@ tolerance below that widening stops the run with ``STOP_FLOOR`` and raises
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 
 from ._value import Value
 
@@ -109,42 +104,32 @@ def level_row(m: int, segment_length: float, height: float, total_length: float,
     return IterationRow(m, segment_length, height, total_length, inner, outer, lo, hi)
 
 
-# object.__new__ itself, not looked up through the class on every report.
-_new = object.__new__
-
-
 class ConvergenceReport(Value):
-    """Trace of one run: endpoints, tolerance, stop reason and the rows.
+    """Trace of one run: endpoints, tolerance, stop reason and the run's
+    level records (l_m, h_m, L_m, lo, hi), level m at ``levels[m]``."""
 
-    Unlike the other records it keeps an instance dict (no ``__slots__``):
-    a report from :func:`ladder_report` holds its run's level records there,
-    builds its rows from them on the first read of ``rows`` and caches the
-    rows there. A report built through its constructor stores ``rows`` there
-    itself, which shadows the cached property. Equality, hash and repr read
-    ``rows``, so a report from records equals and hashes like the eager
-    report built from the same rows.
-    """
-
-    _fields = ("a_ordinate", "b_ordinate", "tolerance", "stop_reason", "rows")
+    __slots__ = _fields = ("a_ordinate", "b_ordinate", "tolerance", "stop_reason", "levels")
 
     def __init__(self, a_ordinate: float, b_ordinate: float, tolerance: float,
-                 stop_reason: str, rows: tuple[IterationRow, ...] = ()):
-        self.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
-                             tolerance=tolerance, stop_reason=stop_reason, rows=rows)
+                 stop_reason: str, levels: Sequence[tuple]):
+        _set_a(self, a_ordinate)
+        _set_b(self, b_ordinate)
+        _set_tolerance(self, tolerance)
+        _set_stop(self, stop_reason)
+        _set_levels(self, tuple(levels))  # a tuple, so the report hashes
 
-    @cached_property
+    @property
     def rows(self) -> tuple[IterationRow, ...]:
-        """The rows of a :func:`ladder_report` report, from its level records."""
+        """The :class:`IterationRow` table, built from the level records."""
         # Built from a list, not a generator: CPython's tuple(generator) grows
         # a small tuple by resizing, and the freed results then pile up in
         # its per-size tuple free lists (+4 MB peak RSS over 10^5 reads on
         # CPython 3.11).
-        return tuple([level_row(m, *level) for m, level in enumerate(self._levels)])
+        return tuple([level_row(m, *level) for m, level in enumerate(self.levels)])
 
     def __len__(self):
-        """Number of levels run, counted without building the rows."""
-        levels = self.__dict__.get("_levels")
-        return len(self.rows) if levels is None else len(levels)
+        """Number of levels run."""
+        return len(self.levels)
 
     def to_dict(self) -> dict:
         return {
@@ -156,11 +141,6 @@ class ConvergenceReport(Value):
         }
 
 
-def ladder_report(a_ordinate: float, b_ordinate: float, tolerance: float,
-                  stop_reason: str, levels: Sequence[tuple]) -> ConvergenceReport:
-    """The report of a ladder run whose record (l_m, h_m, L_m, lo, hi) of
-    level m is ``levels[m]``; its rows are built when first read."""
-    report = _new(ConvergenceReport)
-    report.__dict__.update(a_ordinate=a_ordinate, b_ordinate=b_ordinate,
-                           tolerance=tolerance, stop_reason=stop_reason, _levels=levels)
-    return report
+# As for Enclosure: every run that returns a bracket builds a report.
+_set_a, _set_b, _set_tolerance, _set_stop, _set_levels = (
+    getattr(ConvergenceReport, name).__set__ for name in ConvergenceReport._fields)

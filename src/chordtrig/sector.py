@@ -20,7 +20,7 @@ from .arclength import arc_length, arms, ladder_levels
 from .errors import ConvergenceError, DegenerateArcError, DomainError
 from .geometry import CirclePoint, chord_length
 from .report import (SECTOR_BRACKET, STOP_CAP, STOP_TOLERANCE, ConvergenceReport,
-                     Enclosure, fan_areas, ladder_report)
+                     Enclosure, fan_areas)
 
 # The fans meet here on every arc: h_m = 1 exactly once the chord is below
 # 2^-26, which it is from level 27 on (arclength module docstring).
@@ -61,7 +61,7 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float) -> int:
     raise ConvergenceError(
         f"fan gap {outer - inner!r} has not fallen below epsilon {epsilon!r} "
         f"by level {m}", enclosure=Enclosure(inner, outer),
-        report=ladder_report(a.y, b.y, epsilon, STOP_CAP, levels))
+        report=ConvergenceReport(a.y, b.y, epsilon, STOP_CAP, levels))
 
 
 def sector_area(a: CirclePoint, b: CirclePoint,
@@ -70,7 +70,7 @@ def sector_area(a: CirclePoint, b: CirclePoint,
     (:mod:`chordtrig.arclength`), which meets ``tol`` or its floor by
     level 4, raising as :func:`arc_length` does."""
     lo, hi, levels = arms(a, b, tol, SECTOR_BRACKET)
-    return Enclosure(lo, hi), ladder_report(a.y, b.y, tol, STOP_TOLERANCE, levels)
+    return Enclosure(lo, hi), ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 
 def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:

@@ -167,8 +167,7 @@ class TestOneBuilder:
 def test_degenerate_report_is_lazy_and_equals_the_empty_eager_one(run_ladder):
     p, tol = point_from_ordinate(0.3), 1e-9
     report = run_ladder(p, p, tol)[1]
-    assert "rows" not in vars(report)
-    assert len(report) == 0
+    assert report.levels == () and len(report) == 0
     assert report.rows == ()
-    eager = ConvergenceReport(p.y, p.y, tol, "tolerance_met")
+    eager = ConvergenceReport(p.y, p.y, tol, "tolerance_met", ())
     assert report == eager and eager == report and hash(report) == hash(eager)

@@ -163,9 +163,9 @@ def _ladder_run(fn, *args, **kwargs):
 def _check_rows(enc, rep, a, b, bracket=ARC_BRACKET):
     """The report's rows are length_sequence's, field for field (with the
     ``bracket`` records' arms in the enclosure columns); reading them again
-    gives the same tuple; the enclosure is the last row's bracket."""
+    gives an equal tuple; the enclosure is the last row's bracket."""
     rows = rep.rows
-    assert rows is rep.rows
+    assert rows == rep.rows
     assert isinstance(rows, tuple) and rows
     seq = length_sequence(a, b, len(rows) - 1)
     levels = _records(a, b, len(rows) - 1, bracket)
@@ -206,25 +206,14 @@ class TestLazyRows:
                 assert capped.rows == rep.rows[:-1]
                 assert capped == capped_again
 
-    def test_positional_constructor_is_an_eager_report(self):
-        a, b = point_from_ordinate(0.9), point_from_ordinate(0.2)
-        _, lazy = arc_length(a, b, 1e-10)
-        eager = ConvergenceReport(lazy.a_ordinate, lazy.b_ordinate, lazy.tolerance,
-                                  lazy.stop_reason, lazy.rows)
-        assert eager == lazy and hash(eager) == hash(lazy)
-        assert eager.to_dict() == lazy.to_dict()
-        assert repr(eager) == repr(lazy)
-        assert ConvergenceReport(0.5, 0.5, 1e-9, "tolerance_met").rows == ()
-        assert eager != ConvergenceReport(lazy.a_ordinate, lazy.b_ordinate,
-                                          lazy.tolerance, lazy.stop_reason,
-                                          lazy.rows[:-1])
-
     def test_reports_are_frozen(self):
         _, rep = arc_length(TOP, Q, 1e-6)
         with pytest.raises(FrozenInstanceError):
             rep.stop_reason = "iteration_cap"
         with pytest.raises(FrozenInstanceError):
             rep.rows = ()
+        with pytest.raises(FrozenInstanceError):
+            rep.levels = ()
         with pytest.raises(FrozenInstanceError):
             del rep.tolerance
 
@@ -257,7 +246,7 @@ class TestNoRowsUnlessRead:
 
 
 class TestNoReportUnlessReturned:
-    """With the report builder broken, every caller that returns no report
+    """With the report constructor broken, every caller that returns no report
     still returns its value: it reads the bare arms of the run. Only an
     error still carries the run's bracket and report."""
 
@@ -276,7 +265,7 @@ class TestNoReportUnlessReturned:
         def no_report(*args):
             raise AssertionError("a report was built")
 
-        monkeypatch.setattr(arclength_module, "ladder_report", no_report)
+        monkeypatch.setattr(arclength_module, "ConvergenceReport", no_report)
         for name, call in calls.items():
             assert repr(call()) == expected[name], name
         with pytest.raises(AssertionError, match="report was built"):
@@ -377,6 +366,8 @@ class TestRunsKeepTheirLevels:
                                                   ("degenerate", 0)])
     def test_rows_are_built_once_from_the_runs_records(self, fn, run_kind, levels,
                                                        monkeypatch):
+        """The run climbs once; each read of the rows, to_dict's too, then
+        builds one row per record and runs no ladder and no recorder."""
         calls = []
 
         def counted(name, target):
@@ -400,9 +391,10 @@ class TestRunsKeepTheirLevels:
         climbs = ["_climb"] * (levels > 0)
         assert len(report) == levels and calls == climbs
         rows = report.rows
-        assert report.rows is rows
-        assert report.to_dict()["rows"] == [row.to_dict() for row in rows]
         assert calls == climbs + ["level_row"] * levels
+        assert report.rows == rows
+        assert report.to_dict()["rows"] == [row.to_dict() for row in rows]
+        assert calls == climbs + ["level_row"] * (3 * levels)
         assert len(report) == len(rows) == levels
 
 
@@ -444,8 +436,3 @@ class TestGapIterationsBuildsNoRows:
         rows = length_sequence(a, b, 27)
         assert expected == next(row.m for row in rows
                                 if row.outer_area - row.inner_area < epsilon)
-
-    def test_len_of_a_report_built_from_rows(self):
-        _, report = arc_length(TOP, Q, 1e-8)
-        built = ConvergenceReport(1.0, 0.0, 1e-8, "tolerance_met", report.rows)
-        assert len(built) == len(report.rows) == len(report)

@@ -13,6 +13,7 @@ import pytest
 from chordtrig import (
     AdditivityCheck,
     CirclePoint,
+    ConvergenceError,
     ConvergenceReport,
     Enclosure,
     IterationRow,
@@ -20,13 +21,16 @@ from chordtrig import (
     SectorSandwich,
     TangentIntersection,
     arc_length,
+    gap_iterations,
+    pi_constant,
     point_from_ordinate,
 )
+from chordtrig import arclength, sector
+from chordtrig.errors import PrecisionFloorError
 
 TOP = CirclePoint(y=1.0, x=0.0)
 RIGHT = CirclePoint(y=0.0, x=1.0)
-ROW = IterationRow(m=0, segment_length=1.5, height=0.5, total_length=1.5, inner_area=0.375,
-                   outer_area=1.5, enclosure_lo=1.5, enclosure_hi=3.0)
+LEVEL = (1.5, 0.5, 1.5, 1.5, 3.0)  # (l_m, h_m, L_m, lo, hi)
 
 # (type, keyword arguments in field order, exact repr)
 RECORDS = [
@@ -38,11 +42,9 @@ RECORDS = [
      "IterationRow(m=0, segment_length=1.5, height=0.5, total_length=1.5, "
      "inner_area=0.375, outer_area=1.5, enclosure_lo=1.5, enclosure_hi=3.0)"),
     (ConvergenceReport, dict(a_ordinate=1.0, b_ordinate=0.0, tolerance=1e-06,
-                             stop_reason="tolerance_met", rows=(ROW,)),
+                             stop_reason="tolerance_met", levels=(LEVEL,)),
      "ConvergenceReport(a_ordinate=1.0, b_ordinate=0.0, tolerance=1e-06, "
-     "stop_reason='tolerance_met', rows=(IterationRow(m=0, segment_length=1.5, "
-     "height=0.5, total_length=1.5, inner_area=0.375, outer_area=1.5, "
-     "enclosure_lo=1.5, enclosure_hi=3.0),))"),
+     "stop_reason='tolerance_met', levels=((1.5, 0.5, 1.5, 1.5, 3.0),))"),
     (TangentIntersection, dict(u=0.25, v=-0.5), "TangentIntersection(u=0.25, v=-0.5)"),
     (SectorSandwich, dict(m=3, inner_area=0.25, outer_area=0.5, gap=0.25),
      "SectorSandwich(m=3, inner_area=0.25, outer_area=0.5, gap=0.25)"),
@@ -55,8 +57,8 @@ RECORDS = [
 by_type = pytest.mark.parametrize("cls, kwargs, text", RECORDS,
                                   ids=[cls.__name__ for cls, _, _ in RECORDS])
 
-# The records that keep their own __init__: the two built on every ladder run
-# store through their slots' setters, and the report keeps a dict and a default.
+# The records that keep their own __init__: those built on every ladder run
+# store through their slots' setters.
 OWN_INIT = {"CirclePoint", "Enclosure", "ConvergenceReport"}
 VALUE_BUILT = [record for record in RECORDS if record[0].__name__ not in OWN_INIT]
 by_value_built = pytest.mark.parametrize("cls, kwargs, text", VALUE_BUILT,
@@ -125,20 +127,56 @@ def test_copy_and_deepcopy_give_an_equal_record(cls, kwargs, text):
         assert hash(again) == hash(record)
 
 
-def test_report_rows_default_to_empty():
-    assert ConvergenceReport(0.5, 0.5, 1e-9, "tolerance_met").rows == ()
+@by_type
+def test_records_keep_no_instance_dict(cls, kwargs, text):
+    assert cls.__slots__ == cls._fields == tuple(kwargs)
+    assert not hasattr(cls(**kwargs), "__dict__")
 
 
 def test_lazy_report_equals_hashes_and_pickles_like_an_eager_one():
+    """Two runs of one arc give equal reports, and so does a report rebuilt
+    from a run's fields, its level records given as a list, but not one
+    with a level fewer: equality, hash, repr and pickling follow the
+    fields."""
     a, b = point_from_ordinate(0.9), point_from_ordinate(0.2)
-    lazy = arc_length(a, b, 1e-10)[1]
-    fresh = arc_length(a, b, 1e-10)[1]
-    assert "rows" not in vars(lazy) and "rows" not in vars(fresh)
-    eager = ConvergenceReport(fresh.a_ordinate, fresh.b_ordinate, fresh.tolerance,
-                              fresh.stop_reason, fresh.rows)
-    assert hash(lazy) == hash(eager) and lazy == eager and eager == lazy
-    again = pickle.loads(pickle.dumps(arc_length(a, b, 1e-10)[1]))
-    assert again == eager and repr(again) == repr(eager) and len(again) == len(eager)
+    run, again = arc_length(a, b, 1e-10)[1], arc_length(a, b, 1e-10)[1]
+    rebuilt = ConvergenceReport(again.a_ordinate, again.b_ordinate, again.tolerance,
+                                again.stop_reason, list(again.levels))
+    for other in (again, rebuilt):
+        assert hash(run) == hash(other) and run == other and other == run
+    assert run != ConvergenceReport(again.a_ordinate, again.b_ordinate, again.tolerance,
+                                    again.stop_reason, again.levels[:-1])
+    pickled = pickle.loads(pickle.dumps(run))
+    assert pickled == rebuilt and repr(pickled) == repr(rebuilt)
+    assert pickled.rows == rebuilt.rows == run.rows and len(pickled) == len(run)
+
+
+def _raised(call) -> ConvergenceError:
+    with pytest.raises(ConvergenceError) as info:
+        call()
+    return info.value
+
+
+def test_run_errors_pickle_with_their_bracket_and_report(monkeypatch):
+    """The floor error, the level-62 backstop's error and gap_iterations'
+    error each keep an equal bracket and an equal, hashable report with the
+    same rows through pickle."""
+    errors = [_raised(lambda: pi_constant(1e-16))]
+    with monkeypatch.context() as patched:
+        patched.setattr(arclength, "_MAX_LEVEL", 1)
+        errors.append(_raised(lambda: arc_length(TOP, RIGHT, 1e-12)))
+    with monkeypatch.context() as patched:
+        patched.setattr(sector, "_FANS_MEET", 1)
+        errors.append(_raised(lambda: gap_iterations(TOP, RIGHT, 1e-12)))
+    assert [type(err) for err in errors] == [PrecisionFloorError, ConvergenceError,
+                                            ConvergenceError]
+    for err in errors:
+        again = pickle.loads(pickle.dumps(err))
+        assert type(again) is type(err) and str(again) == str(err)
+        assert isinstance(again.enclosure, Enclosure) and again.enclosure == err.enclosure
+        assert isinstance(again.report, ConvergenceReport) and again.report == err.report
+        assert hash(again.report) == hash(err.report) and len(again.report) > 0
+        assert again.report.rows == err.report.rows
 
 
 @by_value_built
