@@ -21,11 +21,14 @@ class Value:
     declaration. The one constructor takes the fields in order, by position
     or by keyword, stores each with :data:`set_field`, and raises
     ``TypeError`` where a frozen dataclass's would: a field missing, one
-    value too many, an unknown keyword, a field given twice. ``CirclePoint``,
-    ``Enclosure`` and ``ConvergenceReport`` keep their own ``__init__``:
-    every ladder run builds them, and their slots' own setters are faster
-    (``Enclosure`` also checks its arm order, and the report keeps its
-    levels as a tuple). As for a frozen dataclass: two records are equal
+    value too many, an unknown keyword, a field given twice. Four records
+    keep their own ``__init__``: ``CirclePoint`` and ``Partition`` check
+    what they hold (an ordinate in [0, 1]; at least two points, in strictly
+    decreasing ordinate), ``Enclosure`` checks its arm order, and
+    ``ConvergenceReport`` keeps its levels as a tuple; the three that every
+    ladder run builds store through their slots' own setters, which are
+    faster. Pickling and copying go through the constructor, so a loaded
+    record is checked again. As for a frozen dataclass: two records are equal
     when they are of the same class and their fields are equal, the hash,
     repr (``Name(field=value, ...)``), ``__match_args__`` and pickling
     follow the fields, and setting or deleting an attribute raises

@@ -117,8 +117,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
-                     PrecisionFloorError, as_integer)
+from .errors import (ConvergenceError, DegenerateArcError, DomainError, PrecisionFloorError,
+                     as_level, check_arc)
 from .geometry import (
     CirclePoint,
     chord_length,
@@ -156,8 +156,7 @@ def circle_midpoint(a: CirclePoint, b: CirclePoint) -> CirclePoint:
     endpoints coincide or the arc spans too few representable ordinates for
     a strictly interior midpoint to exist.
     """
-    if a.y == b.y:
-        raise DegenerateArcError("cannot bisect a degenerate arc")
+    check_arc(a, b, "midpoint")
     mx = 0.5 * (a.x + b.x)
     my = 0.5 * (a.y + b.y)
     p = point_from_ordinate(my / math.hypot(mx, my))
@@ -247,13 +246,8 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int) -> list[_Level]:
     Raises ``DegenerateArcError`` for a == b, ``DomainError`` for a level
     that is not a non-negative integer, and ``CapacityError`` above level
     62, where 2^m could not index a materialized point list."""
-    if a.y == b.y:
-        raise DegenerateArcError("ladder levels of a degenerate arc")
-    m = as_integer(m, "level")
-    if m < 0:
-        raise DomainError(f"level must be non-negative, got {m}")
-    if m > _MAX_LEVEL:
-        raise CapacityError(f"level {m} would need 2^{m} segments, beyond index capacity")
+    check_arc(a, b, "ladder levels")
+    m = as_level(m, _MAX_LEVEL)
     levels: list[_Level] = []
     _climb(a, b, -1.0, m, ARC_BRACKET, levels)
     return levels
@@ -298,8 +292,7 @@ def length_sequence(a: CirclePoint, b: CirclePoint, m_max: int) -> list[Iteratio
 
 def upper_bound(a: CirclePoint, b: CirclePoint) -> float:
     """Bound l0 / h0^2 dominating every polygonal length of the arc ``ab``."""
-    if a.y == b.y:
-        raise DegenerateArcError("upper bound of a degenerate arc")
+    check_arc(a, b, "upper bound")
     ell = chord_length(a, b)
     h = height_for_chord(ell)
     return ell / (h * h)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, and the argument checks that
+raise them: an integer, a level, a non-degenerate arc."""
 
 import operator
 
@@ -26,6 +26,24 @@ class DegenerateArcError(DomainError):
 
 class CapacityError(DomainError):
     """A size parameter exceeds what the implementation can materialize."""
+
+
+def as_level(value, cap: int) -> int:
+    """``value`` as a bisection level: an integer (``as_integer``), a
+    ``DomainError`` below 0 and a ``CapacityError`` above ``cap``."""
+    m = as_integer(value, "level")
+    if m < 0:
+        raise DomainError(f"level must be non-negative, got {m}")
+    if m > cap:
+        raise CapacityError(f"level {m} is above the cap of {cap}: 2^{m} segments are too many")
+    return m
+
+
+def check_arc(a, b, what: str) -> None:
+    """Raise ``DegenerateArcError`` ("``what`` of a degenerate arc") when the
+    endpoints ``a`` and ``b`` of an arc share their ordinate."""
+    if a.y == b.y:
+        raise DegenerateArcError(f"{what} of a degenerate arc")
 
 
 class ConvergenceError(RuntimeError):

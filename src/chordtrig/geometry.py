@@ -19,35 +19,36 @@ from .errors import DomainError
 
 
 class CirclePoint(Value):
-    """A point of the quarter circle, determined by its ordinate ``y``.
+    """A point of the quarter circle, named by its ordinate ``y`` in [0, 1].
 
-    ``x`` is the derived abscissa sqrt(1 - y^2). Build instances through
-    :func:`point_from_ordinate`, which enforces the first-quadrant domain.
+    The constructor is the one check of the first-quadrant domain: an
+    ordinate outside [0, 1], NaN included, raises ``DomainError``, and any
+    other is stored as a float. ``x`` is the abscissa the circle equation
+    gives, sqrt((1 - y)(1 + y)), computed on each read; the factored product
+    keeps it accurate to a few ulp even when y is close to 1.
     """
 
-    __slots__ = _fields = ("y", "x")
+    __slots__ = _fields = ("y",)
 
-    def __init__(self, y: float, x: float):
-        _set_y(self, y)
-        _set_x(self, x)
+    def __init__(self, y: float):
+        if not 0.0 <= y <= 1.0:
+            raise DomainError(f"ordinate must lie in [0, 1], got {y!r}")
+        _set_y(self, float(y))
+
+    @property
+    def x(self) -> float:
+        y = self.y
+        return math.sqrt((1.0 - y) * (1.0 + y))
 
 
-# The slots' own setters: a point is built per ladder run, and these store
-# a field faster than set_field.
-_set_y, _set_x = CirclePoint.y.__set__, CirclePoint.x.__set__
+# The slot's own setter: a point is built per ladder run, and it stores the
+# ordinate faster than set_field.
+_set_y = CirclePoint.y.__set__
 
 
 def point_from_ordinate(y: float) -> CirclePoint:
-    """Return the circle point with ordinate ``y`` in [0, 1].
-
-    The abscissa is evaluated as sqrt((1 - y)(1 + y)); the factored product
-    keeps the result accurate to a few ulp even when y is close to 1.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"ordinate must lie in [0, 1], got {y!r}")
-    y = float(y)
-    # by position: keywords cost about 0.2 us more per point
-    return CirclePoint(y, math.sqrt((1.0 - y) * (1.0 + y)))
+    """The circle point with ordinate ``y`` in [0, 1]: ``CirclePoint(y)``."""
+    return CirclePoint(y)
 
 
 def chord_length(p: CirclePoint, q: CirclePoint) -> float:
@@ -58,10 +59,16 @@ def chord_length(p: CirclePoint, q: CirclePoint) -> float:
     does not cancel for nearby points, so the result keeps a few-ulp relative
     error at every separation.
     """
-    dy = p.y - q.y
+    py, qy = p.y, q.y
+    dy = py - qy
     if dy == 0.0:
         return 0.0
-    t = (p.y + q.y) / (p.x + q.x)
+    # The abscissae by the formula of the property x, written out: reading
+    # the property takes about 0.1 us more per chord, 3-4% of an arc_length
+    # call (CPython 3.11 on a Xeon).
+    xp = math.sqrt((1.0 - py) * (1.0 + py))
+    xq = math.sqrt((1.0 - qy) * (1.0 + qy))
+    t = (py + qy) / (xp + xq)
     return abs(dy) * math.hypot(1.0, t)
 
 

@@ -71,10 +71,10 @@ from __future__ import annotations
 import math
 import random
 
-from ._value import Value
+from ._value import Value, set_field
 from .arclength import SERIES, arms, bisection_step, upper_bound
-from .errors import (CapacityError, ConvergenceError, DegenerateArcError, DomainError,
-                     PrecisionFloorError, as_integer)
+from .errors import (CapacityError, ConvergenceError, DomainError, PrecisionFloorError,
+                     as_integer, as_level, check_arc)
 from .geometry import CirclePoint, chord_length, point_from_ordinate
 from .report import ARC_BRACKET, SECTOR_BRACKET
 
@@ -87,22 +87,27 @@ _UNDERFLOW = 2.0 ** -1071                   # 8 * 2^-1074, per chord
 
 
 class Partition(Value):
-    """Ordered points of an arc (strictly decreasing ordinates) and the norm."""
+    """The points of a partition of an arc, kept as a tuple.
 
-    __slots__ = _fields = ("points", "norm")
+    The constructor checks what it holds: at least two points, each
+    ordinate below the one before. ``norm``, the longest adjacent chord, is
+    computed on each read.
+    """
 
-    @classmethod
-    def from_points(cls, points) -> "Partition":
+    __slots__ = _fields = ("points",)
+
+    def __init__(self, points):
         pts = tuple(points)
         if len(pts) < 2:
             raise DomainError("a partition needs at least two points")
-        norm = 0.0
         for prev, cur in zip(pts, pts[1:]):
             if not prev.y > cur.y:  # refuses a NaN ordinate too
-                raise DomainError(
-                    "partition ordinates must be strictly decreasing")
-            norm = max(norm, chord_length(prev, cur))
-        return cls(points=pts, norm=norm)
+                raise DomainError("partition ordinates must be strictly decreasing")
+        set_field(self, "points", pts)
+
+    @property
+    def norm(self) -> float:
+        return max(map(chord_length, self.points, self.points[1:]))
 
     @property
     def arc_hi(self) -> CirclePoint:
@@ -127,7 +132,7 @@ def refine_union(p: Partition, q: Partition) -> Partition:
         raise DomainError("partitions cover different arcs")
     ys = {pt.y for pt in p.points}
     extras = [pt for pt in q.points if pt.y not in ys]
-    return Partition.from_points(sorted((*p.points, *extras), key=lambda pt: -pt.y))
+    return Partition(sorted((*p.points, *extras), key=lambda pt: -pt.y))
 
 
 def refinement_gap_bound(p: Partition) -> float:
@@ -138,8 +143,7 @@ def refinement_gap_bound(p: Partition) -> float:
 
 
 def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, CirclePoint]:
-    if a.y == b.y:
-        raise DegenerateArcError("partitions need a non-degenerate arc")
+    check_arc(a, b, "partitions")
     return (a, b) if a.y > b.y else (b, a)
 
 
@@ -160,9 +164,11 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     ``size`` is the level for ``bisection`` and the segment count for the
     other two schemes; ``random`` additionally requires a seed. Seed and
     size must be integers (bools are not). The scheme and seed are checked
-    first, then the arc, then the size.
+    first, then the arc, then the size. The points go to :class:`Partition`,
+    which checks their order and works out the norm when it is read.
 
-    - ``bisection``: level ``size``, 2^size + 1 points.
+    - ``bisection``: level ``size``, 2^size + 1 points; a level above 20
+      raises ``CapacityError``.
     - ``ordinate_uniform``: ``size`` segments, uniform in y, not in arc;
       chords near y = 1 shrink only like the square root of the ordinate
       step, so the norm still tends to zero as ``size`` grows, just more
@@ -177,27 +183,27 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     """
     _check_scheme(scheme, seed)
     hi, lo = _ordered_endpoints(a, b)
-    size = as_integer(size, "level" if scheme == "bisection" else "segment count")
     if scheme != "bisection":
-        ys = _ordinates(scheme, hi.y, lo.y, size, seed)
-        return Partition.from_points(point_from_ordinate(y) for y in ys)
-    if size < 0:
-        raise DomainError(f"level must be non-negative, got {size}")
-    if size > _MAX_PARTITION_LEVEL:
-        raise CapacityError(f"level {size} would materialize 2^{size} + 1 points")
+        ys = _ordinates(scheme, hi.y, lo.y, as_integer(size, "segment count"), seed)
+        return Partition(point_from_ordinate(y) for y in ys)
     pts = [hi, lo]
-    for _ in range(size):
+    for _ in range(as_level(size, _MAX_PARTITION_LEVEL)):
         pts = bisection_step(pts)
-    return Partition.from_points(pts)
+    return Partition(pts)
 
 
 def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
                seed: int | None) -> list[float]:
     """The ``n``-segment grid of a grid scheme, from ``hi_y`` down to
-    ``lo_y``: evenly spaced for ``ordinate_uniform`` (the arithmetic of
-    ``numpy.linspace``, with its fallback for a step that underflows to 0),
-    ``n - 1`` sorted draws of ``lo_y + (hi_y - lo_y) * random()`` for
-    ``random``, from a generator keyed by the seed and n (n < 2^21).
+    ``lo_y``. The inner ordinates are ``i * d + hi_y`` for i = 1 .. n - 1,
+    d = (lo_y - hi_y) / n, for ``ordinate_uniform`` (``i / n * (lo_y -
+    hi_y) + hi_y`` if d underflows to 0), and ``n - 1`` sorted draws of
+    ``lo_y + (hi_y - lo_y) * random()`` for ``random``, from a generator
+    keyed by the seed and n (n < 2^21); ``lo_y`` ends the list. The tests
+    pin both grids bit for bit, the uniform one against ``numpy.linspace``
+    (which evaluates the same expressions) and the random one against a
+    reference draw; the limits in ``tests/data/partition_golden.json``
+    cannot, as a grid an ulp off can give the same limit.
 
     An ordinate that does not fall below the last one kept (a step below
     float resolution, or a repeated draw) would make a zero-length chord;

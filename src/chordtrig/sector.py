@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
-from .errors import ConvergenceError, DegenerateArcError, DomainError
+from .errors import ConvergenceError, DomainError, check_arc
 from .geometry import CirclePoint, chord_length
 from .report import (SECTOR_BRACKET, STOP_CAP, STOP_TOLERANCE, ConvergenceReport,
                      Enclosure, fan_areas)
@@ -51,8 +51,7 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float) -> int:
     fans and the report of the records."""
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    if a.y == b.y:
-        raise DegenerateArcError("gap criterion of a degenerate arc")
+    check_arc(a, b, "gap criterion")
     levels = ladder_levels(a, b, _FANS_MEET)
     for m, (_, h, total, _, _) in enumerate(levels):
         inner, outer = fan_areas(total, h)
@@ -75,8 +74,7 @@ def sector_area(a: CirclePoint, b: CirclePoint,
 
 def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     """The bracket tolerance both ratio runs share, 3 * tol * chord."""
-    if a.y == b.y:
-        raise DegenerateArcError("arc/sector ratio of a degenerate arc")
+    check_arc(a, b, "arc/sector ratio")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     chord = chord_length(a, b)

@@ -140,7 +140,7 @@ def test_c07_refinement_bound():
         def build(count):
             interior = sorted({float(v) for v in rng.uniform(yb, ya, count)
                                if yb < v < ya}, reverse=True)
-            return Partition.from_points(
+            return Partition(
                 point_from_ordinate(v) for v in (ya, *interior, yb))
 
         p, q = build(count_p), build(count_q)

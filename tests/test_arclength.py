@@ -113,11 +113,9 @@ class TestBisectionStep:
             bisection_step([TOP])
 
     def test_nan_ordinate_rejected(self):
-        # neither side of a comparison with NaN is true, so an order test
-        # written as "prev.y <= cur.y" would let this point through
-        nan_point = CirclePoint(math.nan, 0.5)
-        with pytest.raises(DomainError, match="strictly decreasing"):
-            bisection_step([TOP, nan_point, Q])
+        # no bisection state can hold a NaN ordinate: no point has one
+        with pytest.raises(DomainError, match=r"ordinate must lie in \[0, 1\], got nan"):
+            CirclePoint(math.nan)
 
 
 class TestLengthSequence:
@@ -240,7 +238,7 @@ class TestArcLength:
             ys = [ya, *sorted((float(v) for v in interior), reverse=True), yb]
             pts = [point_from_ordinate(v) for v in ys]
             try:
-                part = Partition.from_points(pts)
+                part = Partition(pts)
             except DomainError:
                 continue
             chord = chord_length(pts[0], pts[-1])

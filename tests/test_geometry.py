@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chordtrig import (
+    CirclePoint,
     DomainError,
     chord_length,
     height_for_chord,
@@ -14,6 +15,22 @@ from chordtrig import (
 from conftest import EPS
 
 ordinates = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# the ends, the least subnormal, the middle and the float just below 1
+EDGE_ORDINATES = (0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
+def _abscissa(y):
+    """The abscissa of the ordinate ``y`` on the circle, in factored form."""
+    return math.sqrt((1.0 - y) * (1.0 + y))
+
+
+def _chord(yp, yq):
+    """The cancellation-free chord between two ordinates, with the
+    abscissae of :func:`_abscissa`."""
+    dy = yp - yq
+    if dy == 0.0:
+        return 0.0
+    return abs(dy) * math.hypot(1.0, (yp + yq) / (_abscissa(yp) + _abscissa(yq)))
 
 
 class TestPointFromOrdinate:
@@ -33,6 +50,26 @@ class TestPointFromOrdinate:
         with pytest.raises(DomainError) as err:
             point_from_ordinate(bad)
         assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [-5e-324, 1.0 + 2.0 ** -52, 2.0, math.inf, -math.inf,
+                                     math.nan])
+    def test_constructor_rejects_out_of_range(self, bad):
+        with pytest.raises(DomainError, match=r"ordinate must lie in \[0, 1\], got "):
+            CirclePoint(bad)
+
+    @given(ordinates)
+    @example(0.0)
+    @example(5e-324)
+    @example(0.5)
+    @example(1.0 - 2.0 ** -53)
+    @example(1.0)
+    def test_abscissa_and_chord_keep_their_formulas_bit_for_bit(self, y):
+        p = CirclePoint(y)
+        assert p == point_from_ordinate(y) and p.x.hex() == _abscissa(y).hex()
+        for other in EDGE_ORDINATES:
+            q = CirclePoint(other)
+            assert chord_length(p, q).hex() == _chord(y, other).hex()
+            assert chord_length(q, p).hex() == _chord(other, y).hex()
 
     @given(ordinates)
     def test_on_circle_invariant(self, y):

@@ -47,26 +47,24 @@ def _random_partition_of(rng, ya, yb, max_interior=12):
     count = int(rng.integers(0, max_interior))
     interior = sorted({float(v) for v in rng.uniform(yb, ya, count)}, reverse=True)
     ys = [ya, *(v for v in interior if yb < v < ya), yb]
-    return Partition.from_points(point_from_ordinate(v) for v in ys)
+    return Partition(point_from_ordinate(v) for v in ys)
 
 
 class TestPartitionType:
     def test_requires_two_points(self):
         with pytest.raises(DomainError):
-            Partition.from_points([TOP])
+            Partition([TOP])
 
     def test_requires_strict_decrease(self):
         with pytest.raises(DomainError):
-            Partition.from_points([Q, TOP])
+            Partition([Q, TOP])
         with pytest.raises(DomainError):
-            Partition.from_points([TOP, TOP])
+            Partition([TOP, TOP])
 
     def test_refuses_a_nan_ordinate(self):
-        # neither side of a comparison with NaN is true, so an order test
-        # written as "prev.y <= cur.y" would let this point through
-        nan_point = CirclePoint(math.nan, 0.5)
-        with pytest.raises(DomainError, match="strictly decreasing"):
-            Partition.from_points([TOP, nan_point, Q])
+        # no partition can hold a NaN ordinate: no point has one
+        with pytest.raises(DomainError, match=r"ordinate must lie in \[0, 1\], got nan"):
+            CirclePoint(math.nan)
 
     def test_norm_is_max_chord(self, rng):
         for ya, yb in random_arc_ordinates(rng, 20, min_sep=1e-3):
@@ -78,12 +76,12 @@ class TestPartitionType:
 
 class TestPolygonalLength:
     def test_single_segment(self):
-        p = Partition.from_points([TOP, Q])
+        p = Partition([TOP, Q])
         assert polygonal_length(p) == chord_length(TOP, Q)
 
     def test_quarter_with_diagonal(self):
         mid = point_from_ordinate(math.sqrt(2.0) / 2.0)
-        p = Partition.from_points([TOP, mid, Q])
+        p = Partition([TOP, mid, Q])
         assert polygonal_length(p) == pytest.approx(1.53073373, abs=1e-8)
 
     def test_against_naive_oracle(self, rng):
@@ -114,8 +112,8 @@ class TestRefineUnion:
 
     def test_subset_absorbed(self):
         mid = point_from_ordinate(0.5)
-        coarse = Partition.from_points([TOP, Q])
-        fine = Partition.from_points([TOP, mid, Q])
+        coarse = Partition([TOP, Q])
+        fine = Partition([TOP, mid, Q])
         assert refine_union(coarse, fine).points == fine.points
         assert refine_union(fine, coarse).points == fine.points
 
@@ -138,8 +136,8 @@ class TestRefineUnion:
 
     def test_near_duplicates_both_stay(self):
         # 5e-15 apart, within 1e-14 of the span: still two points
-        p = Partition.from_points([TOP, point_from_ordinate(0.5), Q])
-        q = Partition.from_points([TOP, point_from_ordinate(0.5 + 5e-15), Q])
+        p = Partition([TOP, point_from_ordinate(0.5), Q])
+        q = Partition([TOP, point_from_ordinate(0.5 + 5e-15), Q])
         union = refine_union(p, q)
         union_ys = {pt.y for pt in union.points}
         assert len(union.points) == 4
@@ -152,7 +150,7 @@ class TestRefineUnion:
     def test_is_the_exact_union(self, p_inner, q_inner):
         p_ys = [1.0, *sorted(p_inner, reverse=True), 0.0]
         q_ys = [1.0, *sorted(q_inner, reverse=True), 0.0]
-        p, q = (Partition.from_points(point_from_ordinate(y) for y in ys)
+        p, q = (Partition(point_from_ordinate(y) for y in ys)
                 for ys in (p_ys, q_ys))
         assert ([pt.y for pt in refine_union(p, q).points]
                 == sorted(set(p_ys) | set(q_ys), reverse=True))
@@ -169,23 +167,23 @@ class TestRefineUnion:
         assert len(union.points) > len(p.points)
 
     def test_endpoint_mismatch_rejected(self):
-        p = Partition.from_points([TOP, Q])
-        q = Partition.from_points([point_from_ordinate(0.9), Q])
+        p = Partition([TOP, Q])
+        q = Partition([point_from_ordinate(0.9), Q])
         with pytest.raises(DomainError):
             refine_union(p, q)
         # endpoints are compared exactly: the smallest subnormal is not 0
-        tiny = Partition.from_points([TOP, point_from_ordinate(5e-324)])
+        tiny = Partition([TOP, point_from_ordinate(5e-324)])
         with pytest.raises(DomainError, match="different arcs"):
             refine_union(tiny, p)
 
 
 class TestRefinementGapBound:
     def test_quarter_single_chord(self):
-        p = Partition.from_points([TOP, Q])
+        p = Partition([TOP, Q])
         assert refinement_gap_bound(p) == pytest.approx(2.82842712, abs=1e-8)
 
     def test_example_refinement_within_bound(self):
-        coarse = Partition.from_points([TOP, Q])
+        coarse = Partition([TOP, Q])
         fine = make_partition(TOP, Q, "bisection", 1)
         gap = abs(polygonal_length(fine) - polygonal_length(coarse))
         assert gap == pytest.approx(0.11652017, abs=1e-8)
@@ -266,6 +264,14 @@ class TestMakePartition:
             norms = [make_partition(TOP, Q, scheme, s, seed=5).norm for s in sizes]
             assert all(v < u for u, v in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_norm_is_the_longest_chord(self, scheme):
+        for hi_y, lo_y in ((1.0, 0.0), (0.9, 0.1), (0.5 + 1e-9, 0.5), (1.0, 1.0 - 2.0 ** -20)):
+            a, b = point_from_ordinate(hi_y), point_from_ordinate(lo_y)
+            for size in (0, 1, 3, 5) if scheme == "bisection" else (1, 7, 64):
+                p = make_partition(a, b, scheme, size, seed=size)
+                assert p.norm == max(chord_length(u, v) for u, v in zip(p.points, p.points[1:]))
+
     def test_orientation_normalized(self):
         p = make_partition(Q, TOP, "bisection", 1)
         assert p.points[0].y == 1.0 and p.points[-1].y == 0.0
@@ -336,8 +342,8 @@ class TestPerSegmentCertificate:
     def test_bounds_every_refinement(self, coarse, extra):
         ys = sorted(coarse, reverse=True)
         fine_ys = sorted({*ys, *(y for y in extra if ys[-1] < y < ys[0])}, reverse=True)
-        p = Partition.from_points(point_from_ordinate(y) for y in ys)
-        fine = Partition.from_points(point_from_ordinate(y) for y in fine_ys)
+        p = Partition(point_from_ordinate(y) for y in ys)
+        fine = Partition(point_from_ordinate(y) for y in fine_ys)
         certificate = math.fsum(c ** 3 / (4.0 - c * c) for c in (
             chord_length(u, v) for u, v in zip(p.points, p.points[1:])))
         gap = polygonal_length(fine) - polygonal_length(p)

@@ -1,8 +1,9 @@
 """The eight frozen record types behave as frozen dataclasses did: equality
 within one class only, hash and repr from the fields, keyword construction,
 pattern matching, pickling, copying, and FrozenInstanceError on set and
-del. The records built through ``Value``'s one constructor refuse what a
-dataclass's generated ``__init__`` refuses."""
+del. Every record's constructor, ``Value``'s or its own, refuses what a
+dataclass's generated ``__init__`` refuses; a point and a partition hold no
+field the constructor could derive, and are checked again when loaded."""
 
 import copy
 import pickle
@@ -15,6 +16,7 @@ from chordtrig import (
     CirclePoint,
     ConvergenceError,
     ConvergenceReport,
+    DomainError,
     Enclosure,
     IterationRow,
     Partition,
@@ -26,15 +28,16 @@ from chordtrig import (
     point_from_ordinate,
 )
 from chordtrig import arclength, sector
+from chordtrig._value import Value
 from chordtrig.errors import PrecisionFloorError
 
-TOP = CirclePoint(y=1.0, x=0.0)
-RIGHT = CirclePoint(y=0.0, x=1.0)
+TOP = CirclePoint(1.0)
+RIGHT = CirclePoint(0.0)
 LEVEL = (1.5, 0.5, 1.5, 1.5, 3.0)  # (l_m, h_m, L_m, lo, hi)
 
 # (type, keyword arguments in field order, exact repr)
 RECORDS = [
-    (CirclePoint, dict(y=0.5, x=0.75), "CirclePoint(y=0.5, x=0.75)"),
+    (CirclePoint, dict(y=0.5), "CirclePoint(y=0.5)"),
     (Enclosure, dict(lo=1.0, hi=2.0), "Enclosure(lo=1.0, hi=2.0)"),
     (IterationRow, dict(m=0, segment_length=1.5, height=0.5, total_length=1.5,
                         inner_area=0.375, outer_area=1.5, enclosure_lo=1.5,
@@ -48,21 +51,14 @@ RECORDS = [
     (TangentIntersection, dict(u=0.25, v=-0.5), "TangentIntersection(u=0.25, v=-0.5)"),
     (SectorSandwich, dict(m=3, inner_area=0.25, outer_area=0.5, gap=0.25),
      "SectorSandwich(m=3, inner_area=0.25, outer_area=0.5, gap=0.25)"),
-    (Partition, dict(points=(TOP, RIGHT), norm=1.5),
-     "Partition(points=(CirclePoint(y=1.0, x=0.0), CirclePoint(y=0.0, x=1.0)), norm=1.5)"),
+    (Partition, dict(points=(TOP, RIGHT)),
+     "Partition(points=(CirclePoint(y=1.0), CirclePoint(y=0.0)))"),
     (AdditivityCheck, dict(arc_whole=1.25, arc_parts=1.5, sector_whole=0.625, sector_parts=0.75),
      "AdditivityCheck(arc_whole=1.25, arc_parts=1.5, sector_whole=0.625, sector_parts=0.75)"),
 ]
 
 by_type = pytest.mark.parametrize("cls, kwargs, text", RECORDS,
                                   ids=[cls.__name__ for cls, _, _ in RECORDS])
-
-# The records that keep their own __init__: those built on every ladder run
-# store through their slots' setters.
-OWN_INIT = {"CirclePoint", "Enclosure", "ConvergenceReport"}
-VALUE_BUILT = [record for record in RECORDS if record[0].__name__ not in OWN_INIT]
-by_value_built = pytest.mark.parametrize("cls, kwargs, text", VALUE_BUILT,
-                                         ids=[cls.__name__ for cls, _, _ in VALUE_BUILT])
 
 
 @by_type
@@ -79,9 +75,9 @@ def test_never_equal_to_a_tuple_or_another_record_type(cls, kwargs, text):
     other = type("Other" + cls.__name__, (cls,), {})(**kwargs)
     assert record != values and values != record
     assert record != other and other != record
-    if len(values) == 2:
-        twin = CirclePoint if cls is TangentIntersection else TangentIntersection
-        assert record != twin(*values) and twin(*values) != record
+    # a record of another class with the same field names and values
+    twin = type("Twin", (Value,), {"__slots__": cls._fields, "_fields": cls._fields})(*values)
+    assert record != twin and twin != record
 
 
 @by_type
@@ -179,7 +175,32 @@ def test_run_errors_pickle_with_their_bracket_and_report(monkeypatch):
         assert again.report.rows == err.report.rows
 
 
-@by_value_built
+def test_derived_values_are_not_fields():
+    """A point's abscissa and a partition's norm are worked out from what
+    the record holds, so no caller can pass in a wrong one."""
+    with pytest.raises(TypeError):
+        CirclePoint(0.5, 0.75)
+    with pytest.raises(TypeError):
+        Partition(points=(TOP, RIGHT), norm=0.0)
+    assert CirclePoint(0.6).x == point_from_ordinate(0.6).x == 0.8
+    assert Partition((TOP, RIGHT)).norm == 1.4142135623730951
+
+
+def test_points_and_partitions_are_checked_again_when_loaded():
+    """Pickle, copy and deepcopy rebuild a point or a partition by calling
+    its checking constructor: an edited pickle cannot bring in an ordinate
+    above 1 or an unordered partition."""
+    point = CirclePoint(0.75)
+    part = Partition([point, CirclePoint(0.25)])
+    assert point.__reduce__() == (CirclePoint, (0.75,))
+    assert part.__reduce__() == (Partition, (part.points,))
+    with pytest.raises(DomainError, match=r"ordinate must lie in \[0, 1\], got 1.5"):
+        pickle.loads(pickle.dumps(point, 0).replace(b"F0.75", b"F1.5"))
+    with pytest.raises(DomainError, match="strictly decreasing"):
+        pickle.loads(pickle.dumps(part, 0).replace(b"F0.25", b"F0.875"))
+
+
+@by_type
 def test_constructor_refuses_a_missing_last_field(cls, kwargs, text):
     values = list(kwargs.values())
     with pytest.raises(TypeError):
@@ -188,25 +209,25 @@ def test_constructor_refuses_a_missing_last_field(cls, kwargs, text):
         cls(**dict(list(kwargs.items())[:-1]))
 
 
-@by_value_built
+@by_type
 def test_constructor_refuses_one_value_too_many(cls, kwargs, text):
     with pytest.raises(TypeError):
         cls(*kwargs.values(), 0.0)
 
 
-@by_value_built
+@by_type
 def test_constructor_refuses_an_unknown_keyword(cls, kwargs, text):
     with pytest.raises(TypeError):
         cls(**kwargs, extra=0.0)
 
 
-@by_value_built
+@by_type
 def test_constructor_refuses_a_field_by_position_and_by_keyword(cls, kwargs, text):
     with pytest.raises(TypeError):
         cls(next(iter(kwargs.values())), **kwargs)
 
 
-@by_value_built
+@by_type
 def test_keywords_in_any_order_build_the_same_record(cls, kwargs, text):
     items = list(kwargs.items())
     for order in (items[::-1], items[1:] + items[:1]):
