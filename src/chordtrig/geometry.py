@@ -22,23 +22,35 @@ class CirclePoint(Value):
     """A point of the quarter circle, named by its ordinate ``y`` in [0, 1].
 
     The constructor is the one check of the first-quadrant domain: an
-    ordinate outside [0, 1], NaN included, raises ``DomainError``, and any
-    other is stored as a float. ``x`` is the abscissa the circle equation
-    gives, sqrt((1 - y)(1 + y)), computed on each read; the factored product
-    keeps it accurate to a few ulp even when y is close to 1.
+    ordinate that is a bool or not a real number (``numbers.Real``), or one
+    outside [0, 1], NaN included, raises ``DomainError``, and any other is
+    stored as a float, -0.0 as 0.0. ``x`` is the abscissa the circle
+    equation gives, sqrt((1 - y)(1 + y)), computed on each read; the
+    factored product keeps it accurate to a few ulp even when y is close
+    to 1.
     """
 
     __slots__ = _fields = ("y",)
 
     def __init__(self, y: float):
+        if type(y) is not float and not _is_real(y):
+            raise DomainError(f"ordinate must be a real number, got {y!r}")
         if not 0.0 <= y <= 1.0:
             raise DomainError(f"ordinate must lie in [0, 1], got {y!r}")
-        _set_y(self, float(y))
+        _set_y(self, float(y) + 0.0)  # -0.0 + 0.0 is 0.0
 
     @property
     def x(self) -> float:
         y = self.y
         return math.sqrt((1.0 - y) * (1.0 + y))
+
+
+def _is_real(y) -> bool:
+    """Whether ``y`` is a real number other than a bool. Every ladder run
+    builds its points from floats, which never come here, so ``numbers``
+    is imported on the first other ordinate only."""
+    import numbers
+    return isinstance(y, numbers.Real) and not isinstance(y, bool)
 
 
 # The slot's own setter: a point is built per ladder run, and it stores the

@@ -3,6 +3,10 @@
 arcsin(y) is the length of the arc from (sqrt(1 - y^2), y) down to (1, 0),
 so it inherits the certified bracket of the bisection scheme. pi is twice
 the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly.
+The quarter arc's ladder does not depend on the tolerance, which only picks
+the level where a run stops, and every closure run stops by level 4
+(:mod:`chordtrig.arclength`): its records of levels 0 to 4 are run once, on
+import, and pi and sin read their arms there instead of running it again.
 sin inverts arcsin: monotonicity turns arcsin's certified arms at an
 ordinate into a side of sin x, so the ordinate interval always holds sin x.
 """
@@ -11,19 +15,24 @@ from __future__ import annotations
 
 import math
 
+from . import arclength
 from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
 from .errors import DomainError, PrecisionFloorError
 from .geometry import point_from_ordinate
-from .report import ConvergenceReport, Enclosure
+from .report import STOP_TOLERANCE, ConvergenceReport, Enclosure
 
 _Q = point_from_ordinate(0.0)
 _TOP = point_from_ordinate(1.0)
 
-# The quarter arc's widened lower arm at level 0, 2.07e-5 below pi / 2: a
-# bound on pi / 2 that the ladder itself produces. sin runs the quarter arc
-# only for an x above it.
-_HALF_PI_LO = ladder_levels(_TOP, _Q, 0)[0][3]
+# The quarter arc's level records (l_m, h_m, L_m, lo, hi) of levels 0 .. 4,
+# the only run of its ladder: every closure run ends by level 4.
+_QUARTER = tuple(ladder_levels(_TOP, _Q, 4))
+
+# Its widened lower arm at level 0, 2.07e-5 below pi / 2: a bound on pi / 2
+# that the ladder itself produces. sin reads the quarter arc only for an x
+# above it.
+_HALF_PI_LO = _QUARTER[0][3]
 
 
 class TangentIntersection(Value):
@@ -37,6 +46,27 @@ class TangentIntersection(Value):
     __slots__ = _fields = ("u", "v")
 
 
+def _quarter_arms(tol: float) -> tuple[float, float, tuple]:
+    """``arms(_TOP, _Q, tol)``, read from ``_QUARTER``: the arms of the first
+    record, at a level up to 4 and the backstop ``arclength._MAX_LEVEL``,
+    that is at most ``tol`` wide, and the records up to it.
+
+    A tol no record meets (one that is not positive, NaN, below the floor
+    or beyond a lowered backstop) goes to :func:`~chordtrig.arclength.arms`,
+    which raises for it, with the message, bracket and report its own.
+    ``arms`` also stops at a level whose floor is above ``tol``; on this arc
+    the first record that meets ``tol`` comes before any such level
+    (``tests/test_inverse.py`` checks every tol where either side can
+    change).
+    """
+    if tol > 0.0:
+        for m in range(min(len(_QUARTER), arclength._MAX_LEVEL + 1)):
+            _, _, _, lo, hi = _QUARTER[m]
+            if hi - lo <= tol:
+                return lo, hi, _QUARTER[:m + 1]
+    return arms(_TOP, _Q, tol)
+
+
 def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:
     """Certified enclosure of arcsin(y) for y in [0, 1]."""
     return arc_length(point_from_ordinate(y), _Q, tol)
@@ -44,9 +74,12 @@ def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:
 
 def pi_run(tol: float) -> tuple[Enclosure, ConvergenceReport]:
     """:func:`pi_constant`'s enclosure of pi and the report of the
-    quarter-arc run it doubles."""
-    quarter, report = arc_length(_TOP, _Q, tol)
-    return Enclosure(2.0 * quarter.lo, 2.0 * quarter.hi), report
+    quarter-arc run it doubles, whose levels are the import-time records
+    up to the one that meets ``tol``: the report ``arc_length`` of the
+    quarter arc returns, with no ladder run."""
+    lo, hi, levels = _quarter_arms(tol)
+    return (Enclosure(2.0 * lo, 2.0 * hi),
+            ConvergenceReport(1.0, 0.0, tol, STOP_TOLERANCE, levels))
 
 
 def pi_constant(tol: float) -> Enclosure:
@@ -56,9 +89,10 @@ def pi_constant(tol: float) -> Enclosure:
     semicircle are mirror images, so the semicircle length is twice the
     quarter length. Width is at most 2 * tol. A ``tol`` below the quarter
     arc's binary64 floor raises ``PrecisionFloorError``. It doubles the
-    bare arms of :func:`pi_run`'s run, so it builds no report.
+    bare arms of :func:`pi_run`'s run, read from the quarter arc's
+    import-time records, so it runs no ladder and builds no report.
     """
-    lo, hi, _ = arms(_TOP, _Q, tol)
+    lo, hi, _ = _quarter_arms(tol)
     return Enclosure(2.0 * lo, 2.0 * hi)
 
 
@@ -87,17 +121,18 @@ def sin(x: float, tol: float) -> float:
     y <= x <= y / sqrt(1 - y^2), so x (1 - x^2) <= sin x <= x: x itself is
     returned once x^3 <= tol / 2, and 0 once x <= tol. And x within w of
     pi / 2, w the quarter arc's bracket width, has 1 - sin x <= w^2 / 2.
-    The quarter arc, which only this exit and the domain check read, runs
-    only for x outside [0, ``_HALF_PI_LO``]: up to that level-0 lower arm x
-    is in the domain and short of the bracket's midpoint. A ``tol`` that is
-    not positive raises ``DomainError`` first.
+    The quarter arc's bracket at ``tol``, which only this exit and the
+    domain check read, is read from its import-time records (no ladder
+    runs) only for x outside [0, ``_HALF_PI_LO``]: up to that level-0 lower
+    arm x is in the domain and short of the bracket's midpoint. A ``tol``
+    that is not positive raises ``DomainError`` first.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     top_hi = None
     if not 0.0 <= x <= _HALF_PI_LO:
         try:
-            top_lo, top_hi, _ = arms(_TOP, _Q, tol)
+            top_lo, top_hi, _ = _quarter_arms(tol)
         except PrecisionFloorError as err:  # its bracket still bounds pi / 2
             top_lo, top_hi = err.enclosure.lo, err.enclosure.hi
         if not 0.0 <= x <= top_hi:

@@ -8,11 +8,12 @@ its endpoints, tolerance and stop reason, and the run's level records
 has none). ``len`` counts the records, and ``rows`` builds the
 :class:`IterationRow` table from them through :func:`level_row` on each
 read, so a report that is never read builds no row. Callers that return no
-report build none: ``pi_constant``, ``verify_ratio``, ``scheme_limit``'s
-bisection scheme, ``additivity_check`` and ``sin`` (its quarter-arc run and
-its certifier runs) read the bare arms of
+report build none: ``verify_ratio``, ``scheme_limit``'s bisection scheme,
+``additivity_check`` and ``sin``'s certifier runs read the bare arms of
 :func:`~chordtrig.arclength.arms`, the checked run that ``arc_length`` and
-``sector_area`` wrap in a report.
+``sector_area`` wrap in a report, and ``pi_constant`` and ``sin``'s
+quarter-arc bracket read the same arms from the quarter arc's level
+records, which :mod:`chordtrig.inverse` runs once, on import.
 
 Every ladder bracket is certified. The arc and sector runs close the
 ladder with Newton's series and widen both arms by the rounding bound that

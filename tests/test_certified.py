@@ -27,7 +27,7 @@ from chordtrig import arclength, inverse
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
 from chordtrig.geometry import chord_length
-from chordtrig.report import ARC_BRACKET, SECTOR_BRACKET
+from chordtrig.report import ARC_BRACKET, SECTOR_BRACKET, level_row
 
 from oracles import exact_arc, exact_sector, holds
 
@@ -235,7 +235,7 @@ class TestSinPredictorCertifier:
                 + [10.0 ** -k for k in range(1, 9)])
         assert len(grid) == 50
         cases = [(x, tol) for tol in (1e-8, 1e-10, 1e-12) for x in grid]
-        # sin x rounds to 1: the quarter arc runs
+        # sin x rounds to 1: the top exit reads the quarter arc's bracket
         cases += [(1.5707963267948963, 1.38e-14), (1.57079632, 1e-14)]
         for x, tol in cases:
             sin(x, tol)
@@ -252,7 +252,8 @@ class TestSinPredictorCertifier:
 
 
 class TestSinRunsOnlyWhatItReads:
-    """The quarter arc runs only for x above its level-0 lower arm."""
+    """The quarter arc never runs: sin reads its bracket from the records
+    inverse keeps from import, and only for x above its level-0 lower arm."""
 
     def _count_runs(self, monkeypatch):
         runs = []
@@ -273,10 +274,10 @@ class TestSinRunsOnlyWhatItReads:
         sin(0.5, 1e-10)
         assert runs and 1.0 not in runs
 
-    def test_one_quarter_arc_run_above_the_bound(self, monkeypatch):
+    def test_no_quarter_arc_run_above_the_bound(self, monkeypatch):
         runs = self._count_runs(monkeypatch)
         sin(HALF_PI - 1e-6, 1e-12)
-        assert runs.count(1.0) == 1
+        assert runs and 1.0 not in runs
 
     def test_at_most_eight_ladder_runs_per_call(self, monkeypatch):
         runs = self._count_runs(monkeypatch)
@@ -288,11 +289,11 @@ class TestSinRunsOnlyWhatItReads:
                 runs.clear()
                 sin(x, tol)
                 assert len(runs) <= 8, (x, tol, runs)
-        # sin x rounds to 1: the quarter arc and at most three certifier runs
+        # sin x rounds to 1: at most three certifier runs, no quarter-arc run
         for x, tol in ((1.5707963267948963, 1.38e-14), (1.57079632, 1e-14)):
             runs.clear()
             sin(x, tol)
-            assert len(runs) <= 4 and runs.count(1.0) == 1, (x, tol, runs)
+            assert len(runs) <= 3 and 1.0 not in runs, (x, tol, runs)
 
     def test_one_certifier_run_off_the_top(self, monkeypatch):
         """Below x = 1.456 the first guess is a few ulps from sin x, so the
@@ -317,10 +318,15 @@ class TestOneRunPerCommand:
         monkeypatch.setattr(arclength, "_climb", counted)
         return runs
 
-    def test_pi_runs_the_quarter_arc_once(self, monkeypatch, capsys):
+    def test_pi_runs_no_ladder(self, monkeypatch, capsys):
+        """pi's report rows are the records of the quarter arc that inverse
+        ran on import, up to the first that meets tol (level 1 at 1e-10)."""
         runs = self._count_runs(monkeypatch)
         assert run(["pi", "--tol", "1e-10"]) == 0
-        assert runs == [ARC_BRACKET]  # its report's rows are the run's own levels
+        assert runs == []
+        rows = json.loads(capsys.readouterr().out)["report"]["rows"]
+        assert rows == [level_row(m, *record).to_dict()
+                        for m, record in enumerate(inverse._QUARTER[:2])]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv, expected", [

@@ -58,6 +58,14 @@ class TestJsonCommands:
         assert enc["width"] <= 2e-10
         assert payload["report"]["rows"]
 
+    def test_a_negative_zero_ordinate_is_reported_as_zero(self, capsys):
+        """The report names the arc by its points, which store -0.0 as 0.0;
+        the echoed argument ``b`` stays as typed."""
+        code, out, _ = invoke(capsys, "arc", "--a", "1", "--b", "-0.0")
+        assert code == 0
+        b = json.loads(out)["report"]["b_ordinate"]
+        assert b == 0.0 and math.copysign(1.0, b) == 1.0
+
     def test_arcsin_zero(self, capsys):
         code, out, _ = invoke(capsys, "arcsin", "0", "--tol", "1e-10")
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,22 @@ class TestPointFromOrdinate:
     def test_constructor_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError, match=r"ordinate must lie in \[0, 1\], got "):
             CirclePoint(bad)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, 0.5 + 0j],
+                             ids=["true", "false", "str", "none", "complex"])
+    def test_constructor_rejects_a_bool_or_a_non_real(self, bad):
+        with pytest.raises(DomainError, match=r"ordinate must be a real number, got "):
+            CirclePoint(bad)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        assert math.copysign(1.0, CirclePoint(-0.0).y) == 1.0
+        assert CirclePoint(-0.0) == CirclePoint(0.0)
+
+    @pytest.mark.parametrize("real", [1, Fraction(1, 2), np.float64(0.25), np.float32(-0.0)],
+                             ids=["int", "fraction", "float64", "float32"])
+    def test_other_reals_are_stored_as_floats(self, real):
+        y = CirclePoint(real).y
+        assert type(y) is float and y == real and math.copysign(1.0, y) == 1.0
 
     @given(ordinates)
     @example(0.0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chordtrig import (
+    ConvergenceError,
     DomainError,
     arcsin,
     continuity_modulus,
@@ -13,6 +14,8 @@ from chordtrig import (
     sin,
     tangent_intersection,
 )
+from chordtrig import arclength, inverse
+from chordtrig.report import ARC_BRACKET
 
 from conftest import EPS
 
@@ -68,6 +71,53 @@ class TestPiConstant:
     def test_tightening_never_widens(self):
         widths = [pi_constant(t).width for t in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11)]
         assert all(v <= u for u, v in zip(widths, widths[1:]))
+
+
+def _outcome(call):
+    """A quarter-arc run's arms and level records, or the type, message,
+    bracket and report of the error it raises."""
+    try:
+        lo, hi, levels = call()
+    except (ConvergenceError, DomainError) as err:
+        return (type(err), str(err), getattr(err, "enclosure", None),
+                getattr(err, "report", None))
+    return lo, hi, list(levels)
+
+
+def _table_tols():
+    """Every tol where a quarter-arc run can change: each level's width and
+    floor and one ulp either side, and the edge tolerances."""
+    tols = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-17]
+    for m, (_, _, _, lo, hi) in enumerate(inverse._QUARTER):
+        floor = arclength._climb(inverse._TOP, Q, -1.0, m, ARC_BRACKET, [])[1]
+        for edge in (hi - lo, floor):
+            tols += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    return tols
+
+
+class TestQuarterTable:
+    """``inverse._quarter_arms`` reads the quarter arc's records of levels 0
+    to 4, run on import, where ``arclength.arms`` runs the ladder. Where
+    each stops, and whether it raises, depends on tol only through
+    comparisons with the five widths and the five floors (tol itself only
+    passes into the error and report), so each is a step function of tol,
+    and equal outcomes at those ten constants, one ulp either side and the
+    edges make them equal at every tol. No general lemma covers it: at
+    levels 3 and 4 the width is below the floor, and the table, which reads
+    no floor, agrees only because level 2 is narrower than both."""
+
+    @pytest.mark.parametrize("backstop", [None, 0, 1, 2, 3])
+    def test_the_table_is_the_run_at_every_tol(self, backstop, monkeypatch):
+        if backstop is not None:
+            monkeypatch.setattr(arclength, "_MAX_LEVEL", backstop)
+        for tol in _table_tols():
+            table = _outcome(lambda: inverse._quarter_arms(tol))
+            run = _outcome(lambda: arclength.arms(inverse._TOP, Q, tol))
+            assert table == run, tol
+
+    def test_the_table_is_the_first_five_levels(self):
+        assert inverse._QUARTER == tuple(arclength.ladder_levels(inverse._TOP, Q, 4))
+        assert inverse._HALF_PI_LO == inverse._QUARTER[0][3]
 
 
 class TestSin:

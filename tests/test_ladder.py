@@ -256,7 +256,7 @@ class TestNoReportUnlessReturned:
             "pi_constant": lambda: pi_constant(1e-12),
             "verify_ratio": lambda: verify_ratio(a, b, 1e-10),
             "scheme_limit": lambda: scheme_limit(a, b, "bisection", 1e-9),
-            "sin": lambda: sin(HALF_PI - 1e-6, 1e-12),  # runs the quarter arc
+            "sin": lambda: sin(HALF_PI - 1e-6, 1e-12),  # reads the quarter arc's bracket
             "additivity_check": lambda: additivity_check(a, point_from_ordinate(0.5), b,
                                                          1e-10),
         }

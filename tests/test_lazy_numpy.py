@@ -1,6 +1,7 @@
 """No entry point loads numpy, only partition work loads
 chordtrig.partitions, a family of public names loads only the modules it
-calls, and nothing loads dataclasses or typing.
+calls, nothing loads dataclasses or typing, and importing chordtrig.inverse
+runs the quarter arc's ladder once.
 
 Each case runs in a fresh interpreter, because this test process has
 numpy and dataclasses loaded already.
@@ -108,6 +109,16 @@ def test_no_entry_point_loads_typing():
     it does), which would hide an import from this package."""
     code = NON_PARTITION_CALLS + PARTITION_WORK + 'print("typing" in sys.modules)'
     assert _last_line(code, str(GOLDEN), flags=("-S",)) == "False"
+
+
+def test_importing_inverse_runs_one_ladder():
+    code = (
+        "import chordtrig.arclength as arclength\n"
+        "runs, climb = [], arclength._climb\n"
+        "arclength._climb = lambda *args: runs.append(args[0].y) or climb(*args)\n"
+        "import chordtrig.inverse\n"
+        "print(runs)")
+    assert _last_line(code) == "[1.0]"
 
 
 def _loaded_modules(calls):
