@@ -31,17 +31,19 @@ series in z = w^2. It is used once z <= 1/2 (at level 0 of the quarter arc
 w = 1); before that the two fans [A_m, A_m / h_m^2] bracket the sector.
 
 One flat loop, :func:`_climb`, holds the only copy of the recurrence and of
-the brackets; every ladder in the package runs on it. At each level it forms
-L_m and the arms of one of two brackets: ``ARC_BRACKET`` the arc closure
-or ``SECTOR_BRACKET`` the fan closure, both widened by the rounding bound
-below (the bisection partition limit is the arc closure's midpoint). The
-loop records each level as (l_m, h_m, L_m, lo, hi), and these records are
-the one source of these values: :func:`arms`, the checked run, hands the
-last one's arms to every caller; :func:`arc_length` and
-:func:`~chordtrig.sector.sector_area` return them as a bracket with a report
-that keeps all the records (its :class:`~chordtrig.report.IterationRow`
-table is built from them on each read), and the callers that return no
-report read the bare arms. :func:`length_sequence` builds its rows from
+the brackets; every ladder in the package runs on it. It runs on the two
+endpoint ordinates alone, as floats, and builds no point: sin's certifier
+runs hand it ordinates of their own, the other runs a point's. At each
+level it forms L_m and the arms of one of two brackets: ``ARC_BRACKET`` the
+arc closure or ``SECTOR_BRACKET`` the fan closure, both widened by the
+rounding bound below (the bisection partition limit is the arc closure's
+midpoint). The loop records each level as (l_m, h_m, L_m, lo, hi), and
+these records are the one source of these values: :func:`arms`, the
+checked run, hands the last one's arms to every caller; :func:`arc_length`
+and :func:`~chordtrig.sector.sector_area` return them as a bracket with a
+report that keeps all the records (its
+:class:`~chordtrig.report.IterationRow` table is built from them on each
+read), and the callers that return no report read the bare arms. :func:`length_sequence` builds its rows from
 those of :func:`ladder_levels`, the loop's checked recorder of the arc
 closure, and the paper's two fans, :func:`~chordtrig.report.fan_areas` of
 (L_m, h_m), are a view of the arc records: the sector sandwich and the
@@ -53,7 +55,9 @@ u at most; ordinates are exact, as they define the arc. Bounds are first
 order; the remainder falls in the spare units below. Errors are counted in
 units of u.
 
-- Chord. :func:`~chordtrig.geometry.chord_length` gives l_0 within
+- Chord. :func:`_climb` forms l_0 from the two ordinates with
+  :func:`~chordtrig.geometry.chord_length`'s formula, written out step for
+  step (``tests/test_ladder.py`` checks it bit for bit), so l_0 is within
   e_0 = 10: x = sqrt((1 - y)(1 + y)) is within 2.5, x_i + x_(i+1) within
   3.5, t within 5.5, hypot(1, t) within 7.5 (t^2 / (1 + t^2) <= 1, and
   Python >= 3.10's hypot is within 1 ulp) and l within 9.5.
@@ -118,7 +122,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import (ConvergenceError, DegenerateArcError, DomainError, PrecisionFloorError,
-                     as_level, check_arc)
+                     as_level, as_tolerance, check_arc)
 from .geometry import (
     CirclePoint,
     chord_length,
@@ -186,18 +190,23 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-def _climb(a: CirclePoint, b: CirclePoint, tol: float, last: int, bracket: str,
+def _climb(ay: float, by: float, tol: float, last: int, bracket: str,
            levels: list[_Level]) -> tuple[str, float]:
-    """Run the ladder on the arc ``ab`` (a != b) from level 0 until its
-    ``bracket`` is at most ``tol`` wide, its floor (module docstring) is
-    above a positive ``tol``, or level ``last`` (>= 0) is reached; append
-    each level's record (l_m, h_m, L_m, lo, hi) to ``levels`` and return the
-    report's stop reason and the last level's floor (0 without a closure)."""
+    """Run the ladder on the arc between the ordinates ``ay`` and ``by``
+    (ay != by, both in [0, 1]) from level 0 until its ``bracket`` is at most
+    ``tol`` wide, its floor (module docstring) is above a positive ``tol``,
+    or level ``last`` (>= 0) is reached; append each level's record
+    (l_m, h_m, L_m, lo, hi) to ``levels`` and return the report's stop
+    reason and the last level's floor (0 without a closure)."""
     sector = bracket == SECTOR_BRACKET
     units = _FAN_UNITS if sector else _ARC_UNITS
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = SERIES
     sqrt = math.sqrt
-    ell = chord_length(a, b)
+    # l_0 by chord_length's formula, written out step for step: even a call
+    # on the two ordinates costs about 2% of a sin call (CPython 3.11).
+    xa = sqrt((1.0 - ay) * (1.0 + ay))
+    xb = sqrt((1.0 - by) * (1.0 + by))
+    ell = abs(ay - by) * math.hypot(1.0, (ay + by) / (xa + xb))
     scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit
     err = 10.0   # e_m, the chord's rounding bound in units of u
     floor = h = 0.0
@@ -249,29 +258,32 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int) -> list[_Level]:
     check_arc(a, b, "ladder levels")
     m = as_level(m, _MAX_LEVEL)
     levels: list[_Level] = []
-    _climb(a, b, -1.0, m, ARC_BRACKET, levels)
+    _climb(a.y, b.y, -1.0, m, ARC_BRACKET, levels)
     return levels
 
 
-def arms(a: CirclePoint, b: CirclePoint, tol: float,
+def arms(ay: float, by: float, tol: float,
          bracket: str = ARC_BRACKET) -> tuple[float, float, list[_Level]]:
-    """Run the ladder on the arc ``ab`` until its ``bracket``, the arc
+    """Run the ladder on the arc between the ordinates ``ay`` and ``by``
+    (each in [0, 1], which the caller ensures) until its ``bracket``, the arc
     closure (``ARC_BRACKET``) or the fan closure (``SECTOR_BRACKET``), is at
     most ``tol`` wide, and return the last level's arms and the level
     records, with no record built around them; a degenerate arc gives 0, 0
     and no levels.
 
-    Raises ``PrecisionFloorError`` (also a ``DomainError``) once a closure's
+    A ``tol`` that is a bool, not a real number, or not positive raises
+    ``DomainError`` (:func:`~chordtrig.errors.as_tolerance`). Raises
+    ``PrecisionFloorError`` (also a ``DomainError``) once a closure's
     widening alone is wider than ``tol``; a run meets ``tol`` or this floor
     by level 4 (module docstring). The level-62 backstop raises
     ``ConvergenceError``. Only then are a bracket and a report built: both
     errors carry the last bracket and the report."""
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if type(tol) is not float or not tol > 0.0:
+        as_tolerance(tol)
     levels: list[_Level] = []
-    if a.y == b.y:
+    if ay == by:
         return 0.0, 0.0, levels
-    stop, floor = _climb(a, b, tol, _MAX_LEVEL, bracket, levels)
+    stop, floor = _climb(ay, by, tol, _MAX_LEVEL, bracket, levels)
     _, _, _, lo, hi = levels[-1]
     if stop != STOP_TOLERANCE:
         below = stop == STOP_FLOOR
@@ -280,7 +292,7 @@ def arms(a: CirclePoint, b: CirclePoint, tol: float,
             else f"bracket width {hi - lo!r} has not reached tol {tol!r} "
                  f"by level {len(levels) - 1}",
             enclosure=Enclosure(lo, hi),
-            report=ConvergenceReport(a.y, b.y, tol, stop, levels))
+            report=ConvergenceReport(ay, by, tol, stop, levels))
     return lo, hi, levels
 
 
@@ -309,5 +321,5 @@ def arc_length(a: CirclePoint, b: CirclePoint,
     The level-62 backstop, which that bound keeps out of reach, raises
     ``ConvergenceError``, carrying the last bracket and the report.
     """
-    lo, hi, levels = arms(a, b, tol)
+    lo, hi, levels = arms(a.y, b.y, tol)
     return Enclosure(lo, hi), ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, levels)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 
 class CirclePoint(Value):
@@ -33,8 +33,8 @@ class CirclePoint(Value):
     __slots__ = _fields = ("y",)
 
     def __init__(self, y: float):
-        if type(y) is not float and not _is_real(y):
-            raise DomainError(f"ordinate must be a real number, got {y!r}")
+        if type(y) is not float:
+            check_real(y, "ordinate")
         if not 0.0 <= y <= 1.0:
             raise DomainError(f"ordinate must lie in [0, 1], got {y!r}")
         _set_y(self, float(y) + 0.0)  # -0.0 + 0.0 is 0.0
@@ -43,14 +43,6 @@ class CirclePoint(Value):
     def x(self) -> float:
         y = self.y
         return math.sqrt((1.0 - y) * (1.0 + y))
-
-
-def _is_real(y) -> bool:
-    """Whether ``y`` is a real number other than a bool. Every ladder run
-    builds its points from floats, which never come here, so ``numbers``
-    is imported on the first other ordinate only."""
-    import numbers
-    return isinstance(y, numbers.Real) and not isinstance(y, bool)
 
 
 # The slot's own setter: a point is built per ladder run, and it stores the

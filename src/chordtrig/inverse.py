@@ -18,7 +18,7 @@ import math
 from . import arclength
 from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
-from .errors import DomainError, PrecisionFloorError
+from .errors import DomainError, PrecisionFloorError, as_tolerance
 from .geometry import point_from_ordinate
 from .report import STOP_TOLERANCE, ConvergenceReport, Enclosure
 
@@ -47,24 +47,25 @@ class TangentIntersection(Value):
 
 
 def _quarter_arms(tol: float) -> tuple[float, float, tuple]:
-    """``arms(_TOP, _Q, tol)``, read from ``_QUARTER``: the arms of the first
+    """``arms(1.0, 0.0, tol)``, read from ``_QUARTER``: the arms of the first
     record, at a level up to 4 and the backstop ``arclength._MAX_LEVEL``,
     that is at most ``tol`` wide, and the records up to it.
 
-    A tol no record meets (one that is not positive, NaN, below the floor
-    or beyond a lowered backstop) goes to :func:`~chordtrig.arclength.arms`,
-    which raises for it, with the message, bracket and report its own.
+    A tol that is not a float, and a float no record meets (one that is not
+    positive, NaN, below the floor or beyond a lowered backstop), goes to
+    :func:`~chordtrig.arclength.arms`, which checks it and raises for it,
+    with the message, bracket and report its own.
     ``arms`` also stops at a level whose floor is above ``tol``; on this arc
     the first record that meets ``tol`` comes before any such level
     (``tests/test_inverse.py`` checks every tol where either side can
     change).
     """
-    if tol > 0.0:
+    if type(tol) is float and tol > 0.0:  # arms checks any other tol
         for m in range(min(len(_QUARTER), arclength._MAX_LEVEL + 1)):
             _, _, _, lo, hi = _QUARTER[m]
             if hi - lo <= tol:
                 return lo, hi, _QUARTER[:m + 1]
-    return arms(_TOP, _Q, tol)
+    return arms(1.0, 0.0, tol)
 
 
 def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:
@@ -99,9 +100,11 @@ def pi_constant(tol: float) -> Enclosure:
 def sin(x: float, tol: float) -> float:
     """The ordinate y whose arc length to (1, 0) is ``x``, to within ``tol``.
 
-    Each iterate y gets one arcsin run at ``tol``, and its arms alone
-    decide: arcsin is increasing, so an upper arm at most x makes y the low
-    end y_lo of an interval that holds sin x, a lower arm at least x its
+    Each iterate y gets one arcsin run at ``tol``, on the bare ordinates y
+    and 0 (no point is built: the loop keeps y strictly inside its interval
+    (y_lo, y_hi), a part of [0, 1]), and the run's arms alone decide:
+    arcsin is increasing, so an upper arm at most x makes y the low end
+    y_lo of an interval that holds sin x, a lower arm at least x its
     high end y_hi, and arms around x return y, as |y - sin x| <=
     |arcsin(y) - x| <= ``tol`` (sin is 1-Lipschitz). An interval at most
     ``tol`` wide returns its midpoint. The first y is sin's Taylor
@@ -125,10 +128,11 @@ def sin(x: float, tol: float) -> float:
     domain check read, is read from its import-time records (no ladder
     runs) only for x outside [0, ``_HALF_PI_LO``]: up to that level-0 lower
     arm x is in the domain and short of the bracket's midpoint. A ``tol``
-    that is not positive raises ``DomainError`` first.
+    that is a bool, not a real number, or not positive raises
+    ``DomainError`` first (:func:`~chordtrig.errors.as_tolerance`).
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if type(tol) is not float or not tol > 0.0:
+        as_tolerance(tol)
     top_hi = None
     if not 0.0 <= x <= _HALF_PI_LO:
         try:
@@ -157,7 +161,7 @@ def sin(x: float, tol: float) -> float:
                 y = 1.0 - 0.5 * tol
             if slow == 2 or not y_lo < y < y_hi:
                 y, slow = 0.5 * (y_lo + y_hi), 0
-            lo, hi, _ = arms(point_from_ordinate(y), _Q, tol)
+            lo, hi, _ = arms(y, 0.0, tol)
             half = 0.5 * (y_hi - y_lo)
             if lo < x < hi:
                 return y

@@ -74,7 +74,7 @@ import random
 from ._value import Value, set_field
 from .arclength import SERIES, arms, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DomainError, PrecisionFloorError,
-                     as_integer, as_level, check_arc)
+                     as_integer, as_level, as_tolerance, check_arc)
 from .geometry import CirclePoint, chord_length, point_from_ordinate
 from .report import ARC_BRACKET, SECTOR_BRACKET
 
@@ -271,7 +271,7 @@ def _polyline_stats(ys: list[float]) -> tuple[float, float]:
 def _mid(a: CirclePoint, b: CirclePoint, tol: float, bracket: str) -> float:
     """The midpoint of the ladder run's ``bracket`` on the arc ``ab``, read
     from its bare arms (:func:`~chordtrig.arclength.arms`): no report."""
-    lo, hi, _ = arms(a, b, tol, bracket)
+    lo, hi, _ = arms(a.y, b.y, tol, bracket)
     return 0.5 * (lo + hi)
 
 
@@ -293,8 +293,8 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
     ``DomainError``, at once.
     """
     hi, lo = _ordered_endpoints(a, b)
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if type(tol) is not float or not tol > 0.0:
+        as_tolerance(tol)
     _check_scheme(scheme, seed)
     if scheme == "bisection":
         return _mid(hi, lo, tol, ARC_BRACKET)

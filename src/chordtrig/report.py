@@ -11,9 +11,11 @@ read, so a report that is never read builds no row. Callers that return no
 report build none: ``verify_ratio``, ``scheme_limit``'s bisection scheme,
 ``additivity_check`` and ``sin``'s certifier runs read the bare arms of
 :func:`~chordtrig.arclength.arms`, the checked run that ``arc_length`` and
-``sector_area`` wrap in a report, and ``pi_constant`` and ``sin``'s
-quarter-arc bracket read the same arms from the quarter arc's level
-records, which :mod:`chordtrig.inverse` runs once, on import.
+``sector_area`` wrap in a report. ``arms`` runs on the two endpoint
+ordinates, so ``sin``'s certifier runs build no point either.
+``pi_constant`` and ``sin``'s quarter-arc bracket read the same arms from
+the quarter arc's level records, which :mod:`chordtrig.inverse` runs once,
+on import.
 
 Every ladder bracket is certified. The arc and sector runs close the
 ladder with Newton's series and widen both arms by the rounding bound that

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
-from .errors import ConvergenceError, DomainError, check_arc
+from .errors import ConvergenceError, DomainError, as_tolerance, check_arc
 from .geometry import CirclePoint, chord_length
 from .report import (SECTOR_BRACKET, STOP_CAP, STOP_TOLERANCE, ConvergenceReport,
                      Enclosure, fan_areas)
@@ -49,8 +49,8 @@ def gap_iterations(a: CirclePoint, b: CirclePoint, epsilon: float) -> int:
     (:mod:`chordtrig.arclength`). Should no level meet ``epsilon`` (a fault
     in that proof), it raises ``ConvergenceError``, carrying level 27's
     fans and the report of the records."""
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if type(epsilon) is not float or not epsilon > 0.0:
+        as_tolerance(epsilon, "epsilon")
     check_arc(a, b, "gap criterion")
     levels = ladder_levels(a, b, _FANS_MEET)
     for m, (_, h, total, _, _) in enumerate(levels):
@@ -68,15 +68,15 @@ def sector_area(a: CirclePoint, b: CirclePoint,
     """Certified enclosure of the sector area: the widened fan closure
     (:mod:`chordtrig.arclength`), which meets ``tol`` or its floor by
     level 4, raising as :func:`arc_length` does."""
-    lo, hi, levels = arms(a, b, tol, SECTOR_BRACKET)
+    lo, hi, levels = arms(a.y, b.y, tol, SECTOR_BRACKET)
     return Enclosure(lo, hi), ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 
 def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     """The bracket tolerance both ratio runs share, 3 * tol * chord."""
     check_arc(a, b, "arc/sector ratio")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if type(tol) is not float or not tol > 0.0:
+        as_tolerance(tol)
     chord = chord_length(a, b)
     scaled = 3.0 * tol * chord
     if scaled == 0.0:
@@ -104,6 +104,6 @@ def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     :func:`ratio_runs`' two runs, so it builds no report.
     """
     scaled = _ratio_tol(a, b, tol)
-    arc_lo, arc_hi, _ = arms(a, b, scaled)
-    sec_lo, sec_hi, _ = arms(a, b, scaled, SECTOR_BRACKET)
+    arc_lo, arc_hi, _ = arms(a.y, b.y, scaled)
+    sec_lo, sec_hi, _ = arms(a.y, b.y, scaled, SECTOR_BRACKET)
     return 0.5 * (arc_lo + arc_hi) / (0.5 * (sec_lo + sec_hi))

@@ -23,7 +23,7 @@ from chordtrig import (
     sector_area,
     sin,
 )
-from chordtrig import arclength, inverse
+from chordtrig import arclength, geometry, inverse
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
 from chordtrig.geometry import chord_length
@@ -96,7 +96,7 @@ class TestSoundness:
             for bracket, truth in ((ARC_BRACKET, exact_arc(*arc)),
                                    (SECTOR_BRACKET, exact_sector(*arc))):
                 levels = []
-                arclength._climb(a, b, -1.0, 62, bracket, levels)
+                arclength._climb(a.y, b.y, -1.0, 62, bracket, levels)
                 for level in levels:
                     assert holds(level[3], level[4], truth)
 
@@ -260,7 +260,7 @@ class TestSinRunsOnlyWhatItReads:
         climb = arclength._climb
 
         def counted(*args, **kwargs):
-            runs.append(args[0].y)  # the upper ordinate of each ladder run
+            runs.append(args[0])  # the upper ordinate of each ladder run
             return climb(*args, **kwargs)
 
         monkeypatch.setattr(arclength, "_climb", counted)
@@ -294,6 +294,31 @@ class TestSinRunsOnlyWhatItReads:
             runs.clear()
             sin(x, tol)
             assert len(runs) <= 3 and 1.0 not in runs, (x, tol, runs)
+
+    def test_builds_no_point(self, monkeypatch):
+        """sin hands each run the bare ordinates y and 0, y strictly inside
+        (0, 1), and constructs no CirclePoint anywhere on the grid."""
+        points, ends = [], []
+        init, climb = geometry.CirclePoint.__init__, arclength._climb
+
+        def counted_init(self, *args):
+            points.append(args)
+            init(self, *args)
+
+        def counted_climb(*args):
+            ends.append(args[:2])
+            return climb(*args)
+
+        monkeypatch.setattr(geometry.CirclePoint, "__init__", counted_init)
+        monkeypatch.setattr(arclength, "_climb", counted_climb)
+        grid = ([HALF_PI * (i + 0.5) / 34 for i in range(34)]
+                + [HALF_PI - 10.0 ** -k for k in range(1, 9)]
+                + [10.0 ** -k for k in range(1, 9)])
+        for tol in (1e-8, 1e-10, 1e-12):
+            for x in grid:
+                sin(x, tol)
+        assert points == []
+        assert ends and all(0.0 < ay < 1.0 and by == 0.0 for ay, by in ends)
 
     def test_one_certifier_run_off_the_top(self, monkeypatch):
         """Below x = 1.456 the first guess is a few ulps from sin x, so the

@@ -1,14 +1,17 @@
 """Edge cases: arguments near the binary64 floor, the endpoint flags' help
-text, integer ladder levels, the one level backstop that replaced the level
-cap, and the single partition builder and report path."""
+text, integer ladder levels, tolerances, the one level backstop that
+replaced the level cap, and the single partition builder and report path."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from chordtrig import (
+    SCHEMES,
     ConvergenceError,
     ConvergenceReport,
     DomainError,
@@ -20,6 +23,7 @@ from chordtrig import (
     make_partition,
     pi_constant,
     point_from_ordinate,
+    scheme_limit,
     sector_area,
     sector_sandwich,
     sin,
@@ -28,6 +32,7 @@ from chordtrig import (
 from chordtrig import arclength as arclength_module
 from chordtrig import sector as sector_module
 from chordtrig.cli import run
+from chordtrig.errors import PrecisionFloorError
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
@@ -91,6 +96,56 @@ class TestIntegerLevels:
     @pytest.mark.parametrize("entry_point", entry_points)
     def test_numpy_integers_are_integers(self, entry_point):
         assert entry_point(TOP, Q, np.int64(3)) == entry_point(TOP, Q, 3)
+
+
+class TestTolerances:
+    """Every public entry point that takes a tolerance refuses, with
+    ``DomainError``, one that is a bool, not a real number, or not positive
+    (NaN included), and takes any other real number."""
+
+    # name -> (call at a tol, the tolerance's name in its error messages)
+    entry_points = {
+        "arc_length": (lambda tol: arc_length(TOP, Q, tol), "tolerance"),
+        "sector_area": (lambda tol: sector_area(TOP, Q, tol), "tolerance"),
+        "verify_ratio": (lambda tol: verify_ratio(TOP, Q, tol), "tolerance"),
+        "arcsin": (lambda tol: arcsin(0.5, tol), "tolerance"),
+        "pi_constant": (pi_constant, "tolerance"),
+        "sin": (lambda tol: sin(0.5, tol), "tolerance"),
+        **{f"scheme_limit[{scheme}]": (
+            lambda tol, scheme=scheme: scheme_limit(TOP, Q, scheme, tol, seed=0), "tolerance")
+           for scheme in SCHEMES},
+        "additivity_check": (
+            lambda tol: additivity_check(TOP, point_from_ordinate(0.5), Q, tol), "tolerance"),
+        "gap_iterations": (lambda tol: gap_iterations(TOP, Q, tol), "epsilon"),
+    }
+
+    @pytest.mark.parametrize("tol", [True, False, "1e-8", None, 1j, Decimal("1e-8")],
+                             ids=repr)
+    @pytest.mark.parametrize("name", entry_points)
+    def test_a_bool_or_a_non_real_is_a_domain_error(self, name, tol):
+        call, what = self.entry_points[name]
+        with pytest.raises(DomainError) as info:
+            call(tol)
+        assert type(info.value) is DomainError
+        assert str(info.value).startswith(f"{what} must be ")
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1.0, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", entry_points)
+    def test_a_tolerance_that_is_not_positive_is_a_domain_error(self, name, tol):
+        call, what = self.entry_points[name]
+        with pytest.raises(DomainError) as info:
+            call(tol)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"{what} must be positive, got {tol!r}"
+
+    @pytest.mark.parametrize("tol", [math.inf, 5e-324, 1, Fraction(1, 10**8)], ids=repr)
+    @pytest.mark.parametrize("name", entry_points)
+    def test_any_other_real_gives_a_value_or_meets_the_floor(self, name, tol):
+        call, _ = self.entry_points[name]
+        try:
+            call(tol)
+        except PrecisionFloorError:
+            assert tol == 5e-324
 
 
 class TestOneBackstop:

@@ -89,7 +89,7 @@ def _table_tols():
     floor and one ulp either side, and the edge tolerances."""
     tols = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-17]
     for m, (_, _, _, lo, hi) in enumerate(inverse._QUARTER):
-        floor = arclength._climb(inverse._TOP, Q, -1.0, m, ARC_BRACKET, [])[1]
+        floor = arclength._climb(1.0, 0.0, -1.0, m, ARC_BRACKET, [])[1]
         for edge in (hi - lo, floor):
             tols += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     return tols
@@ -112,7 +112,7 @@ class TestQuarterTable:
             monkeypatch.setattr(arclength, "_MAX_LEVEL", backstop)
         for tol in _table_tols():
             table = _outcome(lambda: inverse._quarter_arms(tol))
-            run = _outcome(lambda: arclength.arms(inverse._TOP, Q, tol))
+            run = _outcome(lambda: arclength.arms(1.0, 0.0, tol))
             assert table == run, tol
 
     def test_the_table_is_the_first_five_levels(self):

@@ -3,6 +3,7 @@ and rows built from them on read, bare arms for the callers that return no
 report, fan areas, level cap, argument checks."""
 
 import math
+import random
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from chordtrig import (
     CapacityError,
+    CirclePoint,
     ConvergenceError,
     ConvergenceReport,
     DomainError,
@@ -35,6 +37,7 @@ from chordtrig import report as report_module
 from chordtrig import sector as sector_module
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
+from chordtrig.geometry import chord_length
 from chordtrig.inverse import pi_run
 from chordtrig.report import ARC_BRACKET, CSV_COLUMNS, SECTOR_BRACKET, STOP_FLOOR, fan_areas
 from chordtrig.sector import ratio_runs
@@ -85,6 +88,50 @@ class TestRows:
             assert (sw.m, sw.inner_area, sw.outer_area) == (m, row.inner_area,
                                                             row.outer_area)
             assert sw.gap == row.outer_area - row.inner_area
+
+
+# ±0, the smallest subnormal, a tiny normal, an interior ordinate, the last
+# float below 1, and 1
+EDGE_ORDINATES = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
+def _random_ordinate(rng):
+    """An ordinate in [0, 1]: uniform, near 0 or near 1 on a log scale."""
+    kind, e = rng.randrange(3), rng.uniform(-300.0, 0.0)
+    return (rng.random(), 10.0 ** e, 1.0 - 10.0 ** (e / 20.0))[kind]
+
+
+class TestChordOnOrdinates:
+    """``_climb`` runs on two ordinates and forms l_0 with chord_length's
+    formula written out: its level-0 record holds the chord_length of the
+    two points bit for bit, in both orders."""
+
+    @staticmethod
+    def _level_zero_chord(ay, by):
+        levels = []
+        arclength_module._climb(ay, by, -1.0, 0, ARC_BRACKET, levels)
+        return levels[0][0]
+
+    def _check(self, ay, by):
+        for first, second in ((ay, by), (by, ay)):
+            chord = chord_length(CirclePoint(first), CirclePoint(second))
+            assert self._level_zero_chord(first, second).hex() == chord.hex(), (first, second)
+
+    def test_edge_ordinates(self):
+        pairs = [(ay, by) for i, ay in enumerate(EDGE_ORDINATES)
+                 for by in EDGE_ORDINATES[i + 1:] if ay != by]
+        assert len(pairs) == 20
+        for ay, by in pairs:
+            self._check(ay, by)
+
+    def test_random_pairs(self):
+        rng = random.Random(32)
+        pairs = 0
+        while pairs < 2000:
+            ay, by = _random_ordinate(rng), _random_ordinate(rng)
+            if ay != by:
+                self._check(ay, by)
+                pairs += 1
 
 
 class TestFanOrder:
@@ -148,7 +195,7 @@ def _records(a, b, m, bracket):
     """The records of levels 0 .. ``m`` with the arms of ``bracket``, read
     from the ladder loop itself (the checked recorder gives arc ones only)."""
     levels = []
-    arclength_module._climb(a, b, -1.0, m, bracket, levels)
+    arclength_module._climb(a.y, b.y, -1.0, m, bracket, levels)
     return levels
 
 

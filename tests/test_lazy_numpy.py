@@ -115,7 +115,7 @@ def test_importing_inverse_runs_one_ladder():
     code = (
         "import chordtrig.arclength as arclength\n"
         "runs, climb = [], arclength._climb\n"
-        "arclength._climb = lambda *args: runs.append(args[0].y) or climb(*args)\n"
+        "arclength._climb = lambda *args: runs.append(args[0]) or climb(*args)\n"
         "import chordtrig.inverse\n"
         "print(runs)")
     assert _last_line(code) == "[1.0]"
