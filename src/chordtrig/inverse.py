@@ -18,7 +18,7 @@ import math
 from . import arclength
 from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
-from .errors import DomainError, PrecisionFloorError, as_tolerance
+from .errors import DomainError, PrecisionFloorError, as_tolerance, check_real
 from .geometry import point_from_ordinate
 from .report import STOP_TOLERANCE, ConvergenceReport, Enclosure
 
@@ -129,10 +129,14 @@ def sin(x: float, tol: float) -> float:
     runs) only for x outside [0, ``_HALF_PI_LO``]: up to that level-0 lower
     arm x is in the domain and short of the bracket's midpoint. A ``tol``
     that is a bool, not a real number, or not positive raises
-    ``DomainError`` first (:func:`~chordtrig.errors.as_tolerance`).
+    ``DomainError`` first (:func:`~chordtrig.errors.as_tolerance`), and then
+    an ``x`` that is a bool or not a real number
+    (:func:`~chordtrig.errors.check_real`).
     """
     if type(tol) is not float or not tol > 0.0:
         as_tolerance(tol)
+    if type(x) is not float:
+        check_real(x, "argument")
     top_hi = None
     if not 0.0 <= x <= _HALF_PI_LO:
         try:

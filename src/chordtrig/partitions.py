@@ -153,7 +153,7 @@ def _check_scheme(scheme: str, seed: int | None) -> None:
     if seed is None:
         if scheme == "random":
             raise DomainError("the random scheme requires a seed")
-    elif as_integer(seed, "seed") < 0:
+    elif (seed if type(seed) is int else as_integer(seed, "seed")) < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
 
 
@@ -213,20 +213,22 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
         raise DomainError(f"segment count must be positive, got {n}")
     if n + 1 > _MAX_PARTITION_POINTS:
         raise CapacityError(f"{n} segments exceed the partition size limit")
-    if scheme == "random" and n > 1:  # one segment draws nothing: no generator
-        draw = random.Random((as_integer(seed, "seed") << 21) | n).random
-        span = hi_y - lo_y
-        inner = sorted([lo_y + span * draw() for _ in range(n - 1)], reverse=True)
-    else:
-        delta = lo_y - hi_y
-        step = delta / n
-        inner = ([i * step + hi_y for i in range(1, n)] if step != 0.0
-                 else [i / n * delta + hi_y for i in range(1, n)])
-    inner.append(lo_y)
     ys = [hi_y]
-    for y in inner:
-        if y < ys[-1]:
-            ys.append(y)
+    if n > 1:  # one segment has no inner ordinate: no generator, no step
+        if scheme == "random":
+            draw = random.Random((as_integer(seed, "seed") << 21) | n).random
+            span = hi_y - lo_y
+            inner = sorted([lo_y + span * draw() for _ in range(n - 1)], reverse=True)
+        else:
+            delta = lo_y - hi_y
+            step = delta / n
+            inner = ([i * step + hi_y for i in range(1, n)] if step != 0.0
+                     else [i / n * delta + hi_y for i in range(1, n)])
+        for y in inner:
+            if y < ys[-1]:
+                ys.append(y)
+    if lo_y < ys[-1]:
+        ys.append(lo_y)
     return ys
 
 
@@ -236,10 +238,11 @@ def _chord_stats(ys: list[float]) -> tuple[float, float, float]:
     series excess and tail (module docstring), each sum correctly rounded
     by math.fsum."""
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = SERIES
-    sqrt, hypot = math.sqrt, math.hypot
+    sqrt, hypot, fsum = math.sqrt, math.hypot, math.fsum
     chords, excesses, tails = [], [], []
-    x0 = sqrt((1.0 - ys[0]) * (1.0 + ys[0]))
-    for y0, y1 in zip(ys, ys[1:]):
+    y0 = ys[0]
+    x0 = sqrt((1.0 - y0) * (1.0 + y0))
+    for y1 in ys[1:]:
         x1 = sqrt((1.0 - y1) * (1.0 + y1))
         ell = (y0 - y1) * hypot(1.0, (y0 + y1) / (x0 + x1))
         half = 0.5 * ell
@@ -248,8 +251,8 @@ def _chord_stats(ys: list[float]) -> tuple[float, float, float]:
         excesses.append(ell * q * (a1 + q * (a2 + q * (a3 + q * (a4 + q * (
             a5 + q * (a6 + q * (a7 + q * (a8 + q * a9)))))))))
         tails.append(ell * a10 * q ** 10 / (1.0 - q))
-        x0 = x1
-    return math.fsum(chords), math.fsum(excesses), math.fsum(tails)
+        x0, y0 = x1, y1
+    return fsum(chords), fsum(excesses), fsum(tails)
 
 
 def _pad(hi: float, n: int) -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
-from .errors import ConvergenceError, DomainError, as_tolerance, check_arc
+from .errors import (ConvergenceError, DomainError, PrecisionFloorError, as_tolerance,
+                     check_arc)
 from .geometry import CirclePoint, chord_length
 from .report import (SECTOR_BRACKET, STOP_CAP, STOP_TOLERANCE, ConvergenceReport,
                      Enclosure, fan_areas)
@@ -86,11 +87,22 @@ def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     return scaled
 
 
+def _ratio_floor(err: PrecisionFloorError, tol: float) -> PrecisionFloorError:
+    """A ratio run's floor error, naming the caller's ``tol`` rather than
+    the scaled one, with the run's bracket and report."""
+    return PrecisionFloorError(
+        f"tol {tol!r} is below the binary64 floor of the arc/sector ratio on this arc",
+        enclosure=err.enclosure, report=err.report)
+
+
 def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
     """Both runs behind the arc/sector ratio, at the shared scaled tolerance."""
     scaled = _ratio_tol(a, b, tol)
-    arc_enc, arc_rep = arc_length(a, b, scaled)
-    sec_enc, sec_rep = sector_area(a, b, scaled)
+    try:
+        arc_enc, arc_rep = arc_length(a, b, scaled)
+        sec_enc, sec_rep = sector_area(a, b, scaled)
+    except PrecisionFloorError as err:
+        raise _ratio_floor(err, tol) from err
     return arc_enc, arc_rep, sec_enc, sec_rep
 
 
@@ -101,9 +113,14 @@ def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     ratio's error scales like (bracket width) / (arc length), so an absolute
     inner tolerance would not meet the 10 * tol contract on short arcs.
     Result contract: within 10 * tol of 2. It reads the bare arms of
-    :func:`ratio_runs`' two runs, so it builds no report.
+    :func:`ratio_runs`' two runs, so it builds no report. A ``tol`` whose
+    scaled tolerance is below a run's binary64 floor raises that run's
+    ``PrecisionFloorError``, naming ``tol``.
     """
     scaled = _ratio_tol(a, b, tol)
-    arc_lo, arc_hi, _ = arms(a.y, b.y, scaled)
-    sec_lo, sec_hi, _ = arms(a.y, b.y, scaled, SECTOR_BRACKET)
+    try:
+        arc_lo, arc_hi, _ = arms(a.y, b.y, scaled)
+        sec_lo, sec_hi, _ = arms(a.y, b.y, scaled, SECTOR_BRACKET)
+    except PrecisionFloorError as err:
+        raise _ratio_floor(err, tol) from err
     return 0.5 * (arc_lo + arc_hi) / (0.5 * (sec_lo + sec_hi))

@@ -72,6 +72,55 @@ class TestRatioBelowBinary64:
             2.0, abs=1e-9)
 
 
+class TestRatioFloorNamesTheCallersTolerance:
+    """Below the binary64 floor the ratio runs at the scaled tolerance 3 tol
+    times the chord; the error names the tolerance the caller passed and
+    keeps the run's bracket and report."""
+
+    a, b, tol = point_from_ordinate(0.9), point_from_ordinate(0.1), 1e-17
+
+    def _inner_error(self):
+        scaled = sector_module._ratio_tol(self.a, self.b, self.tol)
+        with pytest.raises(PrecisionFloorError) as inner:
+            arc_length(self.a, self.b, scaled)
+        return inner.value
+
+    @pytest.mark.parametrize("call", [verify_ratio, sector_module.ratio_runs],
+                             ids=["verify_ratio", "ratio_runs"])
+    def test_library(self, call):
+        with pytest.raises(PrecisionFloorError) as raised:
+            call(self.a, self.b, self.tol)
+        err, inner = raised.value, self._inner_error()
+        assert type(err) is PrecisionFloorError
+        assert str(err).startswith("tol 1e-17 is below the binary64 floor")
+        assert (err.enclosure, err.report) == (inner.enclosure, inner.report)
+        assert isinstance(err.report, ConvergenceReport) and len(err.report) > 0
+
+    def test_cli(self, capsys):
+        code = run(["ratio", "--a", "0.9", "--b", "0.1", "--tol", "1e-17"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "chordtrig: domain error: tol 1e-17 is below the binary64 floor of the "
+            "arc/sector ratio on this arc\n")
+
+
+class TestSinArgument:
+    """sin refuses an argument that is a bool or not a real number with
+    ``DomainError``, as CirclePoint refuses such an ordinate; ints work."""
+
+    @pytest.mark.parametrize("x", [True, False, "0.5", None, 1j, Decimal("0.5")], ids=repr)
+    def test_a_bool_or_a_non_real_is_a_domain_error(self, x):
+        with pytest.raises(DomainError) as info:
+            sin(x, 1e-8)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"argument must be a real number, got {x!r}"
+
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_an_int_is_its_float(self, x):
+        assert sin(x, 1e-8) == sin(float(x), 1e-8)
+
+
 @pytest.mark.parametrize("command", ["arc", "sector", "ratio", "partition-compare",
                                      "additivity"])
 def test_help_describes_both_endpoints(capsys, command):

@@ -576,3 +576,47 @@ class TestUniformGridMatchesLinspace:
     def test_bit_identical(self, arc, n):
         ys = partitions._ordinates("ordinate_uniform", *arc, n, None)
         assert [y.hex() for y in ys] == [y.hex() for y in _linspace_grid(*arc, n)]
+
+
+def _ordinates_reference(scheme, hi_y, lo_y, n, seed):
+    """The grid builder in two passes: every inner ordinate, then ``lo_y``,
+    then the repeat rule over them all (an ordinate is kept only if it falls
+    below the last one kept)."""
+    if scheme == "random" and n > 1:
+        draw = random.Random((seed << 21) | n).random
+        span = hi_y - lo_y
+        inner = sorted([lo_y + span * draw() for _ in range(n - 1)], reverse=True)
+    else:
+        delta = lo_y - hi_y
+        step = delta / n
+        inner = ([i * step + hi_y for i in range(1, n)] if step != 0.0
+                 else [i / n * delta + hi_y for i in range(1, n)])
+    inner.append(lo_y)
+    ys = [hi_y]
+    for y in inner:
+        if y < ys[-1]:
+            ys.append(y)
+    return ys
+
+
+# grid_arcs, and arcs from the top and to the bottom of the quarter circle
+ordinate_arcs = st.one_of(
+    grid_arcs,
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda y: (1.0, y)),
+    st.floats(0.0, 1.0, exclude_min=True).map(lambda y: (y, 0.0)),
+)
+
+
+class TestOrdinatesMatchReference:
+    @pytest.mark.parametrize("scheme", ["ordinate_uniform", "random"])
+    @given(arc=ordinate_arcs, n=st.integers(1, 4096), seed=st.integers(0, 2 ** 32))
+    @example(arc=(1.0, 0.0), n=1, seed=0)
+    @example(arc=(1.0, math.nextafter(1.0, 0.0)), n=4096, seed=1)  # one ulp below 1
+    @example(arc=(5e-324, 0.0), n=3, seed=2)  # one ulp above 0
+    @example(arc=(0.5, math.nextafter(0.5, 0.0)), n=2, seed=3)
+    @example(arc=(1e-320, 0.0), n=4097, seed=4)  # the step underflows to 0
+    @example(arc=(2.5e-308, 1e-310), n=4096, seed=5)  # normal to subnormal
+    def test_bit_identical(self, scheme, arc, n, seed):
+        ys = partitions._ordinates(scheme, *arc, n, seed)
+        assert ([y.hex() for y in ys]
+                == [y.hex() for y in _ordinates_reference(scheme, *arc, n, seed)])
