@@ -121,8 +121,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import (ConvergenceError, DegenerateArcError, DomainError, PrecisionFloorError,
-                     as_level, as_tolerance, check_arc)
+from .errors import (ConvergenceError, DegenerateArcError, PrecisionFloorError, as_level,
+                     as_tolerance, check_arc, check_descending)
 from .geometry import (
     CirclePoint,
     chord_length,
@@ -177,12 +177,7 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     The input must be ordered by strictly decreasing ordinate; the output has
     2n - 1 points for an n-point input and keeps the ordering.
     """
-    if len(points) < 2:
-        raise DomainError("a bisection state needs at least two points")
-    for prev, cur in zip(points, points[1:]):
-        if not prev.y > cur.y:  # refuses a NaN ordinate too
-            raise DomainError(
-                "input points must be ordered by strictly decreasing ordinate")
+    check_descending(points, "bisection state")
     out: list[CirclePoint] = [points[0]]
     for prev, cur in zip(points, points[1:]):
         out.append(circle_midpoint(prev, cur))

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the argument checks that
 raise them: an integer, a level, a real number, a tolerance, a
-non-degenerate arc."""
+non-degenerate arc, points in strictly decreasing ordinate order."""
 
 import operator
 
@@ -68,6 +68,18 @@ def check_arc(a, b, what: str) -> None:
     endpoints ``a`` and ``b`` of an arc share their ordinate."""
     if a.y == b.y:
         raise DegenerateArcError(f"{what} of a degenerate arc")
+
+
+def check_descending(points, what: str) -> None:
+    """Raise ``DomainError`` unless ``points`` holds two or more points whose
+    ordinates strictly decrease; a NaN ordinate fails too. The messages name
+    the ``what`` ("a ``what`` needs at least two points", "``what``
+    ordinates must be strictly decreasing")."""
+    if len(points) < 2:
+        raise DomainError(f"a {what} needs at least two points")
+    for prev, cur in zip(points, points[1:]):
+        if not prev.y > cur.y:
+            raise DomainError(f"{what} ordinates must be strictly decreasing")
 
 
 class ConvergenceError(RuntimeError):

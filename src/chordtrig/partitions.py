@@ -74,7 +74,7 @@ import random
 from ._value import Value, set_field
 from .arclength import SERIES, arms, bisection_step, upper_bound
 from .errors import (CapacityError, ConvergenceError, DomainError, PrecisionFloorError,
-                     as_integer, as_level, as_tolerance, check_arc)
+                     as_integer, as_level, as_tolerance, check_arc, check_descending)
 from .geometry import CirclePoint, chord_length, point_from_ordinate
 from .report import ARC_BRACKET, SECTOR_BRACKET
 
@@ -98,11 +98,7 @@ class Partition(Value):
 
     def __init__(self, points):
         pts = tuple(points)
-        if len(pts) < 2:
-            raise DomainError("a partition needs at least two points")
-        for prev, cur in zip(pts, pts[1:]):
-            if not prev.y > cur.y:  # refuses a NaN ordinate too
-                raise DomainError("partition ordinates must be strictly decreasing")
+        check_descending(pts, "partition")
         set_field(self, "points", pts)
 
     @property
@@ -147,14 +143,19 @@ def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, Cir
     return (a, b) if a.y > b.y else (b, a)
 
 
-def _check_scheme(scheme: str, seed: int | None) -> None:
+def _check_scheme(scheme: str, seed: int | None) -> int | None:
+    """The checked seed: ``None`` for a scheme that draws nothing, else a
+    non-negative ``int`` (an ``int`` skips ``as_integer``)."""
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if seed is None:
         if scheme == "random":
             raise DomainError("the random scheme requires a seed")
-    elif (seed if type(seed) is int else as_integer(seed, "seed")) < 0:
+        return None
+    seed = seed if type(seed) is int else as_integer(seed, "seed")
+    if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
@@ -163,9 +164,11 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
 
     ``size`` is the level for ``bisection`` and the segment count for the
     other two schemes; ``random`` additionally requires a seed. Seed and
-    size must be integers (bools are not). The scheme and seed are checked
-    first, then the arc, then the size. The points go to :class:`Partition`,
-    which checks their order and works out the norm when it is read.
+    size must be integers (bools are not), and a segment count lies in 1 ..
+    2^20 (``DomainError`` below, ``CapacityError`` above). The scheme and
+    seed are checked first, then the arc, then the size. The points go to
+    :class:`Partition`, which checks their order and works out the norm
+    when it is read.
 
     - ``bisection``: level ``size``, 2^size + 1 points; a level above 20
       raises ``CapacityError``.
@@ -181,11 +184,15 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     dropped, so a very short arc can get fewer than ``size + 1`` points;
     the ordinates always strictly decrease.
     """
-    _check_scheme(scheme, seed)
+    seed = _check_scheme(scheme, seed)
     hi, lo = _ordered_endpoints(a, b)
     if scheme != "bisection":
-        ys = _ordinates(scheme, hi.y, lo.y, as_integer(size, "segment count"), seed)
-        return Partition(point_from_ordinate(y) for y in ys)
+        n = as_integer(size, "segment count")
+        if n < 1:
+            raise DomainError(f"segment count must be positive, got {n}")
+        if n + 1 > _MAX_PARTITION_POINTS:
+            raise CapacityError(f"{n} segments exceed the partition size limit")
+        return Partition(map(point_from_ordinate, _ordinates(scheme, hi.y, lo.y, n, seed)))
     pts = [hi, lo]
     for _ in range(as_level(size, _MAX_PARTITION_LEVEL)):
         pts = bisection_step(pts)
@@ -208,15 +215,15 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
     An ordinate that does not fall below the last one kept (a step below
     float resolution, or a repeated draw) would make a zero-length chord;
     both schemes drop it.
+
+    The callers check the arguments: 1 <= n <= 2^20 (:func:`make_partition`
+    by its size rule, :func:`scheme_limit` by its doubling loop) and, for
+    ``random``, an ``int`` seed of at least 0 (:func:`_check_scheme`).
     """
-    if n < 1:
-        raise DomainError(f"segment count must be positive, got {n}")
-    if n + 1 > _MAX_PARTITION_POINTS:
-        raise CapacityError(f"{n} segments exceed the partition size limit")
     ys = [hi_y]
     if n > 1:  # one segment has no inner ordinate: no generator, no step
         if scheme == "random":
-            draw = random.Random((as_integer(seed, "seed") << 21) | n).random
+            draw = random.Random((seed << 21) | n).random
             span = hi_y - lo_y
             inner = sorted([lo_y + span * draw() for _ in range(n - 1)], reverse=True)
         else:
@@ -298,7 +305,7 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
     hi, lo = _ordered_endpoints(a, b)
     if type(tol) is not float or not tol > 0.0:
         as_tolerance(tol)
-    _check_scheme(scheme, seed)
+    seed = _check_scheme(scheme, seed)
     if scheme == "bisection":
         return _mid(hi, lo, tol, ARC_BRACKET)
     size = 1
