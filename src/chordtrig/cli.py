@@ -6,15 +6,21 @@ keeps stderr for diagnostics. Arcs are always named by their endpoint
 ordinates (``--a`` / ``--b`` as y-values); abscissae never appear on the
 command line.
 
+Each subcommand prints the fields of one library run, named below, and
+applies no arithmetic to them; ``sin`` alone adds an ``arcsin`` run of its
+value and the residual.
+
 Subcommands:
-    pi                  enclosure of pi
-    arc                 certified arc length between two ordinates
-    arcsin Y            enclosure of arcsin(Y)
-    sin X               ordinate with arc length X
-    sector              certified sector area
-    ratio               arc length / sector area (Theorem check, ~2)
+    pi                  enclosure of pi (inverse.pi_run)
+    arc                 certified arc length between two ordinates (arc_length)
+    arcsin Y            enclosure of arcsin(Y) (arcsin)
+    sin X               ordinate with arc length X (sin)
+    sector              certified sector area (sector_area)
+    ratio               arc length / sector area, ~2 (sector.ratio_runs)
     partition-compare   limits of the three partition schemes
+                        (partitions.compare_schemes)
     additivity          whole arc vs split arc, lengths and areas
+                        (additivity_check)
 
 CSV columns for the iteration table (fixed order): m, segment_length,
 height, total_length, inner_area, outer_area, enclosure_lo, enclosure_hi.
@@ -102,21 +108,17 @@ def _cmd_sector(args):
 
 
 def _cmd_ratio(args):
-    arc_enc, arc_rep, sec_enc, sec_rep = ratio_runs(*_endpoints(args), args.tol)
-    ratio = arc_enc.mid / sec_enc.mid
-    payload = _payload(args, ("a", "b"), value=ratio, arc=_run_fields(arc_enc, arc_rep),
-                       sector=_run_fields(sec_enc, sec_rep))
-    pairs = [("ratio", ratio), ("arc_mid", arc_enc.mid), ("sector_mid", sec_enc.mid)]
+    ratio, arc, sector = ratio_runs(*_endpoints(args), args.tol)
+    payload = _payload(args, ("a", "b"), value=ratio, arc=_run_fields(*arc),
+                       sector=_run_fields(*sector))
+    pairs = [("ratio", ratio), ("arc_mid", arc[0].mid), ("sector_mid", sector[0].mid)]
     return payload, _pairs_csv(pairs)
 
 
 def _cmd_partition_compare(args):
-    from .partitions import SCHEMES, scheme_limit
+    from .partitions import compare_schemes
 
-    pa, pb = _endpoints(args)
-    limits = {scheme: scheme_limit(pa, pb, scheme, args.tol, seed=args.seed)
-              for scheme in SCHEMES}
-    spread = max(limits.values()) - min(limits.values())
+    limits, spread = compare_schemes(*_endpoints(args), args.tol, args.seed)
     payload = _payload(args, ("a", "b"), seed=args.seed, limits=limits,
                        max_pairwise_delta=spread)
     return payload, _pairs_csv([*limits.items(), ("max_pairwise_delta", spread)])
@@ -129,9 +131,9 @@ def _cmd_additivity(args):
                              point_from_ordinate(args.b), args.tol)
     payload = _payload(args, ("a", "m", "b"),
                        arc={"whole": check.arc_whole, "parts": check.arc_parts,
-                            "delta": check.arc_whole - check.arc_parts},
+                            "delta": check.arc_delta},
                        sector={"whole": check.sector_whole, "parts": check.sector_parts,
-                               "delta": check.sector_whole - check.sector_parts})
+                               "delta": check.sector_delta})
     pairs = [(f"{kind}_{name}", value)
              for kind in ("arc", "sector") for name, value in payload[kind].items()]
     return payload, _pairs_csv(pairs)

@@ -76,9 +76,12 @@ def height_for_chord(length: float) -> float:
 
     Uses the right-triangle relation h^2 + (length/2)^2 = 1, valid because
     both chord endpoints are at distance 1 from the origin. A chord of the
-    quarter circle is at most sqrt(2) long; a length that is NaN or outside
-    [0, 2], the chords of the whole unit circle, raises ``DomainError``.
+    quarter circle is at most sqrt(2) long; a length that is a bool, not a
+    real number, NaN or outside [0, 2], the chords of the whole unit circle,
+    raises ``DomainError``.
     """
+    if type(length) is not float:
+        check_real(length, "chord length")
     if not 0.0 <= length <= 2.0:
         raise DomainError(f"chord length must lie in [0, 2], got {length!r}")
     half = 0.5 * length

@@ -105,14 +105,6 @@ class Partition(Value):
     def norm(self) -> float:
         return max(map(chord_length, self.points, self.points[1:]))
 
-    @property
-    def arc_hi(self) -> CirclePoint:
-        return self.points[0]
-
-    @property
-    def arc_lo(self) -> CirclePoint:
-        return self.points[-1]
-
 
 def polygonal_length(p: Partition) -> float:
     """Length of the polygonal line through the partition's points."""
@@ -124,7 +116,7 @@ def refine_union(p: Partition, q: Partition) -> Partition:
     both: every point of ``p`` and every point of ``q`` whose ordinate ``p``
     lacks. Endpoint ordinates that differ at all mean different arcs.
     """
-    if p.arc_hi.y != q.arc_hi.y or p.arc_lo.y != q.arc_lo.y:
+    if p.points[0].y != q.points[0].y or p.points[-1].y != q.points[-1].y:
         raise DomainError("partitions cover different arcs")
     ys = {pt.y for pt in p.points}
     extras = [pt for pt in q.points if pt.y not in ys]
@@ -135,7 +127,7 @@ def refinement_gap_bound(p: Partition) -> float:
     """The paper's global bound on |L(P') - L(P)| over every refinement P'
     of ``p``: (l0 / h0^2) * ||P||^2 / (4 - ||P||^2)."""
     norm = p.norm
-    return upper_bound(p.arc_hi, p.arc_lo) * norm * norm / (4.0 - norm * norm)
+    return upper_bound(p.points[0], p.points[-1]) * norm * norm / (4.0 - norm * norm)
 
 
 def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, CirclePoint]:
@@ -300,12 +292,14 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
     raises ``ConvergenceError``. A ``tol`` below the binary64 floor of the arc
     (module docstring; :func:`~chordtrig.arclength.arc_length`'s for
     bisection) raises ``PrecisionFloorError``, a ``ConvergenceError`` and a
-    ``DomainError``, at once.
+    ``DomainError``, at once. The arguments are checked in
+    :func:`make_partition`'s order: the scheme and seed, the arc, then
+    ``tol``.
     """
+    seed = _check_scheme(scheme, seed)
     hi, lo = _ordered_endpoints(a, b)
     if type(tol) is not float or not tol > 0.0:
         as_tolerance(tol)
-    seed = _check_scheme(scheme, seed)
     if scheme == "bisection":
         return _mid(hi, lo, tol, ARC_BRACKET)
     size = 1
@@ -325,10 +319,33 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
         f"{scheme} ladder reached its size limit above tol {tol!r}")
 
 
+def compare_schemes(a: CirclePoint, b: CirclePoint, tol: float,
+                    seed: int | None) -> tuple[dict[str, float], float]:
+    """The paper's third question as one run: the :func:`scheme_limit` of
+    each family on the arc ``ab``, keyed in :data:`SCHEMES` order, and their
+    spread, the largest limit minus the smallest. The first error of a
+    scheme ends the run."""
+    limits = {scheme: scheme_limit(a, b, scheme, tol, seed=seed) for scheme in SCHEMES}
+    return limits, max(limits.values()) - min(limits.values())
+
+
 class AdditivityCheck(Value):
-    """Whole-arc versus split-arc values, for lengths and for sector areas."""
+    """Whole-arc versus split-arc values, for lengths and for sector areas.
+
+    ``arc_delta`` and ``sector_delta``, whole minus parts, are computed on
+    each read; they are not fields, so they take no part in equality, the
+    repr or pickling.
+    """
 
     __slots__ = _fields = ("arc_whole", "arc_parts", "sector_whole", "sector_parts")
+
+    @property
+    def arc_delta(self) -> float:
+        return self.arc_whole - self.arc_parts
+
+    @property
+    def sector_delta(self) -> float:
+        return self.sector_whole - self.sector_parts
 
 
 def additivity_check(a: CirclePoint, m_pt: CirclePoint, b: CirclePoint,

@@ -96,14 +96,17 @@ def _ratio_floor(err: PrecisionFloorError, tol: float) -> PrecisionFloorError:
 
 
 def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
-    """Both runs behind the arc/sector ratio, at the shared scaled tolerance."""
+    """The arc/sector ratio with the two runs behind it: ``(ratio, (arc
+    enclosure, report), (sector enclosure, report))``, the runs at the
+    shared scaled tolerance and the ratio their midpoints', which is
+    :func:`verify_ratio`'s value bit for bit."""
     scaled = _ratio_tol(a, b, tol)
     try:
-        arc_enc, arc_rep = arc_length(a, b, scaled)
-        sec_enc, sec_rep = sector_area(a, b, scaled)
+        arc = arc_length(a, b, scaled)
+        sector = sector_area(a, b, scaled)
     except PrecisionFloorError as err:
         raise _ratio_floor(err, tol) from err
-    return arc_enc, arc_rep, sec_enc, sec_rep
+    return arc[0].mid / sector[0].mid, arc, sector
 
 
 def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -288,3 +289,19 @@ class TestCommandFlags:
         args.handler(reads)
         # run() itself reads --format to choose the output
         assert listed == reads.read - {"command"} | {"format"}
+
+
+def test_handlers_only_format():
+    """Each command prints one library run: no handler but ``sin``'s, which
+    adds an ``arcsin`` run and its residual, applies an arithmetic operator
+    or calls ``max`` or ``min``."""
+    with open(cli.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_") and node.name != "_cmd_sin"]
+    assert len(handlers) == len(cli._COMMANDS) - 1
+    for handler in handlers:
+        for node in ast.walk(handler):
+            assert not isinstance(node, ast.BinOp), (handler.name, ast.unparse(node))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("max", "min"), (handler.name, ast.unparse(node))

@@ -158,7 +158,8 @@ class TestHeight:
         assert height_for_chord(c) == pytest.approx(expected, abs=4 * EPS)
         assert expected == pytest.approx(0.92387953, abs=1e-8)
 
-    @pytest.mark.parametrize("bad", [3.0, float("inf"), -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [3.0, float("inf"), -1.0, float("nan"),
+                                     True, "0.5", None, 1j])
     def test_rejects_length_outside_the_circle(self, bad):
         with pytest.raises(DomainError) as err:
             height_for_chord(bad)

@@ -123,24 +123,16 @@ TABLE = {
         'make_partition random 0.0 0.0 0 2.5', 'make_partition random 0.0 0.0 0 True',
         'make_partition random 0.0 0.0 2**70 2', 'make_partition random 0.0 0.0 int64(3) 2',
         'make_partition random 1.0 1.0 0 2', 'scheme_limit bisection -0.0 0.0 0',
-        "scheme_limit bisection 0.0 0.0 '1'", 'scheme_limit bisection 0.0 0.0 -1',
-        'scheme_limit bisection 0.0 0.0 0', 'scheme_limit bisection 0.0 0.0 1.5',
-        'scheme_limit bisection 0.0 0.0 2**70', 'scheme_limit bisection 0.0 0.0 None',
-        'scheme_limit bisection 0.0 0.0 True', 'scheme_limit bisection 0.0 0.0 int64(3)',
+        'scheme_limit bisection 0.0 0.0 0', 'scheme_limit bisection 0.0 0.0 2**70',
+        'scheme_limit bisection 0.0 0.0 None', 'scheme_limit bisection 0.0 0.0 int64(3)',
         'scheme_limit bisection 1.0 1.0 0', 'scheme_limit ordinate_uniform -0.0 0.0 0',
-        "scheme_limit ordinate_uniform 0.0 0.0 '1'",
-        'scheme_limit ordinate_uniform 0.0 0.0 -1', 'scheme_limit ordinate_uniform 0.0 0.0 0',
-        'scheme_limit ordinate_uniform 0.0 0.0 1.5',
+        'scheme_limit ordinate_uniform 0.0 0.0 0',
         'scheme_limit ordinate_uniform 0.0 0.0 2**70',
         'scheme_limit ordinate_uniform 0.0 0.0 None',
-        'scheme_limit ordinate_uniform 0.0 0.0 True',
         'scheme_limit ordinate_uniform 0.0 0.0 int64(3)',
         'scheme_limit ordinate_uniform 1.0 1.0 0', 'scheme_limit random -0.0 0.0 0',
-        "scheme_limit random 0.0 0.0 '1'", 'scheme_limit random 0.0 0.0 -1',
-        'scheme_limit random 0.0 0.0 0', 'scheme_limit random 0.0 0.0 1.5',
-        'scheme_limit random 0.0 0.0 2**70', 'scheme_limit random 0.0 0.0 None',
-        'scheme_limit random 0.0 0.0 True', 'scheme_limit random 0.0 0.0 int64(3)',
-        'scheme_limit random 1.0 1.0 0',
+        'scheme_limit random 0.0 0.0 0', 'scheme_limit random 0.0 0.0 2**70',
+        'scheme_limit random 0.0 0.0 int64(3)', 'scheme_limit random 1.0 1.0 0',
     ],
     '(1.0, 0.9238795325112867, 0.7071067811865475, 0.3826834323650897, 0.0)': [
         'make_partition bisection -0.0 1.0 0 2', 'make_partition bisection 0.0 1.0 0 2',
@@ -315,8 +307,10 @@ TABLE = {
         'make_partition random 0.0 0.0 -1 2', 'make_partition random 1.0 0.0 -1 0',
         'make_partition random 1.0 0.0 -1 1', 'make_partition random 1.0 0.0 -1 1<<21',
         'make_partition random 1.0 0.0 -1 2', 'make_partition random 1.0 0.0 -1 2.5',
-        'make_partition random 1.0 0.0 -1 True', 'scheme_limit bisection 1.0 0.0 -1',
-        'scheme_limit ordinate_uniform 1.0 0.0 -1', 'scheme_limit random 1.0 0.0 -1',
+        'make_partition random 1.0 0.0 -1 True', 'scheme_limit bisection 0.0 0.0 -1',
+        'scheme_limit bisection 1.0 0.0 -1', 'scheme_limit ordinate_uniform 0.0 0.0 -1',
+        'scheme_limit ordinate_uniform 1.0 0.0 -1', 'scheme_limit random 0.0 0.0 -1',
+        'scheme_limit random 1.0 0.0 -1',
     ],
     'DomainError: seed must be an integer, got 1.5': [
         'make_partition bisection 0.0 0.0 1.5 2', 'make_partition bisection 1.0 0.0 1.5 0',
@@ -333,8 +327,10 @@ TABLE = {
         'make_partition random 0.0 0.0 1.5 2', 'make_partition random 1.0 0.0 1.5 0',
         'make_partition random 1.0 0.0 1.5 1', 'make_partition random 1.0 0.0 1.5 1<<21',
         'make_partition random 1.0 0.0 1.5 2', 'make_partition random 1.0 0.0 1.5 2.5',
-        'make_partition random 1.0 0.0 1.5 True', 'scheme_limit bisection 1.0 0.0 1.5',
-        'scheme_limit ordinate_uniform 1.0 0.0 1.5', 'scheme_limit random 1.0 0.0 1.5',
+        'make_partition random 1.0 0.0 1.5 True', 'scheme_limit bisection 0.0 0.0 1.5',
+        'scheme_limit bisection 1.0 0.0 1.5', 'scheme_limit ordinate_uniform 0.0 0.0 1.5',
+        'scheme_limit ordinate_uniform 1.0 0.0 1.5', 'scheme_limit random 0.0 0.0 1.5',
+        'scheme_limit random 1.0 0.0 1.5',
     ],
     'DomainError: seed must be an integer, got True': [
         'make_partition bisection 0.0 0.0 True 2', 'make_partition bisection 1.0 0.0 True 0',
@@ -353,8 +349,10 @@ TABLE = {
         'make_partition random 0.0 0.0 True 2', 'make_partition random 1.0 0.0 True 0',
         'make_partition random 1.0 0.0 True 1', 'make_partition random 1.0 0.0 True 1<<21',
         'make_partition random 1.0 0.0 True 2', 'make_partition random 1.0 0.0 True 2.5',
-        'make_partition random 1.0 0.0 True True', 'scheme_limit bisection 1.0 0.0 True',
-        'scheme_limit ordinate_uniform 1.0 0.0 True', 'scheme_limit random 1.0 0.0 True',
+        'make_partition random 1.0 0.0 True True', 'scheme_limit bisection 0.0 0.0 True',
+        'scheme_limit bisection 1.0 0.0 True', 'scheme_limit ordinate_uniform 0.0 0.0 True',
+        'scheme_limit ordinate_uniform 1.0 0.0 True', 'scheme_limit random 0.0 0.0 True',
+        'scheme_limit random 1.0 0.0 True',
     ],
     "DomainError: seed must be an integer, got '1'": [
         "make_partition bisection 0.0 0.0 '1' 2", "make_partition bisection 1.0 0.0 '1' 0",
@@ -371,8 +369,10 @@ TABLE = {
         "make_partition random 0.0 0.0 '1' 2", "make_partition random 1.0 0.0 '1' 0",
         "make_partition random 1.0 0.0 '1' 1", "make_partition random 1.0 0.0 '1' 1<<21",
         "make_partition random 1.0 0.0 '1' 2", "make_partition random 1.0 0.0 '1' 2.5",
-        "make_partition random 1.0 0.0 '1' True", "scheme_limit bisection 1.0 0.0 '1'",
-        "scheme_limit ordinate_uniform 1.0 0.0 '1'", "scheme_limit random 1.0 0.0 '1'",
+        "make_partition random 1.0 0.0 '1' True", "scheme_limit bisection 0.0 0.0 '1'",
+        "scheme_limit bisection 1.0 0.0 '1'", "scheme_limit ordinate_uniform 0.0 0.0 '1'",
+        "scheme_limit ordinate_uniform 1.0 0.0 '1'", "scheme_limit random 0.0 0.0 '1'",
+        "scheme_limit random 1.0 0.0 '1'",
     ],
     '(1.0, 0.5, 0.0)': [
         'make_partition ordinate_uniform -0.0 1.0 0 2',
@@ -495,7 +495,8 @@ TABLE = {
         'make_partition random 0.0 0.0 None 2', 'make_partition random 1.0 0.0 None 0',
         'make_partition random 1.0 0.0 None 1', 'make_partition random 1.0 0.0 None 1<<21',
         'make_partition random 1.0 0.0 None 2', 'make_partition random 1.0 0.0 None 2.5',
-        'make_partition random 1.0 0.0 None True', 'scheme_limit random 1.0 0.0 None',
+        'make_partition random 1.0 0.0 None True', 'scheme_limit random 0.0 0.0 None',
+        'scheme_limit random 1.0 0.0 None',
     ],
     '(1.0, 0.7477231759346494, 0.0)': [
         'make_partition random 1.0 0.0 2**70 2',

@@ -425,6 +425,12 @@ class TestAdditivity:
         check = additivity_check(TOP, TOP, Q, 1e-9)
         assert check.arc_whole == pytest.approx(check.arc_parts, abs=1e-8)
 
+    def test_deltas_are_whole_minus_parts(self):
+        for split in (TOP, point_from_ordinate(0.6), Q):
+            check = additivity_check(TOP, split, Q, 1e-9)
+            assert check.arc_delta == check.arc_whole - check.arc_parts
+            assert check.sector_delta == check.sector_whole - check.sector_parts
+
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             additivity_check(Q, point_from_ordinate(0.5), TOP, 1e-9)
@@ -434,16 +440,48 @@ class TestAdditivity:
 
 
 class TestOneSchemeCheck:
+    @pytest.mark.parametrize("arc", [(TOP, Q), (Q, Q)], ids=["quarter", "degenerate"])
     @pytest.mark.parametrize("scheme, seed", [("spiral", 0), ("random", None),
                                               ("bisection", -1), ("random", -2)])
-    def test_make_partition_and_scheme_limit_agree(self, scheme, seed):
-        """Both entry points reject a bad scheme or seed with the same error."""
+    def test_make_partition_and_scheme_limit_agree(self, arc, scheme, seed):
+        """Both entry points reject a bad scheme or seed with the same error,
+        checked before the arc."""
         with pytest.raises(DomainError) as built:
-            make_partition(TOP, Q, scheme, 4, seed=seed)
+            make_partition(*arc, scheme, 4, seed=seed)
         with pytest.raises(DomainError) as limited:
-            scheme_limit(TOP, Q, scheme, 1e-8, seed=seed)
+            scheme_limit(*arc, scheme, 1e-8, seed=seed)
+        assert type(built.value) is type(limited.value)
         assert str(built.value) == str(limited.value)
 
+
+def _outcome(call):
+    """A call's value, or its exception type and message."""
+    try:
+        return call()
+    except Exception as exc:  # any error is an outcome to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCompareSchemes:
+    """``compare_schemes`` is one ``scheme_limit`` per scheme, in ``SCHEMES``
+    order, and their spread."""
+
+    @pytest.mark.parametrize("ya, yb, tol, seed", [
+        (0.97, 0.05, 1e-9, 11), (1.0, 0.0, 1e-12, 3), (0.5, 0.5 - 1e-9, 1e-15, 0),
+        (0.9, 0.1, 1e-17, 0), (0.9, 0.1, 1e-9, -1), (0.9, 0.1, 1e-9, None),
+        (0.5, 0.5, 1e-9, 0)])
+    def test_limits_are_scheme_limits_bit_for_bit(self, ya, yb, tol, seed):
+        a, b = point_from_ordinate(ya), point_from_ordinate(yb)
+
+        def one_by_one():
+            limits = {scheme: scheme_limit(a, b, scheme, tol, seed=seed)
+                      for scheme in SCHEMES}
+            return limits, max(limits.values()) - min(limits.values())
+
+        compared = _outcome(lambda: partitions.compare_schemes(a, b, tol, seed))
+        assert repr(compared) == repr(_outcome(one_by_one))
+        if not isinstance(compared, str):
+            assert list(compared[0]) == list(SCHEMES)
 
 
 class TestGridsDropOnlyRepeats:

@@ -502,7 +502,6 @@ TABLE = {
     ],
     '0.8660254037844386': [
         'height_for_chord 1+2**-52', 'height_for_chord 1-2**-53', 'height_for_chord 1.0',
-        'height_for_chord True',
     ],
     '(Enclosure(lo=1.5707963267948921, hi=1.570796326794901), '
     'ConvergenceReport(a_ordinate=1.0, b_ordinate=0.0, tolerance=1e-12, '
@@ -625,6 +624,9 @@ TABLE = {
     ],
     'DomainError: argument must be a real number, got True': [
         'sin True',
+    ],
+    'DomainError: chord length must be a real number, got True': [
+        'height_for_chord True',
     ],
     'DomainError: ordinate must lie in [0, 1], got '
     '13582985290493858492773514283592667786034938469317445497485196697278130927542418487205'
