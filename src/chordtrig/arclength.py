@@ -8,7 +8,8 @@ the chord of each half arc is
     l' = l / sqrt(2 * (1 + h)),   h = sqrt(1 - (l/2)^2),
 
 which is the stable form of sqrt(2 - 2h) (no cancellation as h -> 1). Since
-sqrt(2 * (1 + h)) <= 2, the computed L_m never decreases, and since the
+sqrt(2 * (1 + h)) <= 2, the computed L_m, which the loop carries (Step and
+Underflow below), never decreases, down to subnormal arcs, and since the
 factor is >= sqrt(2), each step contracts the segment by at least ~sqrt(2).
 
 Closing the ladder. Write s = l_m / 2 = sin(phi), 2 phi being one sub-arc's
@@ -66,7 +67,9 @@ units of u.
   r e + r/2 + 1.5, 1 + h within half of that plus 1 (h / (1 + h) <= 1/2),
   and sqrt(2 (1 + h)) within half again plus 1, so the step takes e to
   e' = (1 + r/4) e + 2.875 + r/8. The loop carries this bound, e_m, with
-  the r it computes; L_m = 2^m l_m is exact.
+  the r it computes. It carries L_m = 2^m l_m too, as
+  L' = 2 L / sqrt(2 (1 + h)), which rounds as the step of l does, and forms
+  l_m = L_m / 2^m from it; above underflow both scalings are exact.
 - Chord to arc. S is 2^(m+1) arcsin(l_m / 2), whose logarithmic derivative
   in l_m, s / (arcsin(s) sqrt(1 - q)), is at most sqrt(1 + r) <= 1 + r/2:
   the arc (and half of it, the sector) of the computed chord is within
@@ -88,9 +91,11 @@ units of u.
   with widening. The pad takes 9.
 - Underflow. A result below 2^-1022 errs by an absolute 2^-1075 instead.
   Only a chord below 2^-1021 underflows (then q and r vanish and h = 1):
-  l_0 is then exact, each step halves l and errs by 2^-1075 at most, so
-  L_m is within 2^m 2^-1074, and halving, the products and the pad add at
-  most 2^-1075 each. The pad's second term, 2^m 2^-1072, covers them.
+  l_0 is then exact, and each step divides 2 L_m by sqrt(4) = 2, so the
+  carried L_m stays l_0 exactly and never falls, though l_m = L_m / 2^m,
+  read only by q, h and w, may round to 0. The arc exceeds l_0 by far less
+  than 2^-1075, and halving, the products and the pad add at most 2^-1075
+  each. The pad's second term, 2^m 2^-1072, covers them.
   Longer chords can still underflow q, z or the tail (z^10 does once the
   chord is below 2^-52): each then errs by an absolute 2^-1075, which moves
   P >= 1 by far less than u and an arm by far less than 2^-1074.
@@ -202,18 +207,19 @@ def _climb(ay: float, by: float, tol: float, last: int, bracket: str,
     xa = sqrt((1.0 - ay) * (1.0 + ay))
     xb = sqrt((1.0 - by) * (1.0 + by))
     ell = abs(ay - by) * math.hypot(1.0, (ay + by) / (xa + xb))
-    scale = 1.0  # 2^m exactly, so scale * ell is ldexp(ell, m) bit for bit
+    total = ell  # L_m, carried so that a chord that underflows keeps it
+    scale = 1.0  # 2^m exactly, so total / scale is ldexp(total, -m) bit for bit
     err = 10.0   # e_m, the chord's rounding bound in units of u
     floor = h = 0.0
     for m in range(last + 1):
         if m:  # the step to level m
-            ell = ell / sqrt(2.0 * (1.0 + h))
+            total = 2.0 * total / sqrt(2.0 * (1.0 + h))
             scale *= 2.0
+            ell = total / scale
         half = 0.5 * ell
         q = half * half
         c = 1.0 - q
         h = sqrt(c)  # height_for_chord(ell), written out
-        total = scale * ell
         r = q / c
         if sector:
             w = ell * h

@@ -2,7 +2,8 @@
 
 arcsin(y) is the length of the arc from (sqrt(1 - y^2), y) down to (1, 0),
 so it inherits the certified bracket of the bisection scheme. pi is twice
-the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly.
+the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly, in
+:func:`pi_constant` alone; :func:`pi_run` adds the quarter arc's report.
 The quarter arc's ladder does not depend on the tolerance, which only picks
 the level where a run stops, and every closure run stops by level 4
 (:mod:`chordtrig.arclength`): its records of levels 0 to 4 are run once, on
@@ -74,13 +75,13 @@ def arcsin(y: float, tol: float) -> tuple[Enclosure, ConvergenceReport]:
 
 
 def pi_run(tol: float) -> tuple[Enclosure, ConvergenceReport]:
-    """:func:`pi_constant`'s enclosure of pi and the report of the
+    """:func:`pi_constant`'s enclosure of pi beside the report of the
     quarter-arc run it doubles, whose levels are the import-time records
     up to the one that meets ``tol``: the report ``arc_length`` of the
-    quarter arc returns, with no ladder run."""
-    lo, hi, levels = _quarter_arms(tol)
-    return (Enclosure(2.0 * lo, 2.0 * hi),
-            ConvergenceReport(1.0, 0.0, tol, STOP_TOLERANCE, levels))
+    quarter arc returns. pi is doubled in :func:`pi_constant` alone, and
+    neither read of the records runs a ladder."""
+    return pi_constant(tol), ConvergenceReport(1.0, 0.0, tol, STOP_TOLERANCE,
+                                               _quarter_arms(tol)[2])
 
 
 def pi_constant(tol: float) -> Enclosure:
@@ -90,8 +91,9 @@ def pi_constant(tol: float) -> Enclosure:
     semicircle are mirror images, so the semicircle length is twice the
     quarter length. Width is at most 2 * tol. A ``tol`` below the quarter
     arc's binary64 floor raises ``PrecisionFloorError``. It doubles the
-    bare arms of :func:`pi_run`'s run, read from the quarter arc's
-    import-time records, so it runs no ladder and builds no report.
+    bare arms of the quarter-arc run, read from its import-time records,
+    so it runs no ladder and builds no report; :func:`pi_run` returns this
+    enclosure with that run's report.
     """
     lo, hi, _ = _quarter_arms(tol)
     return Enclosure(2.0 * lo, 2.0 * hi)

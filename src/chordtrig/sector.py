@@ -10,13 +10,16 @@ same (l, h) ladder that arc length runs on (:mod:`chordtrig.arclength`):
 record, :func:`gap_iterations` from each level's, and the sector sits
 between them. The certified run, :func:`sector_area`, closes the inner fan
 with Newton's series instead, widened by a proven rounding bound. The arc
-length equals twice the sector area, checked by :func:`verify_ratio`.
+length equals twice the sector area, checked by :func:`verify_ratio`;
+:func:`ratio_runs` returns the same ratio with the arc and sector runs
+behind it. Both read one body that runs each of the two ladders once and
+forms the ratio once.
 """
 
 from __future__ import annotations
 
 from ._value import Value
-from .arclength import arc_length, arms, ladder_levels
+from .arclength import arms, ladder_levels
 from .errors import (ConvergenceError, DomainError, PrecisionFloorError, as_tolerance,
                      check_arc)
 from .geometry import CirclePoint, chord_length
@@ -73,8 +76,15 @@ def sector_area(a: CirclePoint, b: CirclePoint,
     return Enclosure(lo, hi), ConvergenceReport(a.y, b.y, tol, STOP_TOLERANCE, levels)
 
 
-def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:
-    """The bracket tolerance both ratio runs share, 3 * tol * chord."""
+def _ratio_arms(a: CirclePoint, b: CirclePoint, tol: float):
+    """The ratio's one body: ``(ratio, scaled, arc arms, sector arms)``.
+
+    Both runs share the bracket tolerance scaled = 3 * tol * chord, and
+    each arms triple is the bare ``(lo, hi, levels)`` of
+    :func:`~chordtrig.arclength.arms` at it, arc first; the ratio is their
+    midpoints', formed here alone. A run's ``PrecisionFloorError`` is
+    raised again naming the caller's ``tol``, with the run's bracket and
+    report."""
     check_arc(a, b, "arc/sector ratio")
     if type(tol) is not float or not tol > 0.0:
         as_tolerance(tol)
@@ -84,29 +94,26 @@ def _ratio_tol(a: CirclePoint, b: CirclePoint, tol: float) -> float:
         raise DomainError(
             f"arc too short for the ratio in binary64: chord {chord!r} times "
             f"tol {tol!r} underflows to zero")
-    return scaled
-
-
-def _ratio_floor(err: PrecisionFloorError, tol: float) -> PrecisionFloorError:
-    """A ratio run's floor error, naming the caller's ``tol`` rather than
-    the scaled one, with the run's bracket and report."""
-    return PrecisionFloorError(
-        f"tol {tol!r} is below the binary64 floor of the arc/sector ratio on this arc",
-        enclosure=err.enclosure, report=err.report)
+    try:
+        arc = arms(a.y, b.y, scaled)
+        sector = arms(a.y, b.y, scaled, SECTOR_BRACKET)
+    except PrecisionFloorError as err:
+        raise PrecisionFloorError(
+            f"tol {tol!r} is below the binary64 floor of the arc/sector ratio on this arc",
+            enclosure=err.enclosure, report=err.report) from err
+    return 0.5 * (arc[0] + arc[1]) / (0.5 * (sector[0] + sector[1])), scaled, arc, sector
 
 
 def ratio_runs(a: CirclePoint, b: CirclePoint, tol: float):
     """The arc/sector ratio with the two runs behind it: ``(ratio, (arc
     enclosure, report), (sector enclosure, report))``, the runs at the
-    shared scaled tolerance and the ratio their midpoints', which is
-    :func:`verify_ratio`'s value bit for bit."""
-    scaled = _ratio_tol(a, b, tol)
-    try:
-        arc = arc_length(a, b, scaled)
-        sector = sector_area(a, b, scaled)
-    except PrecisionFloorError as err:
-        raise _ratio_floor(err, tol) from err
-    return arc[0].mid / sector[0].mid, arc, sector
+    shared scaled tolerance. It wraps the same bare arms that
+    :func:`verify_ratio` reads, so its ratio is that value, and each run is
+    what :func:`~chordtrig.arclength.arc_length` and :func:`sector_area`
+    return at the scaled tolerance; no ladder runs twice."""
+    ratio, scaled, *runs = _ratio_arms(a, b, tol)
+    return ratio, *((Enclosure(lo, hi), ConvergenceReport(a.y, b.y, scaled, STOP_TOLERANCE,
+                                                          levels)) for lo, hi, levels in runs)
 
 
 def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:
@@ -115,15 +122,9 @@ def verify_ratio(a: CirclePoint, b: CirclePoint, tol: float) -> float:
     The two runs share a bracket tolerance proportional to the chord: the
     ratio's error scales like (bracket width) / (arc length), so an absolute
     inner tolerance would not meet the 10 * tol contract on short arcs.
-    Result contract: within 10 * tol of 2. It reads the bare arms of
-    :func:`ratio_runs`' two runs, so it builds no report. A ``tol`` whose
-    scaled tolerance is below a run's binary64 floor raises that run's
-    ``PrecisionFloorError``, naming ``tol``.
+    Result contract: within 10 * tol of 2. It is :func:`ratio_runs`' ratio,
+    read from the two runs' bare arms, so it builds no report. A ``tol``
+    whose scaled tolerance is below a run's binary64 floor raises that
+    run's ``PrecisionFloorError``, naming ``tol``.
     """
-    scaled = _ratio_tol(a, b, tol)
-    try:
-        arc_lo, arc_hi, _ = arms(a.y, b.y, scaled)
-        sec_lo, sec_hi, _ = arms(a.y, b.y, scaled, SECTOR_BRACKET)
-    except PrecisionFloorError as err:
-        raise _ratio_floor(err, tol) from err
-    return 0.5 * (arc_lo + arc_hi) / (0.5 * (sec_lo + sec_hi))
+    return _ratio_arms(a, b, tol)[0]

@@ -8,7 +8,8 @@ stdout bytes differ from the recorded ones. CI runs it on the console script
 of a venv that has chordtrig installed without extras, so without numpy
 (``bin/chordtrig``); from a checkout, ``PYTHONPATH=src python
 tests/replay_golden.py python -m chordtrig`` does the same. The script
-needs only the standard library.
+needs only the standard library. ``test_golden.py`` checks the same list
+in-process.
 """
 
 import json
@@ -20,17 +21,23 @@ GOLDEN = tuple(Path(__file__).resolve().parent / "data" / name
                for name in ("cli_golden.json", "partition_golden.json"))
 
 
+def cases(paths=GOLDEN):
+    """The golden records of ``paths``, in order: each an ``argv``, its
+    ``exit_code`` and its ``stdout``."""
+    return [case for path in paths for case in json.loads(path.read_text("utf-8"))]
+
+
 def replay(command, paths=GOLDEN):
     """The number of golden argv in ``paths``, and the argv among them whose
     run through ``command`` differs from the golden."""
-    cases = [case for path in paths for case in json.loads(path.read_text("utf-8"))]
+    records = cases(paths)
     differ = []
-    for case in cases:
+    for case in records:
         done = subprocess.run([*command, *case["argv"]], capture_output=True)
         if (done.returncode, done.stdout) != (case["exit_code"],
                                               case["stdout"].encode("utf-8")):
             differ.append(" ".join(case["argv"]))
-    return len(cases), differ
+    return len(records), differ
 
 
 def main(command) -> int:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from chordtrig import (
     upper_bound,
 )
 from chordtrig import arclength as arclength_module
+from chordtrig.arclength import ladder_levels
+from chordtrig.report import fan_areas
 
 from conftest import EPS, random_arc_ordinates
 from oracles import exact_arc, half_chord_ladder, holds, ivt_midpoint_ordinate
@@ -155,6 +158,49 @@ class TestLengthSequence:
             length_sequence(TOP, Q, -1)
         with pytest.raises(CapacityError):
             length_sequence(TOP, Q, 63)
+
+
+def _stratum(name, rng):
+    """(y_hi, y_lo) of one arc from a stratum of the ladder's length range."""
+    if name == "uniform":
+        ys = sorted((rng.random(), rng.random()), reverse=True)
+    elif name == "short":
+        y = rng.random()
+        ys = (y, y - y * 10.0 ** -rng.uniform(4.0, 15.0))
+    elif name == "from_top":
+        ys = (1.0, 1.0 - 10.0 ** -rng.uniform(1.0, 16.0))
+    elif name == "tiny":
+        ys = (10.0 ** -rng.uniform(1.0, 300.0), 0.0)
+    else:  # subnormal: both ordinates below 2^-1022
+        ys = sorted((rng.randrange(2 ** 52) * 5e-324, rng.randrange(2 ** 52) * 5e-324),
+                    reverse=True)
+    return ys
+
+
+class TestPolygonalLengthsRise:
+    """The paper's arc length is the limit of an increasing sequence bounded
+    by l0 / h0^2: over each stratum, from uniform arcs to subnormal ones,
+    the recorded L_m of levels 0 .. 62 never falls and never exceeds
+    ``upper_bound``, and the inscribed fan formed from it never falls,
+    compared exactly. A ladder that carried l_m lost subnormal arcs past
+    level 0 (L_m = 5e-324, 0, 0, ... on 5e-324 -> 0)."""
+
+    @pytest.mark.parametrize("name", ["uniform", "short", "from_top", "tiny", "subnormal"])
+    def test_never_falls_and_stays_below_the_bound(self, name):
+        rng = random.Random(f"rising {name}")
+        checked = 0
+        while checked < 200:
+            ya, yb = _stratum(name, rng)
+            if ya == yb:
+                continue
+            a, b = point_from_ordinate(ya), point_from_ordinate(yb)
+            levels = ladder_levels(a, b, 62)
+            totals = [total for _, _, total, _, _ in levels]
+            inner = [fan_areas(total, h)[0] for _, h, total, _, _ in levels]
+            assert all(u <= v for u, v in zip(totals, totals[1:])), (ya, yb)
+            assert max(totals) <= upper_bound(a, b), (ya, yb)
+            assert all(u <= v for u, v in zip(inner, inner[1:])), (ya, yb)
+            checked += 1
 
 
 class TestUpperBound:

@@ -33,6 +33,7 @@ from chordtrig import arclength as arclength_module
 from chordtrig import sector as sector_module
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
+from chordtrig.geometry import chord_length
 
 TOP = point_from_ordinate(1.0)
 Q = point_from_ordinate(0.0)
@@ -80,7 +81,7 @@ class TestRatioFloorNamesTheCallersTolerance:
     a, b, tol = point_from_ordinate(0.9), point_from_ordinate(0.1), 1e-17
 
     def _inner_error(self):
-        scaled = sector_module._ratio_tol(self.a, self.b, self.tol)
+        scaled = 3.0 * self.tol * chord_length(self.a, self.b)
         with pytest.raises(PrecisionFloorError) as inner:
             arc_length(self.a, self.b, scaled)
         return inner.value

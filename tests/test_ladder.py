@@ -374,6 +374,26 @@ class TestBarePathsAreTheReportPaths:
             assert ys[0] > ys[1]
             assert _outcome(lambda: verify_ratio(a, b, tol)) == _outcome(from_runs), ys
 
+    @pytest.mark.parametrize("tol", BARE_TOLS)
+    def test_ratio_runs_are_the_report_runs_at_the_scaled_tol(self, tol, rng):
+        """Each run ``ratio_runs`` returns is what ``arc_length`` and
+        ``sector_area`` return at 3 tol chord; where one raises, the other
+        raises the same error type with the same bracket and report (the
+        ratio's message names the caller's tol)."""
+        def carried(call):
+            out = _outcome(call)
+            return out if isinstance(out, str) else (out[0], *out[2:])
+
+        for ys in _bare_path_arcs(rng):
+            a, b = (point_from_ordinate(y) for y in ys)
+            scaled = 3.0 * tol * chord_length(a, b)
+            if scaled == 0.0:
+                with pytest.raises(DomainError, match="too short for the ratio"):
+                    ratio_runs(a, b, tol)
+                continue
+            assert carried(lambda: ratio_runs(a, b, tol)[1:]) == carried(
+                lambda: (arc_length(a, b, scaled), sector_area(a, b, scaled))), ys
+
 
 class TestRunsKeepTheirLevels:
     """A run keeps its level records in its report. Reading the rows runs

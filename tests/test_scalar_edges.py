@@ -226,12 +226,12 @@ TABLE = {
     ],
     '[IterationRow(m=0, segment_length=5e-324, height=1.0, total_length=5e-324, '
     'inner_area=0.0, outer_area=0.0, enclosure_lo=0.0, enclosure_hi=2.5e-323), '
-    'IterationRow(m=1, segment_length=0.0, height=1.0, total_length=0.0, inner_area=0.0, '
-    'outer_area=0.0, enclosure_lo=0.0, enclosure_hi=4e-323), IterationRow(m=2, '
-    'segment_length=0.0, height=1.0, total_length=0.0, inner_area=0.0, outer_area=0.0, '
-    'enclosure_lo=0.0, enclosure_hi=8e-323), IterationRow(m=3, segment_length=0.0, '
-    'height=1.0, total_length=0.0, inner_area=0.0, outer_area=0.0, enclosure_lo=0.0, '
-    'enclosure_hi=1.6e-322)]': [
+    'IterationRow(m=1, segment_length=0.0, height=1.0, total_length=5e-324, '
+    'inner_area=0.0, outer_area=0.0, enclosure_lo=0.0, enclosure_hi=4.4e-323), '
+    'IterationRow(m=2, segment_length=0.0, height=1.0, total_length=5e-324, '
+    'inner_area=0.0, outer_area=0.0, enclosure_lo=0.0, enclosure_hi=8.4e-323), '
+    'IterationRow(m=3, segment_length=0.0, height=1.0, total_length=5e-324, '
+    'inner_area=0.0, outer_area=0.0, enclosure_lo=0.0, enclosure_hi=1.63e-322)]': [
         'length_sequence 5e-324 0.0',
     ],
     '5e-324': [
