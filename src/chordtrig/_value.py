@@ -7,8 +7,6 @@ package's eight records the two together took longer than the rest of
 from methods written once.
 """
 
-from __future__ import annotations
-
 # object.__setattr__, past Value.__setattr__, which refuses every assignment:
 # Value.__init__ stores the fields through this.
 set_field = object.__setattr__

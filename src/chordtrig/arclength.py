@@ -121,8 +121,6 @@ a backstop against a fault in this proof, and a run that reaches it raises
 ``ConvergenceError``.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

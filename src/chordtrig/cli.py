@@ -29,8 +29,6 @@ Commands without an iteration table emit name,value rows.
 Exit codes: 0 success, 1 domain error, 2 non-convergence, 64 usage.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

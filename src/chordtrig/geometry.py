@@ -10,8 +10,6 @@ relative accuracy (x ~ sqrt of a small number); its absolute accuracy, which
 is what every downstream formula consumes, stays at a few ulp.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._value import Value

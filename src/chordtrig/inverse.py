@@ -12,8 +12,6 @@ sin inverts arcsin: monotonicity turns arcsin's certified arms at an
 ordinate into a side of sin x, so the ordinate interval always holds sin x.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import arclength

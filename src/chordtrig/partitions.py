@@ -66,8 +66,6 @@ into points (no point objects), with the chord formula of
 :func:`polygonal_length` of its partition bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 import random
 

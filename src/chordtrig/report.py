@@ -24,8 +24,6 @@ tolerance below that widening stops the run with ``STOP_FLOOR`` and raises
 ``PrecisionFloorError``.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from ._value import Value

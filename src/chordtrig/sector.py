@@ -16,8 +16,6 @@ behind it. Both read one body that runs each of the two ladders once and
 forms the ratio once.
 """
 
-from __future__ import annotations
-
 from ._value import Value
 from .arclength import arms, ladder_levels
 from .errors import (ConvergenceError, DomainError, PrecisionFloorError, as_tolerance,

@@ -365,34 +365,36 @@ class TestBarePathsAreTheReportPaths:
         assert _outcome(lambda: pi_constant(tol)) == _outcome(lambda: pi_run(tol)[0])
 
     @pytest.mark.parametrize("tol", BARE_TOLS)
-    def test_verify_ratio_is_the_ratio_of_ratio_runs(self, tol, rng):
-        def from_runs():
-            return ratio_runs(a, b, tol)[0]
-
-        for ys in _bare_path_arcs(rng):
-            a, b = (point_from_ordinate(y) for y in ys)
-            assert ys[0] > ys[1]
-            assert _outcome(lambda: verify_ratio(a, b, tol)) == _outcome(from_runs), ys
-
-    @pytest.mark.parametrize("tol", BARE_TOLS)
     def test_ratio_runs_are_the_report_runs_at_the_scaled_tol(self, tol, rng):
         """Each run ``ratio_runs`` returns is what ``arc_length`` and
-        ``sector_area`` return at 3 tol chord; where one raises, the other
-        raises the same error type with the same bracket and report (the
-        ratio's message names the caller's tol)."""
+        ``sector_area`` return at 3 tol chord, and its ratio is the ratio of
+        the two runs' midpoints, which ``verify_ratio`` returns; where one
+        raises, the other raises the same error type with the same bracket
+        and report (the ratio's message names the caller's tol, and
+        ``verify_ratio`` raises that very message)."""
         def carried(call):
             out = _outcome(call)
             return out if isinstance(out, str) else (out[0], *out[2:])
 
         for ys in _bare_path_arcs(rng):
             a, b = (point_from_ordinate(y) for y in ys)
+            assert ys[0] > ys[1]
             scaled = 3.0 * tol * chord_length(a, b)
-            if scaled == 0.0:
-                with pytest.raises(DomainError, match="too short for the ratio"):
-                    ratio_runs(a, b, tol)
-                continue
-            assert carried(lambda: ratio_runs(a, b, tol)[1:]) == carried(
-                lambda: (arc_length(a, b, scaled), sector_area(a, b, scaled))), ys
+            reports = carried(lambda: (arc_length(a, b, scaled), sector_area(a, b, scaled)))
+            try:
+                ratio, *runs = ratio_runs(a, b, tol)
+            except (DomainError, ConvergenceError):
+                error = _outcome(lambda: ratio_runs(a, b, tol))
+                assert _outcome(lambda: verify_ratio(a, b, tol)) == error, ys
+                if scaled == 0.0:
+                    assert issubclass(error[0], DomainError), ys
+                    assert "too short for the ratio" in error[1], ys
+                else:
+                    assert (error[0], *error[2:]) == reports, ys
+            else:
+                assert repr(tuple(runs)) == reports, ys
+                assert repr(ratio) == repr(runs[0][0].mid / runs[1][0].mid), ys
+                assert repr(verify_ratio(a, b, tol)) == repr(ratio), ys
 
 
 class TestRunsKeepTheirLevels:

@@ -1,7 +1,7 @@
 """No entry point loads numpy, only partition work loads
 chordtrig.partitions, a family of public names loads only the modules it
-calls, nothing loads dataclasses or typing, and importing chordtrig.inverse
-runs the quarter arc's ladder once.
+calls, nothing loads dataclasses, typing or __future__, and importing
+chordtrig.inverse runs the quarter arc's ladder once.
 
 Each case runs in a fresh interpreter, because this test process has
 numpy and dataclasses loaded already.
@@ -105,10 +105,13 @@ def test_no_entry_point_loads_dataclasses():
 
 
 def test_no_entry_point_loads_typing():
-    """Run under -S: ``site`` itself can load typing (a .pth file that imports
-    it does), which would hide an import from this package."""
-    code = NON_PARTITION_CALLS + PARTITION_WORK + 'print("typing" in sys.modules)'
-    assert _last_line(code, str(GOLDEN), flags=("-S",)) == "False"
+    """Nor ``__future__``, as every annotation in ``src/`` runs as written on
+    Python 3.10+. Run under -S: ``site`` itself can load typing (a .pth
+    file that imports it does), which would hide an import from this
+    package."""
+    code = (NON_PARTITION_CALLS + PARTITION_WORK
+            + 'print("typing" in sys.modules, "__future__" in sys.modules)')
+    assert _last_line(code, str(GOLDEN), flags=("-S",)) == "False False"
 
 
 def test_importing_inverse_runs_one_ladder():

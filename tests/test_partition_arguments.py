@@ -5,9 +5,11 @@
 ``errors.check_descending`` is the one point-order rule of ``Partition`` and
 ``bisection_step``. The edge sweep drives both entry points over the three
 schemes, 14 edge ordinates, 8 seeds and 7 sizes, and ``TABLE`` holds each
-call's outcome: its value, or its exception type and message. Do not
-regenerate the table to make this test pass; a difference means an outcome
-changed.
+call's outcome: its value, or its exception type and message. A second
+sweep runs ``bisection_step``, ``polygonal_length``, ``refinement_gap_bound``
+and ``refine_union`` on the two points of each edge ordinate's arc to 0 and
+to 1, and ``POINT_LIST_TABLE`` holds its outcomes. Do not regenerate the tables
+to make this test pass; a difference means an outcome changed.
 """
 
 import json
@@ -24,6 +26,9 @@ from chordtrig import (
     bisection_step,
     make_partition,
     point_from_ordinate,
+    polygonal_length,
+    refine_union,
+    refinement_gap_bound,
     scheme_limit,
 )
 from chordtrig import errors, partitions
@@ -46,6 +51,14 @@ SEEDS = {
 SIZES = {"0": 0, "1": 1, "2": 2, "1<<21": 1 << 21, "True": True, "2.5": 2.5}
 BISECTION_SIZES = {**SIZES, "40": 40}
 TOL = 1e-12  # the random grid of the quarter arc refines, so it draws
+# name -> a call on the points of an arc, for the functions that take a
+# point list or a partition; a point list's outcome is its ordinates
+POINT_LIST_CALLS = {
+    "bisection_step": lambda a, b: tuple(pt.y for pt in bisection_step([a, b])),
+    "polygonal_length": lambda a, b: polygonal_length(Partition([a, b])),
+    "refinement_gap_bound": lambda a, b: refinement_gap_bound(Partition([a, b])),
+    "refine_union": lambda a, b: refine_union(Partition([a, b]), Partition([a, b])),
+}
 
 
 def _outcome(call, *args, **kwargs):
@@ -65,6 +78,14 @@ def _on_ordinates(call, a, b, *args, **kwargs):
     built is the outcome."""
     return _outcome(lambda: call(point_from_ordinate(a), point_from_ordinate(b),
                                  *args, **kwargs))
+
+
+def point_list_sweep():
+    """Every call of ``POINT_LIST_CALLS`` on each edge ordinate's arc to 0
+    and to 1, keyed "function a b", with its outcome."""
+    return {f"{name} {label} {end}": _on_ordinates(call, y, ORDINATES[end])
+            for label, y in ORDINATES.items() for end in ("0.0", "1.0")
+            for name, call in POINT_LIST_CALLS.items()}
 
 
 def sweep():
@@ -512,12 +533,135 @@ TABLE = {
     ],
 }
 
+# outcome -> the calls of point_list_sweep that give it
+POINT_LIST_TABLE = {
+    'DomainError: bisection state ordinates must be strictly decreasing': [
+        'bisection_step -0.0 0.0', 'bisection_step -0.0 1.0', 'bisection_step 0.0 0.0',
+        'bisection_step 0.0 1.0', 'bisection_step 0.5 1.0', 'bisection_step 1-2**-53 1.0',
+        'bisection_step 1.0 1.0', 'bisection_step 1e-300 1.0', 'bisection_step 5e-324 1.0',
+    ],
+    'DomainError: partition ordinates must be strictly decreasing': [
+        'polygonal_length -0.0 0.0', 'polygonal_length -0.0 1.0', 'polygonal_length 0.0 0.0',
+        'polygonal_length 0.0 1.0', 'polygonal_length 0.5 1.0', 'polygonal_length 1-2**-53 1.0',
+        'polygonal_length 1.0 1.0', 'polygonal_length 1e-300 1.0', 'polygonal_length 5e-324 1.0',
+        'refine_union -0.0 0.0', 'refine_union -0.0 1.0', 'refine_union 0.0 0.0',
+        'refine_union 0.0 1.0', 'refine_union 0.5 1.0', 'refine_union 1-2**-53 1.0',
+        'refine_union 1.0 1.0', 'refine_union 1e-300 1.0', 'refine_union 5e-324 1.0',
+        'refinement_gap_bound -0.0 0.0', 'refinement_gap_bound -0.0 1.0',
+        'refinement_gap_bound 0.0 0.0', 'refinement_gap_bound 0.0 1.0',
+        'refinement_gap_bound 0.5 1.0', 'refinement_gap_bound 1-2**-53 1.0',
+        'refinement_gap_bound 1.0 1.0', 'refinement_gap_bound 1e-300 1.0',
+        'refinement_gap_bound 5e-324 1.0',
+    ],
+    'DegenerateArcError: arc spans too few representable ordinates to bisect': [
+        'bisection_step 5e-324 0.0',
+    ],
+    '5e-324': [
+        'polygonal_length 5e-324 0.0',
+    ],
+    '0.0': [
+        'refinement_gap_bound 1e-300 0.0', 'refinement_gap_bound 5e-324 0.0',
+    ],
+    '(5e-324, 0.0)': [
+        'refine_union 5e-324 0.0',
+    ],
+    '(1e-300, 5e-301, 0.0)': [
+        'bisection_step 1e-300 0.0',
+    ],
+    '1e-300': [
+        'polygonal_length 1e-300 0.0',
+    ],
+    '(1e-300, 0.0)': [
+        'refine_union 1e-300 0.0',
+    ],
+    '(0.5, 0.25881904510252074, 0.0)': [
+        'bisection_step 0.5 0.0',
+    ],
+    '0.5176380902050415': [
+        'polygonal_length 0.5 0.0',
+    ],
+    '0.039833051241107115': [
+        'refinement_gap_bound 0.5 0.0',
+    ],
+    '(0.5, 0.0)': [
+        'refine_union 0.5 0.0',
+    ],
+    '(0.9999999999999999, 0.7071067759181915, 0.0)': [
+        'bisection_step 1-2**-53 0.0',
+    ],
+    '1.4142135518363828': [
+        'polygonal_length 1-2**-53 0.0',
+    ],
+    '2.828426977232222': [
+        'refinement_gap_bound 1-2**-53 0.0',
+    ],
+    '(0.9999999999999999, 0.0)': [
+        'refine_union 1-2**-53 0.0',
+    ],
+    '(1.0, 0.7071067811865475, 0.0)': [
+        'bisection_step 1.0 0.0',
+    ],
+    '1.4142135623730951': [
+        'polygonal_length 1.0 0.0',
+    ],
+    '2.828427124746191': [
+        'refinement_gap_bound 1.0 0.0',
+    ],
+    '(1.0, 0.0)': [
+        'refine_union 1.0 0.0',
+    ],
+    'DomainError: ordinate must lie in [0, 1], got 1.0000000000000002': [
+        'bisection_step 1+2**-52 0.0', 'bisection_step 1+2**-52 1.0',
+        'polygonal_length 1+2**-52 0.0', 'polygonal_length 1+2**-52 1.0',
+        'refine_union 1+2**-52 0.0', 'refine_union 1+2**-52 1.0',
+        'refinement_gap_bound 1+2**-52 0.0', 'refinement_gap_bound 1+2**-52 1.0',
+    ],
+    'DomainError: ordinate must lie in [0, 1], got -1.0': [
+        'bisection_step -1.0 0.0', 'bisection_step -1.0 1.0', 'polygonal_length -1.0 0.0',
+        'polygonal_length -1.0 1.0', 'refine_union -1.0 0.0', 'refine_union -1.0 1.0',
+        'refinement_gap_bound -1.0 0.0', 'refinement_gap_bound -1.0 1.0',
+    ],
+    'DomainError: ordinate must lie in [0, 1], got inf': [
+        'bisection_step inf 0.0', 'bisection_step inf 1.0', 'polygonal_length inf 0.0',
+        'polygonal_length inf 1.0', 'refine_union inf 0.0', 'refine_union inf 1.0',
+        'refinement_gap_bound inf 0.0', 'refinement_gap_bound inf 1.0',
+    ],
+    'DomainError: ordinate must lie in [0, 1], got -inf': [
+        'bisection_step -inf 0.0', 'bisection_step -inf 1.0', 'polygonal_length -inf 0.0',
+        'polygonal_length -inf 1.0', 'refine_union -inf 0.0', 'refine_union -inf 1.0',
+        'refinement_gap_bound -inf 0.0', 'refinement_gap_bound -inf 1.0',
+    ],
+    'DomainError: ordinate must lie in [0, 1], got nan': [
+        'bisection_step nan 0.0', 'bisection_step nan 1.0', 'polygonal_length nan 0.0',
+        'polygonal_length nan 1.0', 'refine_union nan 0.0', 'refine_union nan 1.0',
+        'refinement_gap_bound nan 0.0', 'refinement_gap_bound nan 1.0',
+    ],
+    'DomainError: ordinate must be a real number, got True': [
+        'bisection_step True 0.0', 'bisection_step True 1.0', 'polygonal_length True 0.0',
+        'polygonal_length True 1.0', 'refine_union True 0.0', 'refine_union True 1.0',
+        'refinement_gap_bound True 0.0', 'refinement_gap_bound True 1.0',
+    ],
+    f"DomainError: ordinate must lie in [0, 1], got {2 ** 1100}": [
+        'bisection_step 2**1100 0.0', 'bisection_step 2**1100 1.0', 'polygonal_length 2**1100 0.0',
+        'polygonal_length 2**1100 1.0', 'refine_union 2**1100 0.0', 'refine_union 2**1100 1.0',
+        'refinement_gap_bound 2**1100 0.0', 'refinement_gap_bound 2**1100 1.0',
+    ],
+}
 
-EXPECTED = {key: outcome for outcome, keys in TABLE.items() for key in keys}
+
+def _expected(table):
+    return {key: outcome for outcome, keys in table.items() for key in keys}
+
+
+EXPECTED = _expected(TABLE)
 
 
 def test_edge_sweep_matches_table():
     assert sweep() == EXPECTED
+
+
+def test_point_list_sweep_matches_table():
+    assert point_list_sweep() == _expected(POINT_LIST_TABLE)
 
 
 def _cli_value(value):
