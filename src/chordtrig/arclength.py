@@ -132,11 +132,16 @@ from .geometry import (
     height_for_chord,
     point_from_ordinate,
 )
-from .report import (ARC_BRACKET, SECTOR_BRACKET, STOP_CAP, STOP_FLOOR, STOP_TOLERANCE,
-                     ConvergenceReport, Enclosure, IterationRow, level_row)
+from .report import (STOP_CAP, STOP_FLOOR, STOP_TOLERANCE, ConvergenceReport, Enclosure,
+                     IterationRow, level_row)
 
 # A level's record: (l_m, h_m, L_m, lo, hi).
 _Level = tuple[float, float, float, float, float]
+
+# The brackets a ladder can run on: the widened closures of the arc length
+# and of the sector area.
+ARC_BRACKET = "arc"
+SECTOR_BRACKET = "sector"
 
 # 2^m beyond this could not index a materialized point list on any host;
 # every run's backstop too (module docstring).
@@ -149,7 +154,7 @@ SERIES = (0.16666666666666666, 0.075, 0.044642857142857144, 0.030381944444444444
            0.022372159090909092, 0.017352764423076924, 0.01396484375,
            0.011551800896139705, 0.009761609529194078, 0.008390335809616815)
 
-_U = 2.0 ** -53                 # binary64 unit roundoff
+UNIT_ROUNDOFF = 2.0 ** -53      # u of binary64; the partition pads count in it too
 _TINY = 2.0 ** -1072            # the pad's underflow term, per 2^m
 _ARC_UNITS = 6.0                # the closures' pads besides (1 + r/2) e_m
 _FAN_UNITS = 9.0
@@ -188,14 +193,14 @@ def bisection_step(points: Sequence[CirclePoint]) -> list[CirclePoint]:
     return out
 
 
-def _climb(ay: float, by: float, tol: float, last: int, bracket: str,
-           levels: list[_Level]) -> tuple[str, float]:
+def _climb(ay: float, by: float, tol: float, last: int,
+           bracket: str) -> tuple[list[_Level], str, float]:
     """Run the ladder on the arc between the ordinates ``ay`` and ``by``
     (ay != by, both in [0, 1]) from level 0 until its ``bracket`` is at most
     ``tol`` wide, its floor (module docstring) is above a positive ``tol``,
-    or level ``last`` (>= 0) is reached; append each level's record
-    (l_m, h_m, L_m, lo, hi) to ``levels`` and return the report's stop
-    reason and the last level's floor (0 without a closure)."""
+    or level ``last`` (>= 0) is reached; return each level's record
+    (l_m, h_m, L_m, lo, hi), in order, the report's stop reason and the
+    last level's floor (0 without a closure)."""
     sector = bracket == SECTOR_BRACKET
     units = _FAN_UNITS if sector else _ARC_UNITS
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = SERIES
@@ -209,6 +214,7 @@ def _climb(ay: float, by: float, tol: float, last: int, bracket: str,
     scale = 1.0  # 2^m exactly, so total / scale is ldexp(total, -m) bit for bit
     err = 10.0   # e_m, the chord's rounding bound in units of u
     floor = h = 0.0
+    levels: list[_Level] = []
     for m in range(last + 1):
         if m:  # the step to level m
             total = 2.0 * total / sqrt(2.0 * (1.0 + h))
@@ -232,7 +238,7 @@ def _climb(ay: float, by: float, tol: float, last: int, bracket: str,
             p = 1.0 + z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (
                 a5 + z * (a6 + z * (a7 + z * (a8 + z * a9))))))))
             lo, hi, closed = base * p, base * (p + a10 * z ** 10 / (1.0 - z)), True
-        pad = (err + 0.5 * r * err + units) * _U * hi + scale * _TINY
+        pad = (err + 0.5 * r * err + units) * UNIT_ROUNDOFF * hi + scale * _TINY
         err += 0.25 * r * err + 2.875 + 0.125 * r  # e_(m+1), for the next step
         lo -= pad
         hi += pad
@@ -241,10 +247,10 @@ def _climb(ay: float, by: float, tol: float, last: int, bracket: str,
         floor = pad + pad if closed else 0.0
         levels.append((ell, h, total, lo, hi))
         if hi - lo <= tol:
-            return STOP_TOLERANCE, floor
+            return levels, STOP_TOLERANCE, floor
         if floor > tol > 0.0:
-            return STOP_FLOOR, floor
-    return STOP_CAP, floor
+            return levels, STOP_FLOOR, floor
+    return levels, STOP_CAP, floor
 
 
 def ladder_levels(a: CirclePoint, b: CirclePoint, m: int) -> list[_Level]:
@@ -255,10 +261,7 @@ def ladder_levels(a: CirclePoint, b: CirclePoint, m: int) -> list[_Level]:
     that is not a non-negative integer, and ``CapacityError`` above level
     62, where 2^m could not index a materialized point list."""
     check_arc(a, b, "ladder levels")
-    m = as_level(m, _MAX_LEVEL)
-    levels: list[_Level] = []
-    _climb(a.y, b.y, -1.0, m, ARC_BRACKET, levels)
-    return levels
+    return _climb(a.y, b.y, -1.0, as_level(m, _MAX_LEVEL), ARC_BRACKET)[0]
 
 
 def arms(ay: float, by: float, tol: float,
@@ -279,10 +282,9 @@ def arms(ay: float, by: float, tol: float,
     errors carry the last bracket and the report."""
     if type(tol) is not float or not tol > 0.0:
         as_tolerance(tol)
-    levels: list[_Level] = []
     if ay == by:
-        return 0.0, 0.0, levels
-    stop, floor = _climb(ay, by, tol, _MAX_LEVEL, bracket, levels)
+        return 0.0, 0.0, []
+    levels, stop, floor = _climb(ay, by, tol, _MAX_LEVEL, bracket)
     _, _, _, lo, hi = levels[-1]
     if stop != STOP_TOLERANCE:
         below = stop == STOP_FLOOR

@@ -12,8 +12,8 @@ is what every downstream formula consumes, stays at a few ulp.
 
 import math
 
-from ._value import Value
 from .errors import DomainError, check_real
+from .report import Value
 
 
 class CirclePoint(Value):
@@ -43,8 +43,8 @@ class CirclePoint(Value):
         return math.sqrt((1.0 - y) * (1.0 + y))
 
 
-# The slot's own setter: a point is built per ladder run, and it stores the
-# ordinate faster than set_field.
+# The slot's own setter, which stores the ordinate faster than set_field:
+# arcsin builds a point per call, and so does every point_from_ordinate.
 _set_y = CirclePoint.y.__set__
 
 

@@ -15,11 +15,11 @@ ordinate into a side of sin x, so the ordinate interval always holds sin x.
 import math
 
 from . import arclength
-from ._value import Value
 from .arclength import arc_length, arms, ladder_levels
-from .errors import DomainError, PrecisionFloorError, as_tolerance, check_real
+from .errors import (ConvergenceError, DomainError, PrecisionFloorError, as_tolerance,
+                     check_real)
 from .geometry import point_from_ordinate
-from .report import STOP_TOLERANCE, ConvergenceReport, Enclosure
+from .report import STOP_TOLERANCE, ConvergenceReport, Enclosure, Value
 
 _Q = point_from_ordinate(0.0)
 _TOP = point_from_ordinate(1.0)
@@ -55,9 +55,15 @@ def _quarter_arms(tol: float) -> tuple[float, float, tuple]:
     :func:`~chordtrig.arclength.arms`, which checks it and raises for it,
     with the message, bracket and report its own.
     ``arms`` also stops at a level whose floor is above ``tol``; on this arc
-    the first record that meets ``tol`` comes before any such level
-    (``tests/test_inverse.py`` checks every tol where either side can
-    change).
+    the first record that meets ``tol`` comes before any such level. The
+    widths fall to level 2 (8.88e-15) and rise after it (9.77e-15 and
+    1.066e-14 at levels 3 and 4), so a record that meets ``tol`` is one of
+    levels 0 to 2. The floors do not fall, and each floor up to level 2 is
+    at most that level's width (8.8726e-15 <= 8.8818e-15 at level 2), so
+    every level before the first record that meets ``tol`` has its floor
+    at most ``tol``, and ``arms`` stops at that record too
+    (``tests/test_inverse.py`` pins these inequalities and checks every
+    tol where either side can change).
     """
     if type(tol) is float and tol > 0.0:  # arms checks any other tol
         for m in range(min(len(_QUARTER), arclength._MAX_LEVEL + 1)):
@@ -88,12 +94,19 @@ def pi_constant(tol: float) -> Enclosure:
     Arc lengths are additive and the two quarter arcs of the upper
     semicircle are mirror images, so the semicircle length is twice the
     quarter length. Width is at most 2 * tol. A ``tol`` below the quarter
-    arc's binary64 floor raises ``PrecisionFloorError``. It doubles the
-    bare arms of the quarter-arc run, read from its import-time records,
-    so it runs no ladder and builds no report; :func:`pi_run` returns this
-    enclosure with that run's report.
+    arc's binary64 floor raises ``PrecisionFloorError``, and the backstop
+    ``ConvergenceError``; either carries the quarter-arc run's report and
+    its last bracket doubled, which holds pi. It doubles the bare arms of
+    the quarter-arc run, read from its import-time records, so it runs no
+    ladder and builds no report; :func:`pi_run` returns this enclosure with
+    that run's report.
     """
-    lo, hi, _ = _quarter_arms(tol)
+    try:
+        lo, hi, _ = _quarter_arms(tol)
+    except ConvergenceError as err:
+        raise type(err)(f"{err} (the quarter arc, which pi doubles)",
+                        enclosure=Enclosure(2.0 * err.enclosure.lo, 2.0 * err.enclosure.hi),
+                        report=err.report) from err
     return Enclosure(2.0 * lo, 2.0 * hi)
 
 

@@ -69,18 +69,17 @@ into points (no point objects), with the chord formula of
 import math
 import random
 
-from ._value import Value, set_field
-from .arclength import SERIES, arms, bisection_step, upper_bound
+from .arclength import (ARC_BRACKET, SECTOR_BRACKET, SERIES, UNIT_ROUNDOFF, arms,
+                        bisection_step, upper_bound)
 from .errors import (CapacityError, ConvergenceError, DomainError, PrecisionFloorError,
                      as_integer, as_level, as_tolerance, check_arc, check_descending)
 from .geometry import CirclePoint, chord_length, point_from_ordinate
-from .report import ARC_BRACKET, SECTOR_BRACKET
+from .report import Value, set_field
 
 SCHEMES = ("bisection", "ordinate_uniform", "random")
 
 _MAX_PARTITION_LEVEL = 20
 _MAX_PARTITION_POINTS = (1 << _MAX_PARTITION_LEVEL) + 1
-_U = 2.0 ** -53                             # binary64 unit roundoff
 _UNDERFLOW = 2.0 ** -1071                   # 8 * 2^-1074, per chord
 
 
@@ -255,7 +254,7 @@ def _chord_stats(ys: list[float]) -> tuple[float, float, float]:
 def _pad(hi: float, n: int) -> float:
     """How far each arm of an ``n``-chord bracket with upper arm ``hi`` moves
     outward: the rounding bound of the module docstring."""
-    return 24.0 * _U * hi + n * _UNDERFLOW
+    return 24.0 * UNIT_ROUNDOFF * hi + n * _UNDERFLOW
 
 
 def _polyline_stats(ys: list[float]) -> tuple[float, float]:
@@ -307,7 +306,7 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
         if hi_arm - lo_arm <= tol:
             return 0.5 * (lo_arm + hi_arm)
         n = len(ys) - 1
-        floor = 2.0 * _pad(hi_arm, n) + 3.0 * _U * hi_arm
+        floor = 2.0 * _pad(hi_arm, n) + 3.0 * UNIT_ROUNDOFF * hi_arm
         if floor > tol:
             raise PrecisionFloorError(
                 f"tol {tol!r} is below the binary64 floor {floor:.3g} of the "

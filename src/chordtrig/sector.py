@@ -16,13 +16,11 @@ behind it. Both read one body that runs each of the two ladders once and
 forms the ratio once.
 """
 
-from ._value import Value
-from .arclength import arms, ladder_levels
+from .arclength import SECTOR_BRACKET, arms, ladder_levels
 from .errors import (ConvergenceError, DomainError, PrecisionFloorError, as_tolerance,
                      check_arc)
 from .geometry import CirclePoint, chord_length
-from .report import (SECTOR_BRACKET, STOP_CAP, STOP_TOLERANCE, ConvergenceReport,
-                     Enclosure, fan_areas)
+from .report import STOP_CAP, STOP_TOLERANCE, ConvergenceReport, Enclosure, Value, fan_areas
 
 # The fans meet here on every arc: h_m = 1 exactly once the chord is below
 # 2^-26, which it is from level 27 on (arclength module docstring).

@@ -24,10 +24,11 @@ from chordtrig import (
     sin,
 )
 from chordtrig import arclength, geometry, inverse
+from chordtrig.arclength import ARC_BRACKET, SECTOR_BRACKET
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
 from chordtrig.geometry import chord_length
-from chordtrig.report import ARC_BRACKET, SECTOR_BRACKET, level_row
+from chordtrig.report import level_row
 
 from oracles import exact_arc, exact_sector, holds
 
@@ -86,7 +87,7 @@ class TestSoundness:
             enc = pi_constant(tol)
         except PrecisionFloorError as err:
             assert tol < 1e-14
-            assert holds(2 * err.enclosure.lo, 2 * err.enclosure.hi, pi)
+            assert holds(err.enclosure.lo, err.enclosure.hi, pi)
             return
         assert holds(enc.lo, enc.hi, pi) and enc.width <= 2 * tol
 
@@ -95,9 +96,7 @@ class TestSoundness:
             a, b = (point_from_ordinate(y) for y in arc)
             for bracket, truth in ((ARC_BRACKET, exact_arc(*arc)),
                                    (SECTOR_BRACKET, exact_sector(*arc))):
-                levels = []
-                arclength._climb(a.y, b.y, -1.0, 62, bracket, levels)
-                for level in levels:
+                for level in arclength._climb(a.y, b.y, -1.0, 62, bracket)[0]:
                     assert holds(level[3], level[4], truth)
 
 

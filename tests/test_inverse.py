@@ -15,7 +15,6 @@ from chordtrig import (
     tangent_intersection,
 )
 from chordtrig import arclength, inverse
-from chordtrig.report import ARC_BRACKET
 
 from conftest import EPS
 
@@ -84,13 +83,19 @@ def _outcome(call):
     return lo, hi, list(levels)
 
 
+def _quarter_widths_and_floors():
+    """The width and the floor of each of the quarter arc's table levels."""
+    return ([hi - lo for _, _, _, lo, hi in inverse._QUARTER],
+            [arclength._climb(1.0, 0.0, -1.0, m, arclength.ARC_BRACKET)[2]
+             for m in range(len(inverse._QUARTER))])
+
+
 def _table_tols():
     """Every tol where a quarter-arc run can change: each level's width and
     floor and one ulp either side, and the edge tolerances."""
     tols = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-17]
-    for m, (_, _, _, lo, hi) in enumerate(inverse._QUARTER):
-        floor = arclength._climb(1.0, 0.0, -1.0, m, ARC_BRACKET, [])[1]
-        for edge in (hi - lo, floor):
+    for width, floor in zip(*_quarter_widths_and_floors()):
+        for edge in (width, floor):
             tols += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     return tols
 
@@ -102,9 +107,10 @@ class TestQuarterTable:
     comparisons with the five widths and the five floors (tol itself only
     passes into the error and report), so each is a step function of tol,
     and equal outcomes at those ten constants, one ulp either side and the
-    edges make them equal at every tol. No general lemma covers it: at
-    levels 3 and 4 the width is below the floor, and the table, which reads
-    no floor, agrees only because level 2 is narrower than both."""
+    edges make them equal at every tol. They are equal because of the
+    inequalities that ``test_level_2_is_the_narrowest_and_above_the_floors``
+    pins (``_quarter_arms``' docstring has the argument): at levels 3 and 4
+    the width is below the floor, but level 2 is narrower than both."""
 
     @pytest.mark.parametrize("backstop", [None, 0, 1, 2, 3])
     def test_the_table_is_the_run_at_every_tol(self, backstop, monkeypatch):
@@ -114,6 +120,12 @@ class TestQuarterTable:
             table = _outcome(lambda: inverse._quarter_arms(tol))
             run = _outcome(lambda: arclength.arms(1.0, 0.0, tol))
             assert table == run, tol
+
+    def test_level_2_is_the_narrowest_and_above_the_floors(self):
+        widths, floors = _quarter_widths_and_floors()
+        assert widths[0] > widths[1] > widths[2] < widths[3] < widths[4]
+        assert floors == sorted(floors)  # the floor never falls
+        assert all(floor <= width for width, floor in zip(widths[:3], floors[:3]))
 
     def test_the_table_is_the_first_five_levels(self):
         assert inverse._QUARTER == tuple(arclength.ladder_levels(inverse._TOP, Q, 4))

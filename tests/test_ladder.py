@@ -35,11 +35,12 @@ from chordtrig import (
 from chordtrig import arclength as arclength_module
 from chordtrig import report as report_module
 from chordtrig import sector as sector_module
+from chordtrig.arclength import ARC_BRACKET, SECTOR_BRACKET
 from chordtrig.cli import run
 from chordtrig.errors import PrecisionFloorError
 from chordtrig.geometry import chord_length
 from chordtrig.inverse import pi_run
-from chordtrig.report import ARC_BRACKET, CSV_COLUMNS, SECTOR_BRACKET, STOP_FLOOR, fan_areas
+from chordtrig.report import CSV_COLUMNS, STOP_FLOOR, fan_areas
 from chordtrig.sector import ratio_runs
 
 from conftest import random_arc_ordinates
@@ -108,9 +109,7 @@ class TestChordOnOrdinates:
 
     @staticmethod
     def _level_zero_chord(ay, by):
-        levels = []
-        arclength_module._climb(ay, by, -1.0, 0, ARC_BRACKET, levels)
-        return levels[0][0]
+        return arclength_module._climb(ay, by, -1.0, 0, ARC_BRACKET)[0][0][0]
 
     def _check(self, ay, by):
         for first, second in ((ay, by), (by, ay)):
@@ -194,9 +193,7 @@ class TestNegativeSeed:
 def _records(a, b, m, bracket):
     """The records of levels 0 .. ``m`` with the arms of ``bracket``, read
     from the ladder loop itself (the checked recorder gives arc ones only)."""
-    levels = []
-    arclength_module._climb(a.y, b.y, -1.0, m, bracket, levels)
-    return levels
+    return arclength_module._climb(a.y, b.y, -1.0, m, bracket)[0]
 
 
 def _ladder_run(fn, *args, **kwargs):
@@ -318,19 +315,21 @@ class TestNoReportUnlessReturned:
         with pytest.raises(AssertionError, match="report was built"):
             arc_length(a, b, 1e-12)
 
-    @pytest.mark.parametrize("call", [
-        lambda: pi_constant(1e-16),
-        lambda: verify_ratio(point_from_ordinate(0.9), point_from_ordinate(0.1), 1e-16),
+    @pytest.mark.parametrize("call, scale", [
+        (lambda: pi_constant(1e-16), 2.0),  # pi's bracket: the quarter arc's, doubled
+        (lambda: verify_ratio(point_from_ordinate(0.9), point_from_ordinate(0.1), 1e-16),
+         1.0),
     ], ids=["pi_constant", "verify_ratio"])
-    def test_errors_still_carry_the_bracket_and_the_report(self, call):
+    def test_errors_still_carry_the_bracket_and_the_report(self, call, scale):
         with pytest.raises(PrecisionFloorError, match="binary64 floor") as info:
             call()
         err = info.value
         assert isinstance(err.enclosure, Enclosure)
         assert isinstance(err.report, ConvergenceReport)
         assert err.report.stop_reason == STOP_FLOOR and len(err.report) > 0
+        last = err.report.rows[-1]
         assert (err.enclosure.lo, err.enclosure.hi) == (
-            err.report.rows[-1].enclosure_lo, err.report.rows[-1].enclosure_hi)
+            scale * last.enclosure_lo, scale * last.enclosure_hi)
 
 
 def _outcome(call):
@@ -361,8 +360,23 @@ class TestBarePathsAreTheReportPaths:
     bit for bit, and raise the same errors with the same bracket and report."""
 
     @pytest.mark.parametrize("tol", BARE_TOLS)
-    def test_pi_constant_is_pi_runs_enclosure(self, tol):
-        assert _outcome(lambda: pi_constant(tol)) == _outcome(lambda: pi_run(tol)[0])
+    def test_pi_run_is_a_fresh_quarter_arc_run_doubled(self, tol):
+        """``pi_run`` reads the quarter arc's import-time records, where
+        ``arcsin(1.0, tol)`` runs its ladder afresh: pi's bracket is that
+        run's doubled and its report is that run's; where the run raises,
+        ``pi_run`` raises the same type with twice its bracket and the same
+        report."""
+        try:
+            enc, rep = arcsin(1.0, tol)
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError) as info:
+                pi_run(tol)
+            assert type(info.value) is type(err)
+            assert info.value.enclosure == Enclosure(2.0 * err.enclosure.lo,
+                                                     2.0 * err.enclosure.hi)
+            assert info.value.report == err.report
+            return
+        assert pi_run(tol) == (Enclosure(2.0 * enc.lo, 2.0 * enc.hi), rep)
 
     @pytest.mark.parametrize("tol", BARE_TOLS)
     def test_ratio_runs_are_the_report_runs_at_the_scaled_tol(self, tol, rng):

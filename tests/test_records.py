@@ -28,8 +28,8 @@ from chordtrig import (
     point_from_ordinate,
 )
 from chordtrig import arclength, sector
-from chordtrig._value import Value
 from chordtrig.errors import PrecisionFloorError
+from chordtrig.report import Value
 
 TOP = CirclePoint(1.0)
 RIGHT = CirclePoint(0.0)

@@ -4,8 +4,9 @@
 ``numpy.random.default_rng(1).random(2000)``, and ``pi_constant`` runs
 once, at each tolerance of ``TOLS``. Every bracket they hand back, returned
 or carried by a ``PrecisionFloorError``, must hold the exact value (mpmath,
-``tests/oracles.py``); a floor error of ``pi_constant`` carries the quarter
-arc's bracket, which must hold pi / 2. The sweep asserts 0 misses.
+``tests/oracles.py``); a floor error of ``pi_constant`` carries pi's
+bracket, the quarter arc's doubled, which must hold pi. The sweep asserts 0
+misses.
 ``FLOOR_ERRORS`` pins how many arguments raise ``PrecisionFloorError`` at
 each tolerance. A change that moves a floor shows up as an edit to that
 table; do not regenerate it to make this test pass.
@@ -51,7 +52,6 @@ def test_arcsin_brackets_hold_and_floor_errors_are_the_table(tol):
 
 @pytest.mark.parametrize("tol", TOLS)
 def test_pi_constant_holds_pi_above_its_floor(tol):
-    """Below its floor the error carries the quarter arc's bracket."""
-    quarter = exact_arc(1.0)
-    assert _missed(lambda: pi_constant(tol), 2 * quarter, quarter) == (
-        False, tol in PI_BELOW_FLOOR)
+    """Below its floor the error carries pi's bracket, which holds pi too."""
+    pi = 2 * exact_arc(1.0)
+    assert _missed(lambda: pi_constant(tol), pi, pi) == (False, tol in PI_BELOW_FLOOR)

@@ -34,6 +34,23 @@ def test_each_name_is_its_home_modules_object(name):
     assert getattr(value, "__module__", home.__name__) == home.__name__
 
 
+def test_no_module_imports_a_private_module_or_name():
+    """No ``from .x import ...`` in ``src/`` (nor ``from chordtrig.x``) names
+    a ``_``-prefixed module or name. ``inverse`` reads
+    ``arclength._MAX_LEVEL`` as an attribute of the module it imports, not
+    through an import, so the tests that lower the backstop by patching
+    ``arclength._MAX_LEVEL`` reach its reads there too."""
+    private = []
+    for path in sorted((ROOT / "src" / "chordtrig").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("chordtrig")):
+                names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+                private += [f"{path.name}:{node.lineno} {name}" for name in names
+                            if name.startswith("_")]
+    assert private == []
+
+
 def test_unknown_name_raises_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match="module 'chordtrig' has no attribute 'no_such_name'"):
         chordtrig.no_such_name
