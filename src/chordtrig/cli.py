@@ -8,7 +8,9 @@ command line.
 
 Each subcommand prints the fields of one library run, named below, and
 applies no arithmetic to them; ``sin`` alone adds an ``arcsin`` run of its
-value and the residual.
+value and the residual. The input fields echo the arguments as parsed, and
+the report holds the stored point: ``arc --a 1 --b -0.0`` prints
+``"b": -0.0`` beside ``"b_ordinate": 0.0``, as a point stores -0.0 as 0.0.
 
 Subcommands:
     pi                  enclosure of pi (inverse.pi_run)

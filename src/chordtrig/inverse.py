@@ -5,16 +5,16 @@ so it inherits the certified bracket of the bisection scheme. pi is twice
 the quarter arc, 2 * arcsin(1), with both bracket arms doubled exactly, in
 :func:`pi_constant` alone; :func:`pi_run` adds the quarter arc's report.
 The quarter arc's ladder does not depend on the tolerance, which only picks
-the level where a run stops, and every closure run stops by level 4
-(:mod:`chordtrig.arclength`): its records of levels 0 to 4 are run once, on
-import, and pi and sin read their arms there instead of running it again.
+the level where a run stops, and its widths fall to level 2 and rise after
+it: a run that meets its tolerance stops by level 2. Its records of levels 0
+to 2 are run once, on import, and pi and sin read their arms there instead
+of running it again.
 sin inverts arcsin: monotonicity turns arcsin's certified arms at an
 ordinate into a side of sin x, so the ordinate interval always holds sin x.
 """
 
 import math
 
-from . import arclength
 from .arclength import arc_length, arms, ladder_levels
 from .errors import (ConvergenceError, DomainError, PrecisionFloorError, as_tolerance,
                      check_real)
@@ -24,9 +24,9 @@ from .report import STOP_TOLERANCE, ConvergenceReport, Enclosure, Value
 _Q = point_from_ordinate(0.0)
 _TOP = point_from_ordinate(1.0)
 
-# The quarter arc's level records (l_m, h_m, L_m, lo, hi) of levels 0 .. 4,
-# the only run of its ladder: every closure run ends by level 4.
-_QUARTER = tuple(ladder_levels(_TOP, _Q, 4))
+# The quarter arc's level records (l_m, h_m, L_m, lo, hi) of levels 0 .. 2,
+# the only run of its ladder: a run that meets its tol stops by level 2.
+_QUARTER = tuple(ladder_levels(_TOP, _Q, 2))
 
 # Its widened lower arm at level 0, 2.07e-5 below pi / 2: a bound on pi / 2
 # that the ladder itself produces. sin reads the quarter arc only for an x
@@ -47,27 +47,23 @@ class TangentIntersection(Value):
 
 def _quarter_arms(tol: float) -> tuple[float, float, tuple]:
     """``arms(1.0, 0.0, tol)``, read from ``_QUARTER``: the arms of the first
-    record, at a level up to 4 and the backstop ``arclength._MAX_LEVEL``,
-    that is at most ``tol`` wide, and the records up to it.
+    record that is at most ``tol`` wide, and the records up to it.
 
     A tol that is not a float, and a float no record meets (one that is not
-    positive, NaN, below the floor or beyond a lowered backstop), goes to
+    positive, NaN or below level 2's width), goes to
     :func:`~chordtrig.arclength.arms`, which checks it and raises for it,
-    with the message, bracket and report its own.
-    ``arms`` also stops at a level whose floor is above ``tol``; on this arc
-    the first record that meets ``tol`` comes before any such level. The
-    widths fall to level 2 (8.88e-15) and rise after it (9.77e-15 and
-    1.066e-14 at levels 3 and 4), so a record that meets ``tol`` is one of
-    levels 0 to 2. The floors do not fall, and each floor up to level 2 is
-    at most that level's width (8.8726e-15 <= 8.8818e-15 at level 2), so
-    every level before the first record that meets ``tol`` has its floor
-    at most ``tol``, and ``arms`` stops at that record too
-    (``tests/test_inverse.py`` pins these inequalities and checks every
-    tol where either side can change).
+    with the message, bracket and report its own. The widths fall to level 2
+    (8.88e-15) and rise after it (9.77e-15 and 1.066e-14 at levels 3 and 4),
+    so a run that meets ``tol`` meets it by level 2. ``arms`` also stops at
+    a level whose floor is above ``tol``, but the floors do not fall and
+    each floor up to level 2 is at most that level's width (8.8726e-15 <=
+    8.8818e-15 at level 2), so every level before the first record that
+    meets ``tol`` has its floor at most ``tol``, and ``arms`` stops at that
+    record too (``tests/test_inverse.py`` pins these inequalities and checks
+    every tol where either side can change).
     """
-    if type(tol) is float and tol > 0.0:  # arms checks any other tol
-        for m in range(min(len(_QUARTER), arclength._MAX_LEVEL + 1)):
-            _, _, _, lo, hi = _QUARTER[m]
+    if type(tol) is float:  # arms checks any other tol
+        for m, (_, _, _, lo, hi) in enumerate(_QUARTER):
             if hi - lo <= tol:
                 return lo, hi, _QUARTER[:m + 1]
     return arms(1.0, 0.0, tol)

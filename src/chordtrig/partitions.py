@@ -127,24 +127,23 @@ def refinement_gap_bound(p: Partition) -> float:
     return upper_bound(p.points[0], p.points[-1]) * norm * norm / (4.0 - norm * norm)
 
 
-def _ordered_endpoints(a: CirclePoint, b: CirclePoint) -> tuple[CirclePoint, CirclePoint]:
-    check_arc(a, b, "partitions")
-    return (a, b) if a.y > b.y else (b, a)
-
-
-def _check_scheme(scheme: str, seed: int | None) -> int | None:
-    """The checked seed: ``None`` for a scheme that draws nothing, else a
-    non-negative ``int`` (an ``int`` skips ``as_integer``)."""
+def _check_arguments(a: CirclePoint, b: CirclePoint, scheme: str,
+                     seed: int | None) -> tuple[CirclePoint, CirclePoint, int | None]:
+    """The arc's endpoints, the higher first, and the checked seed: ``None``
+    for a scheme that draws nothing, else a non-negative ``int`` (an ``int``
+    skips ``as_integer``). The scheme is checked first, then the seed, then
+    the arc."""
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if seed is None:
         if scheme == "random":
             raise DomainError("the random scheme requires a seed")
-        return None
-    seed = seed if type(seed) is int else as_integer(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    return seed
+    else:
+        seed = seed if type(seed) is int else as_integer(seed, "seed")
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed}")
+    check_arc(a, b, "partitions")
+    return (a, b, seed) if a.y > b.y else (b, a, seed)
 
 
 def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
@@ -154,10 +153,10 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     ``size`` is the level for ``bisection`` and the segment count for the
     other two schemes; ``random`` additionally requires a seed. Seed and
     size must be integers (bools are not), and a segment count lies in 1 ..
-    2^20 (``DomainError`` below, ``CapacityError`` above). The scheme and
-    seed are checked first, then the arc, then the size. The points go to
-    :class:`Partition`, which checks their order and works out the norm
-    when it is read.
+    2^20 (``DomainError`` below, ``CapacityError`` above). The scheme,
+    seed and arc are checked first (:func:`_check_arguments`), then the
+    size. The points go to :class:`Partition`, which checks their order and
+    works out the norm when it is read.
 
     - ``bisection``: level ``size``, 2^size + 1 points; a level above 20
       raises ``CapacityError``.
@@ -173,8 +172,7 @@ def make_partition(a: CirclePoint, b: CirclePoint, scheme: str, size: int,
     dropped, so a very short arc can get fewer than ``size + 1`` points;
     the ordinates always strictly decrease.
     """
-    seed = _check_scheme(scheme, seed)
-    hi, lo = _ordered_endpoints(a, b)
+    hi, lo, seed = _check_arguments(a, b, scheme, seed)
     if scheme != "bisection":
         n = as_integer(size, "segment count")
         if n < 1:
@@ -207,7 +205,7 @@ def _ordinates(scheme: str, hi_y: float, lo_y: float, n: int,
 
     The callers check the arguments: 1 <= n <= 2^20 (:func:`make_partition`
     by its size rule, :func:`scheme_limit` by its doubling loop) and, for
-    ``random``, an ``int`` seed of at least 0 (:func:`_check_scheme`).
+    ``random``, an ``int`` seed of at least 0 (:func:`_check_arguments`).
     """
     ys = [hi_y]
     if n > 1:  # one segment has no inner ordinate: no generator, no step
@@ -290,11 +288,10 @@ def scheme_limit(a: CirclePoint, b: CirclePoint, scheme: str, tol: float,
     (module docstring; :func:`~chordtrig.arclength.arc_length`'s for
     bisection) raises ``PrecisionFloorError``, a ``ConvergenceError`` and a
     ``DomainError``, at once. The arguments are checked in
-    :func:`make_partition`'s order: the scheme and seed, the arc, then
-    ``tol``.
+    :func:`make_partition`'s order: the scheme, seed and arc
+    (:func:`_check_arguments`), then ``tol``.
     """
-    seed = _check_scheme(scheme, seed)
-    hi, lo = _ordered_endpoints(a, b)
+    hi, lo, seed = _check_arguments(a, b, scheme, seed)
     if type(tol) is not float or not tol > 0.0:
         as_tolerance(tol)
     if scheme == "bisection":

@@ -241,6 +241,11 @@ class TestOneBackstop:
             # sin(0.5, .) runs no quarter arc, and its own runs end at level 0;
             # the first run of sin(1.2, .) needs level 1
             call = lambda tol: sin(1.2, tol)
+        if name == "pi_constant":
+            # pi reads the quarter arc's levels 0 to 2, run on import, at any
+            # tol one of them meets; at 8e-15, below level 2's width and
+            # above level 0's floor, it runs the ladder
+            call = lambda tol: pi_constant(8e-15)
         # the fan gap criterion is bounded by the level where the fans meet
         backstop = ((sector_module, "_FANS_MEET") if name == "gap_iterations"
                     else (arclength_module, "_MAX_LEVEL"))

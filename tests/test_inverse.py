@@ -84,10 +84,12 @@ def _outcome(call):
 
 
 def _quarter_widths_and_floors():
-    """The width and the floor of each of the quarter arc's table levels."""
-    return ([hi - lo for _, _, _, lo, hi in inverse._QUARTER],
+    """The width and the floor of each of the quarter arc's levels 0 to 4:
+    the table's three and the two after them."""
+    return ([hi - lo for _, _, _, lo, hi in
+             arclength._climb(1.0, 0.0, -1.0, 4, arclength.ARC_BRACKET)[0]],
             [arclength._climb(1.0, 0.0, -1.0, m, arclength.ARC_BRACKET)[2]
-             for m in range(len(inverse._QUARTER))])
+             for m in range(5)])
 
 
 def _table_tols():
@@ -102,17 +104,19 @@ def _table_tols():
 
 class TestQuarterTable:
     """``inverse._quarter_arms`` reads the quarter arc's records of levels 0
-    to 4, run on import, where ``arclength.arms`` runs the ladder. Where
+    to 2, run on import, where ``arclength.arms`` runs the ladder. Where
     each stops, and whether it raises, depends on tol only through
-    comparisons with the five widths and the five floors (tol itself only
-    passes into the error and report), so each is a step function of tol,
-    and equal outcomes at those ten constants, one ulp either side and the
-    edges make them equal at every tol. They are equal because of the
+    comparisons with the widths and the floors of levels 0 to 4 (tol itself
+    only passes into the error and report), so each is a step function of
+    tol, and equal outcomes at those ten constants, one ulp either side and
+    the edges make them equal at every tol. They are equal because of the
     inequalities that ``test_level_2_is_the_narrowest_and_above_the_floors``
     pins (``_quarter_arms``' docstring has the argument): at levels 3 and 4
-    the width is below the floor, but level 2 is narrower than both."""
+    the width is below the floor, but level 2 is narrower than both. A
+    backstop lowered to level 2 or 3 still leaves every level the table
+    answers from within reach of the run."""
 
-    @pytest.mark.parametrize("backstop", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("backstop", [None, 2, 3])
     def test_the_table_is_the_run_at_every_tol(self, backstop, monkeypatch):
         if backstop is not None:
             monkeypatch.setattr(arclength, "_MAX_LEVEL", backstop)
@@ -127,8 +131,8 @@ class TestQuarterTable:
         assert floors == sorted(floors)  # the floor never falls
         assert all(floor <= width for width, floor in zip(widths[:3], floors[:3]))
 
-    def test_the_table_is_the_first_five_levels(self):
-        assert inverse._QUARTER == tuple(arclength.ladder_levels(inverse._TOP, Q, 4))
+    def test_the_table_is_the_first_three_levels(self):
+        assert inverse._QUARTER == tuple(arclength.ladder_levels(inverse._TOP, Q, 2))
         assert inverse._HALF_PI_LO == inverse._QUARTER[0][3]
 
 

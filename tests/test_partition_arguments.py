@@ -1,7 +1,7 @@
 """Each partition argument is checked once, where it enters.
 
 ``make_partition`` and ``scheme_limit`` own the seed rule (through
-``_check_scheme``), ``make_partition`` owns the segment-count rule, and
+``_check_arguments``), ``make_partition`` owns the segment-count rule, and
 ``errors.check_descending`` is the one point-order rule of ``Partition`` and
 ``bisection_step``. The edge sweep drives both entry points over the three
 schemes, 14 edge ordinates, 8 seeds and 7 sizes, and ``TABLE`` holds each

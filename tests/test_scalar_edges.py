@@ -7,7 +7,8 @@ of one ordinate (``arcsin``, ``sin``, ``additivity_check``'s split point,
 at each of them. ``TABLE`` holds each call's outcome: its value repr, or its
 exception type and message. Do not regenerate the table to make this test
 pass; a difference means an outcome changed. The CLI commands that take an
-ordinate run over the same values.
+ordinate run over the same values, in JSON and in CSV, and ``pi`` runs
+over edge tolerances.
 """
 
 import json
@@ -35,6 +36,7 @@ from chordtrig import (
 )
 from chordtrig import errors
 from chordtrig.cli import run
+from chordtrig.report import CSV_COLUMNS
 from test_partition_arguments import ORDINATES, _cli_value, _on_ordinates, _outcome
 
 TOL = 1e-12
@@ -692,16 +694,37 @@ COMMANDS = {
 }
 
 
+# the --tol strings that pi runs over
+PI_TOLS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e-17", "1e-16", "1e-15", "8e-15",
+           "1e-14", "1e-8", "1e300", "abc"]
+
+
+def _run_cleanly(argv, fmt, capsys):
+    """Run the CLI on ``argv`` in ``fmt``: it exits 0, 1, 2 or 64, prints
+    its JSON object (or a CSV table that starts with the iteration header
+    or ``name,value``) when it exits 0, and never a traceback."""
+    code = run([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 64), argv
+    if code == 0 and fmt == "json":
+        assert json.loads(captured.out)["command"] == argv[0], argv
+    elif code == 0:
+        header = captured.out.split("\n", 1)[0]
+        assert header in (",".join(CSV_COLUMNS), "name,value"), argv
+    assert "Traceback" not in captured.err, argv
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_over_the_edges(command, capsys):
-    """Over the sweep's ordinates, each command exits 0, 1, 2 or 64, prints
-    its JSON object when it exits 0 and never a traceback."""
+    """Over the sweep's ordinates, each command runs cleanly in both formats."""
     for y in ORDINATES.values():
         for args in COMMANDS[command](_cli_value(y)):
-            argv = [command, *args, "--tol", repr(TOL)]
-            code = run(argv)
-            captured = capsys.readouterr()
-            assert code in (0, 1, 2, 64), argv
-            if code == 0:
-                assert json.loads(captured.out)["command"] == command, argv
-            assert "Traceback" not in captured.err, argv
+            for fmt in ("json", "csv"):
+                _run_cleanly([command, *args, "--tol", repr(TOL)], fmt, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_pi_over_the_edge_tolerances(fmt, capsys):
+    """``pi`` runs cleanly in both formats at each edge tolerance."""
+    for tol in PI_TOLS:
+        _run_cleanly(["pi", "--tol", tol], fmt, capsys)

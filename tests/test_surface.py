@@ -34,21 +34,64 @@ def test_each_name_is_its_home_modules_object(name):
     assert getattr(value, "__module__", home.__name__) == home.__name__
 
 
+def _modules():
+    """(file name, syntax tree) of every module in ``src/chordtrig``."""
+    for path in sorted((ROOT / "src" / "chordtrig").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def _chordtrig_modules(tree):
+    """The names a module binds to chordtrig modules: ``from . import x``
+    (or ``from chordtrig import x``, with or without ``as``) and ``import
+    chordtrig.x as y``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level and not node.module or node.module == "chordtrig"):
+            names |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "chordtrig"}
+    return names
+
+
 def test_no_module_imports_a_private_module_or_name():
     """No ``from .x import ...`` in ``src/`` (nor ``from chordtrig.x``) names
-    a ``_``-prefixed module or name. ``inverse`` reads
-    ``arclength._MAX_LEVEL`` as an attribute of the module it imports, not
-    through an import, so the tests that lower the backstop by patching
-    ``arclength._MAX_LEVEL`` reach its reads there too."""
+    a ``_``-prefixed module or name, and no module reads a ``_``-prefixed
+    attribute of a chordtrig module it imported (``arclength._MAX_LEVEL``
+    read as ``arclength._MAX_LEVEL``)."""
     private = []
-    for path in sorted((ROOT / "src" / "chordtrig").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, tree in _modules():
+        modules = _chordtrig_modules(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("chordtrig")):
                 names = [*(node.module or "").split("."), *(a.name for a in node.names)]
-                private += [f"{path.name}:{node.lineno} {name}" for name in names
-                            if name.startswith("_")]
+                private += [f"{name}:{node.lineno} {each}" for each in names
+                            if each.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
+                private.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_every_imported_name_is_read():
+    """Each name a ``src/`` module imports, at its top or in a function, is
+    read in that module: no import is left behind by a change that stopped
+    using it. ``__init__.py`` is left out: a package's import there can be
+    a re-export, which its importers read."""
+    unread = []
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{name}:{node.lineno} {each}" for each in bound
+                           if each not in read]
+    assert unread == []
 
 
 def test_unknown_name_raises_attribute_error_naming_the_module():
